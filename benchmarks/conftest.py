@@ -1,0 +1,13 @@
+"""Test set-up for the benchmark's own tests: import ``sbpd`` from the
+checkout's ``src`` and the benchmark modules from this directory.
+
+    python3 -m pytest benchmarks
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
