@@ -18,11 +18,9 @@ from .linalg import (
     ConvolutionMap,
     DenseMatrixMap,
     ForwardDifferenceMap,
-    IdentityMap,
     LinearMap,
     ShapeError,
     VerticalStackMap,
-    ZeroMap,
     operator_norm,
 )
 from .oracle import ORACLE_MODES, GradientOracle, OracleError
@@ -33,7 +31,6 @@ from .solver import (
     asymptotic_residual,
     default_step_sizes,
     ergodic_rate_constant,
-    estimate_inequality_slack,
     estimate_inequality_terms,
     initial_state,
     lagrangian_gap,

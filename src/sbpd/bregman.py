@@ -138,14 +138,9 @@ class BregmanPoint:
         return self.coords.shape[0]
 
 
-def _check_interior(phi, y, name="y"):
-    if not phi.in_interior(y):
-        raise DomainError(f"{name} is not in the interior domain of {phi.kind}")
-
-
-def _kl_divergence(x, y, log_x=None, log_y=None):
+def _kl_divergence(x, y, log_y=None):
     # sum x log(x/y) - x + y, with the 0 log 0 convention on the first slot
-    lx = np.log(np.where(x > 0, x, 1.0)) if log_x is None else log_x
+    lx = np.log(np.where(x > 0, x, 1.0))
     ly = np.log(y) if log_y is None else log_y
     terms = np.where(x > 0, x * (lx - ly), 0.0)
     return float(terms.sum() - x.sum() + y.sum())
@@ -157,14 +152,31 @@ def bregman_divergence(phi, x, y):
     ``x`` must lie in the domain of ``phi`` and ``y`` in its interior;
     a boundary ``y`` raises :class:`DomainError` instead of returning
     infinity, because the solver never legitimately produces one.
+
+    A :class:`BregmanPoint` ``y`` (a solver iterate) skips the vector
+    validation, and its log coordinates, when present, stand in for
+    ``log y``: the value stays finite even where coordinates underflow.
     """
-    x = as_vector(x, phi.dimension, "x")
-    y = as_vector(y, phi.dimension, "y")
-    if phi.kind == "shannon-boltzmann":
-        if not phi.in_domain(x):
-            raise DomainError("x outside the nonnegative orthant")
-        _check_interior(phi, y)
-        return _kl_divergence(x, y)
+    kl = phi.kind == "shannon-boltzmann"
+    log_y = None
+    if isinstance(y, BregmanPoint):
+        x = np.asarray(x, dtype=np.float64)
+        y, log_y = y.coords, y.log_coords
+        if kl:
+            if np.any(x < 0):
+                raise DomainError("x has negative entries")
+            if log_y is None and np.any(y <= 0):
+                raise DomainError("y is not interior and lacks log coordinates")
+    else:
+        x = as_vector(x, phi.dimension, "x")
+        y = as_vector(y, phi.dimension, "y")
+        if kl:
+            if not phi.in_domain(x):
+                raise DomainError("x outside the nonnegative orthant")
+            if not phi.in_interior(y):
+                raise DomainError(f"y is not in the interior domain of {phi.kind}")
+    if kl:
+        return _kl_divergence(x, y, log_y=log_y)
     diff = x - y
     return 0.5 * float(diff @ diff)
 

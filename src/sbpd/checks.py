@@ -27,9 +27,7 @@ from .linalg import (
     ConvolutionMap,
     DenseMatrixMap,
     ForwardDifferenceMap,
-    IdentityMap,
     VerticalStackMap,
-    ZeroMap,
     operator_norm,
 )
 from .oracle import GradientOracle
@@ -96,8 +94,8 @@ def _operator_zoo(rng):
         ("forward-difference", ForwardDifferenceMap(40)),
         ("dense", DenseMatrixMap(rng.standard_normal((12, 7)))),
         ("convolution", ConvolutionMap(30, bump_kernel(4))),
-        ("identity", IdentityMap(9)),
-        ("zero", ZeroMap(6, 4)),
+        ("identity", DenseMatrixMap(np.eye(9))),
+        ("zero", DenseMatrixMap(np.zeros((4, 6)))),
         ("stack", VerticalStackMap([ForwardDifferenceMap(10),
                                     DenseMatrixMap(rng.standard_normal((5, 10)))])),
     ]
@@ -149,7 +147,7 @@ def _check_linearity(level):
 def _check_operator_norms(level):
     rng = np.random.default_rng(103)
     facts = []
-    facts.append(abs(operator_norm(IdentityMap(7)) - 1.0) <= 1e-9)
+    facts.append(abs(operator_norm(DenseMatrixMap(np.eye(7))) - 1.0) <= 1e-9)
     facts.append(abs(operator_norm(DenseMatrixMap(np.diag([3.0, -4.0]))) - 4.0) <= 1e-8)
     fd_norm = operator_norm(ForwardDifferenceMap(250))
     facts.append(1.99 < fd_norm < 2.0)
@@ -158,7 +156,7 @@ def _check_operator_norms(level):
     lo = max(operator_norm(b) for b in blocks)
     hi = float(np.sqrt(sum(operator_norm(b) ** 2 for b in blocks))) + 1e-9
     facts.append(lo - 1e-9 <= stack_norm <= hi)
-    facts.append(operator_norm(ZeroMap(5, 3)) == 0.0)
+    facts.append(operator_norm(DenseMatrixMap(np.zeros((3, 5)))) == 0.0)
     failures = sum(1 for ok in facts if not ok)
     return CheckResult("operator-norm-bounds", len(facts), failures)
 

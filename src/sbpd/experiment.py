@@ -128,6 +128,14 @@ class ExperimentConfig:
             raise ConfigError("reference_iterations must be at least 1000")
         if self.experiment == "custom" and (self.A is None or self.b is None):
             raise ConfigError("custom experiments need explicit A and b arrays")
+        if self.experiment == "ot-inverse" and self.is_stochastic():
+            raise ConfigError("ot-inverse has no finite-sum gradient; "
+                              "stochastic oracles need simplex-tv or custom")
+        if self.batch_size != "full" and self.experiment != "ot-inverse":
+            m = self.m if self.experiment == "simplex-tv" else np.size(self.b)
+            if self.batch_size > m:
+                raise ConfigError(
+                    f"batch_size {self.batch_size} exceeds the {m} gradient summands")
         return self
 
     def resolved_reference_budget(self):
@@ -318,23 +326,17 @@ def run_experiment(config, log=print):
         reference = compute_reference(problem, ref_budget, config.seed,
                                       cache_dir=output_dir)
 
-        m = getattr(problem, "m", None)
-        stochastic = config.is_stochastic() and m is not None
-        oracle = None
+        stochastic = config.is_stochastic()
         oracle_seeds = []
         if stochastic:
-            q = m if config.batch_size == "full" else min(config.batch_size, m)
-            trace_paths = []
             traces = []
             for r in range(config.repeats):
-                oracle = GradientOracle(config.oracle_mode, q,
-                                        config.seed + r, m)
+                oracle = GradientOracle(config.oracle_mode, config.batch_size,
+                                        config.seed + r, problem.m)
                 oracle_seeds.append(config.seed + r)
                 records = _measured_run(problem, saddle, schedule, reference,
                                         config.iterations, config, oracle)
-                path = os.path.join(output_dir, f"run_{r:03d}.csv")
-                write_trace(path, records)
-                trace_paths.append(path)
+                write_trace(os.path.join(output_dir, f"run_{r:03d}.csv"), records)
                 traces.append(records)
             write_trace(os.path.join(output_dir, "mean_trace.csv"),
                         _mean_records(traces))
@@ -353,10 +355,10 @@ def run_experiment(config, log=print):
                 "L_p": saddle.L_p,
                 "L_d": saddle.L_d,
                 "coupling_norm": problem.coupling_norm,
-                "lam": schedule.lam(0),
-                "nu": schedule.nu(0),
+                "lam": schedule.lam,
+                "nu": schedule.nu,
                 "oracle_mode": config.oracle_mode if stochastic else "exact",
-                "batch_size": (q if stochastic else "full"),
+                "batch_size": (config.batch_size if stochastic else "full"),
                 "oracle_seeds": oracle_seeds,
                 "measured_iterations": config.iterations,
                 "reference_iterations": ref_budget,

@@ -18,8 +18,6 @@ __all__ = [
     "ForwardDifferenceMap",
     "ConvolutionMap",
     "VerticalStackMap",
-    "ZeroMap",
-    "IdentityMap",
     "as_vector",
     "operator_norm",
 ]
@@ -79,9 +77,6 @@ class LinearMap:
     def adjoint_apply(self, y):
         y = as_vector(y, self.output_dim, "y")
         return self._adjoint(y)
-
-    def __call__(self, x):
-        return self.apply(x)
 
     def _apply(self, x):
         raise NotImplementedError
@@ -195,29 +190,6 @@ class VerticalStackMap(LinearMap):
         for blk, lo, hi in zip(self.blocks, self._offsets[:-1], self._offsets[1:]):
             out += blk._adjoint(y[lo:hi])
         return out
-
-
-class ZeroMap(LinearMap):
-    kind = "zero"
-
-    def _apply(self, x):
-        return np.zeros(self.output_dim)
-
-    def _adjoint(self, y):
-        return np.zeros(self.input_dim)
-
-
-class IdentityMap(LinearMap):
-    kind = "identity"
-
-    def __init__(self, n):
-        super().__init__(n, n)
-
-    def _apply(self, x):
-        return x.copy()
-
-    def _adjoint(self, y):
-        return y.copy()
 
 
 _NORM_SEED = 0x5EED

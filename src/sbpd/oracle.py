@@ -55,10 +55,6 @@ class GradientOracle:
             raise ValueError(
                 f"batch_size must lie in [1, {self.m}], got {self.batch_size}")
 
-    @staticmethod
-    def exact(m=1, seed=0):
-        return GradientOracle("exact", m, seed, m)
-
     @property
     def is_exact(self):
         return self.mode == "exact" or self.batch_size == self.m

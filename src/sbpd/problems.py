@@ -192,9 +192,7 @@ class SimplexTVProblem:
             lagrangian_eval=self.lagrangian,
             primal_feasible=_simplex_feasible,
             dual_feasible=lambda mu: bool(np.abs(mu).max() <= beta + 1e-12),
-            f_value=self.f_value,
             f_partial_grad=self.f_partial_grad,
-            n_summands=self.m,
         )
 
     def initial_point(self):
@@ -202,8 +200,8 @@ class SimplexTVProblem:
         return x0, np.zeros(self.n - 1)
 
     def default_schedule(self, safety=1.0):
-        lam, nu = default_step_sizes(self.L_p, 0.0, self.coupling_norm, safety)
-        return StepSchedule.constant(lam, nu)
+        return StepSchedule(*default_step_sizes(self.L_p, 0.0,
+                                                self.coupling_norm, safety))
 
     def descriptor(self):
         return {
@@ -324,7 +322,6 @@ class OTInverseProblem:
             dual_feasible=lambda mu: bool(
                 mu.shape[0] == 2 * n - 1
                 and np.abs(mu[n:]).max() <= self.beta + 1e-12),
-            f_value=lambda x: 0.0,
         )
 
     def initial_point(self):
@@ -332,8 +329,8 @@ class OTInverseProblem:
         return x0, np.zeros(2 * self.n - 1)
 
     def default_schedule(self, safety=1.0):
-        lam, nu = default_step_sizes(0.0, self.L_d, self.coupling_norm, safety)
-        return StepSchedule.constant(lam, nu)
+        return StepSchedule(*default_step_sizes(0.0, self.L_d,
+                                                self.coupling_norm, safety))
 
     def descriptor(self):
         return {
@@ -464,7 +461,7 @@ def compute_reference(problem, budget, seed, cache_dir=None):
         return False
 
     state = run(saddle, schedule, state, budget, callback=track)
-    scale = 1.0 / schedule.lam(budget) + 1.0 / schedule.nu(budget) + problem.coupling_norm
+    scale = 1.0 / schedule.lam + 1.0 / schedule.nu + problem.coupling_norm
     ref = ReferenceSolution(
         x_star=state.x.coords.copy(),
         mu_star=state.mu.copy(),

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bregman import BregmanPoint, DomainError, Entropy, _kl_divergence
+from .bregman import BregmanPoint, DomainError, Entropy, bregman_divergence
 from .linalg import LinearMap
 
 __all__ = [
@@ -25,10 +25,8 @@ __all__ = [
     "initial_state",
     "sbpd_step",
     "run",
-    "divergence_to_iterate",
     "ergodic_rate_constant",
     "estimate_inequality_terms",
-    "estimate_inequality_slack",
     "symmetrized_energy_slack",
     "lagrangian_gap",
     "asymptotic_residual",
@@ -61,9 +59,7 @@ class SaddleProblem:
     lagrangian_eval: Callable[[np.ndarray, np.ndarray], float]
     primal_feasible: Callable[[np.ndarray], bool]
     dual_feasible: Callable[[np.ndarray], bool]
-    f_value: Optional[Callable[[np.ndarray], float]] = None
     f_partial_grad: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    n_summands: Optional[int] = None
 
     def __post_init__(self):
         if self.L_p < 0 or self.L_d < 0:
@@ -72,18 +68,14 @@ class SaddleProblem:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Step-size sequences (nondecreasing, bounded by their limits)."""
+    """Constant primal and dual step sizes ``lam`` and ``nu``."""
 
-    lam: Callable[[int], float]
-    nu: Callable[[int], float]
-    lam_inf: float
-    nu_inf: float
+    lam: float
+    nu: float
 
-    @staticmethod
-    def constant(lam, nu):
-        if lam <= 0 or nu <= 0:
+    def __post_init__(self):
+        if not (self.lam > 0 and self.nu > 0):
             raise ValueError("step sizes must be positive")
-        return StepSchedule(lambda k: lam, lambda k: nu, lam, nu)
 
 
 def default_step_sizes(L_p, L_d, opnorm, safety=1.0):
@@ -132,20 +124,17 @@ def sbpd_step(problem, schedule, state, oracle=None):
     incrementally and exclude the initial point.
     """
     k = state.k
-    lam = schedule.lam(k)
-    nu = schedule.nu(k)
-
     if oracle is None or oracle.is_exact:
         grad_p = problem.f_grad(state.x.coords)
     else:
         grad_p = oracle.estimate(
             problem.f_grad, problem.f_partial_grad, state.x.coords, k)
     drift_p = grad_p + problem.coupling.adjoint_apply(state.mu)
-    x_next = problem.g_prox(state.x, drift_p, lam)
+    x_next = problem.g_prox(state.x, drift_p, schedule.lam)
 
     x_tilde = 2.0 * x_next.coords - state.x.coords
     drift_d = problem.h_star_grad(state.mu) - problem.coupling.apply(x_tilde)
-    mu_next = problem.l_star_prox(state.mu, drift_d, nu)
+    mu_next = problem.l_star_prox(state.mu, drift_d, schedule.nu)
 
     k1 = k + 1
     x_bar = state.x_bar + (x_next.coords - state.x_bar) / k1
@@ -165,25 +154,6 @@ def run(problem, schedule, state, iterations, oracle=None, callback=None):
             return new
         state = new
     return state
-
-
-def divergence_to_iterate(phi, ref, point):
-    """D_phi(ref, point) evaluated stably against a solver iterate.
-
-    For Shannon-Boltzmann carriers the iterate's log coordinates are used
-    directly, so the value stays finite even when coordinates underflow.
-    """
-    ref = np.asarray(ref, dtype=np.float64)
-    if phi.kind == "shannon-boltzmann":
-        if np.any(ref < 0):
-            raise DomainError("reference point has negative entries")
-        if point.log_coords is not None:
-            return _kl_divergence(ref, point.coords, log_y=point.log_coords)
-        if np.any(point.coords <= 0):
-            raise DomainError("iterate is not interior and lacks log coordinates")
-        return _kl_divergence(ref, point.coords)
-    diff = ref - point.coords
-    return 0.5 * float(diff @ diff)
 
 
 def _as_point(x):
@@ -214,22 +184,25 @@ def lagrangian_gap(problem, w, w_ref):
     return problem.lagrangian_eval(x, mu_ref) - problem.lagrangian_eval(x_ref, mu)
 
 
-def ergodic_rate_constant(problem, schedule, w_ref, w0, k=0):
+def _energy(problem, schedule, x_ref, mu_ref, point, mu):
+    # E(w_ref) = D_p(x_ref, x)/lam + D_d(mu_ref, mu)/nu - <T(x_ref - x), mu_ref - mu>
+    dp = bregman_divergence(problem.phi_p, x_ref, point)
+    dd = bregman_divergence(problem.phi_d, mu_ref, _as_point(mu))
+    cross = float(problem.coupling.apply(x_ref - point.coords) @ (mu_ref - mu))
+    return dp / schedule.lam + dd / schedule.nu - cross
+
+
+def ergodic_rate_constant(problem, schedule, w_ref, w0):
     """The constant C0 of the ergodic rate bound C0 / k.
 
-    C0 = D_p(x_ref, x0)/lam_k + D_d(mu_ref, mu0)/nu_k - <T(x_ref - x0),
-    mu_ref - mu0>, with divergences taken at the schedule's step k.
+    C0 = D_p(x_ref, x0)/lam + D_d(mu_ref, mu0)/nu - <T(x_ref - x0),
+    mu_ref - mu0>.
     """
     x_ref, mu_ref = w_ref
     x0, mu0 = w0
-    x_ref = _as_point(x_ref).coords
-    x0 = _as_point(x0) if not isinstance(x0, BregmanPoint) else x0
-    mu_ref = np.asarray(mu_ref, dtype=np.float64)
-    mu0 = np.asarray(mu0, dtype=np.float64)
-    dp = divergence_to_iterate(problem.phi_p, x_ref, x0)
-    dd = divergence_to_iterate(problem.phi_d, mu_ref, _as_point(mu0))
-    cross = float(problem.coupling.apply(x_ref - x0.coords) @ (mu_ref - mu0))
-    return float(dp / schedule.lam(k) + dd / schedule.nu(k) - cross)
+    return float(_energy(problem, schedule, _as_point(x_ref).coords,
+                         np.asarray(mu_ref, dtype=np.float64), _as_point(x0),
+                         np.asarray(mu0, dtype=np.float64)))
 
 
 def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
@@ -242,10 +215,11 @@ def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
 
         gap(w_{k+1}) + E_{k+1}(w_ref) <= E_k(w_ref) + <delta, w_ref - w_{k+1}>
 
-    where E_j(w) = D_p(x, x_j)/lam_j + D_d(mu, mu_j)/nu_j - <T(x - x_j),
+    where E_j(w) = D_p(x, x_j)/lam + D_d(mu, mu_j)/nu - <T(x - x_j),
     mu - mu_j>. Returns ``(slack, scale)`` with slack = RHS - LHS and scale
     = 1 + the largest term magnitude; nonnegative slack up to roundoff is
-    the certified behavior.
+    the certified behavior. ``k`` is the index of ``w_k``; with constant
+    steps the inequality does not depend on it.
     """
     x_k, mu_k = w_k
     x_n, mu_n = w_next
@@ -257,15 +231,8 @@ def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
     mu_n = np.asarray(mu_n, dtype=np.float64)
     mu_ref = np.asarray(mu_ref, dtype=np.float64)
     _check_feasible(problem, x_ref, mu_ref, "w_ref")
-
-    def energy(point, mu, kk):
-        dp = divergence_to_iterate(problem.phi_p, x_ref, point)
-        dd = divergence_to_iterate(problem.phi_d, mu_ref, _as_point(mu))
-        cross = float(problem.coupling.apply(x_ref - point.coords) @ (mu_ref - mu))
-        return dp / schedule.lam(kk) + dd / schedule.nu(kk) - cross
-
-    e_k = energy(x_k, mu_k, k)
-    e_next = energy(x_n, mu_n, k + 1)
+    e_k = _energy(problem, schedule, x_ref, mu_ref, x_k, mu_k)
+    e_next = _energy(problem, schedule, x_ref, mu_ref, x_n, mu_n)
     gap = (problem.lagrangian_eval(x_n.coords, mu_ref)
            - problem.lagrangian_eval(x_ref, mu_n))
     noise = 0.0
@@ -278,18 +245,10 @@ def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
     return float(slack), float(scale)
 
 
-def estimate_inequality_slack(problem, schedule, w_k, w_next, w_ref,
-                              k=0, primal_delta=None, dual_delta=None):
-    """Slack of the energy inequality; see ``estimate_inequality_terms``."""
-    slack, _ = estimate_inequality_terms(
-        problem, schedule, w_k, w_next, w_ref, k, primal_delta, dual_delta)
-    return slack
-
-
-def symmetrized_energy_slack(problem, schedule, w1, w2, k=0):
+def symmetrized_energy_slack(problem, schedule, w1, w2):
     """Slack of the cross-term domination inequality, nonnegative in theory.
 
-    Returns (1/Lambda_k)(D(w1, w2) + D(w2, w1)) - 2 M(w1, w2). Valid step
+    Returns (1/Lambda)(D(w1, w2) + D(w2, w1)) - 2 M(w1, w2). Valid step
     sizes make this nonnegative for every pair of admissible points, which
     is what lets the noise pairing of inexact updates be controlled.
     """
@@ -298,12 +257,12 @@ def symmetrized_energy_slack(problem, schedule, w1, w2, k=0):
     p1, p2 = _as_point(x1), _as_point(x2)
     mu1 = np.asarray(mu1, dtype=np.float64)
     mu2 = np.asarray(mu2, dtype=np.float64)
-    dp = (divergence_to_iterate(problem.phi_p, p1.coords, p2)
-          + divergence_to_iterate(problem.phi_p, p2.coords, p1))
-    dd = (divergence_to_iterate(problem.phi_d, mu1, _as_point(mu2))
-          + divergence_to_iterate(problem.phi_d, mu2, _as_point(mu1)))
+    dp = (bregman_divergence(problem.phi_p, p1.coords, p2)
+          + bregman_divergence(problem.phi_p, p2.coords, p1))
+    dd = (bregman_divergence(problem.phi_d, mu1, _as_point(mu2))
+          + bregman_divergence(problem.phi_d, mu2, _as_point(mu1)))
     cross = float(problem.coupling.apply(p1.coords - p2.coords) @ (mu1 - mu2))
-    return float(dp / schedule.lam(k) + dd / schedule.nu(k) - 2.0 * cross)
+    return float(dp / schedule.lam + dd / schedule.nu - 2.0 * cross)
 
 
 def asymptotic_residual(state_k, state_next):

@@ -354,7 +354,7 @@ def test_10_euclidean_degeneration(capsys):
         primal_feasible=lambda x: bool(np.abs(x).max() <= 1.0 + 1e-12),
         dual_feasible=lambda mu: bool(np.abs(mu).max() <= beta + 1e-12),
     )
-    schedule = StepSchedule.constant(lam, nu)
+    schedule = StepSchedule(lam, nu)
     state = initial_state(BregmanPoint.from_coords([0.9, -0.4]),
                           np.array([0.1, 0.2]))
     x_hand = np.array([0.9, -0.4])

@@ -122,6 +122,45 @@ def test_divergence_boundary_y_raises():
         bregman_divergence(ShannonBoltzmann(2), [0.5, 0.5], [1.0, 0.0])
 
 
+def test_divergence_to_interior_point_matches_array_form():
+    rng = np.random.default_rng(5)
+    x = random_simplex(rng, 6)
+    y = interior_simplex(rng, 6)
+    phi = ShannonBoltzmann(6)
+    assert bregman_divergence(phi, x, BregmanPoint.from_positive_coords(y)) == \
+        bregman_divergence(phi, x, y)
+    # a prox output carries log coordinates that only round-trip approximately
+    p = kl_prox_simplex(BregmanPoint.from_positive_coords(y), rng.standard_normal(6), 0.3)
+    assert bregman_divergence(phi, x, p) == pytest.approx(
+        bregman_divergence(phi, x, p.coords), rel=1e-12, abs=1e-15)
+    u, w = rng.standard_normal((2, 6))
+    euclid = EuclideanEnergy(6)
+    assert bregman_divergence(euclid, u, BregmanPoint.from_coords(w)) == \
+        bregman_divergence(euclid, u, w)
+
+
+def test_divergence_to_point_uses_log_coords_when_coords_underflow():
+    log_y = np.array([0.0, -800.0])
+    point = BregmanPoint(np.exp(log_y), log_y)
+    assert point.coords[1] == 0.0
+    d = bregman_divergence(ShannonBoltzmann(2), [0.5, 0.5], point)
+    assert np.isfinite(d)
+    assert d == pytest.approx(400.0 + np.log(0.5), rel=1e-14)
+    with pytest.raises(DomainError):
+        bregman_divergence(ShannonBoltzmann(2), [0.5, 0.5], point.coords)
+
+
+@pytest.mark.parametrize("x,point", [
+    # negative reference
+    ([-0.1, 1.1], BregmanPoint.from_positive_coords([0.5, 0.5])),
+    # boundary point without log coordinates
+    ([0.5, 0.5], BregmanPoint(np.array([1.0, 0.0]))),
+])
+def test_divergence_to_point_domain_errors(x, point):
+    with pytest.raises(DomainError):
+        bregman_divergence(ShannonBoltzmann(2), x, point)
+
+
 # -------------------------------------------------------------- three point
 
 def test_three_point_degenerate():

@@ -179,6 +179,33 @@ def test_invalid_config_writes_error_json(tmp_path):
     assert json.loads(lines[0]) == doc
 
 
+def test_stochastic_oracle_on_ot_inverse_is_rejected(tmp_path):
+    lines = []
+    config = ExperimentConfig(experiment="ot-inverse", n=8, iterations=50,
+                              oracle_mode="paper-partial", batch_size=4,
+                              output_dir=str(tmp_path / "out"))
+    assert run_experiment(config, log=lines.append) == 2
+    doc = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert doc["error"] == "invalid-config"
+    assert "ot-inverse" in doc["message"]
+    assert json.loads(lines[0]) == doc
+
+
+@pytest.mark.parametrize("experiment,data", [
+    ("simplex-tv", {}),
+    ("custom", {"A": [[1.0, 0.2]] * 10, "b": [0.5] * 10}),
+])
+def test_batch_larger_than_summand_count_is_rejected(tmp_path, experiment, data):
+    config = _tiny_config(tmp_path, experiment=experiment,
+                          oracle_mode="scaled-unbiased", batch_size=11, **data)
+    assert run_experiment(config, log=lambda s: None) == 2
+    doc = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert doc["error"] == "invalid-config"
+    assert "batch_size 11 exceeds the 10" in doc["message"]
+    # a batch of every summand is still a valid request
+    config.with_overrides(batch_size=10).validate()
+
+
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("SBPD_OUTPUT_DIR", str(env_dir))

@@ -9,7 +9,7 @@ from sbpd.bregman import (
     kl_prox_simplex,
     linf_ball_prox,
 )
-from sbpd.linalg import DenseMatrixMap, ForwardDifferenceMap, ZeroMap, operator_norm
+from sbpd.linalg import DenseMatrixMap, ForwardDifferenceMap, operator_norm
 from sbpd.oracle import GradientOracle
 from sbpd.solver import (
     SaddleProblem,
@@ -17,7 +17,6 @@ from sbpd.solver import (
     asymptotic_residual,
     default_step_sizes,
     ergodic_rate_constant,
-    estimate_inequality_slack,
     estimate_inequality_terms,
     initial_state,
     lagrangian_gap,
@@ -52,12 +51,9 @@ def tv_problem(n, m, seed, beta=1.0):
         lagrangian_eval=lambda x, mu: f_value(x) + float(B.apply(x) @ mu),
         primal_feasible=lambda x: bool(np.all(x >= 0) and abs(x.sum() - 1) <= 1e-9),
         dual_feasible=lambda mu: bool(np.abs(mu).max() <= beta + 1e-12),
-        f_value=f_value,
         f_partial_grad=lambda idx, x: A[idx].T @ np.log(A[idx] @ x / b[idx]),
-        n_summands=m,
     )
-    lam, nu = default_step_sizes(problem.L_p, 0.0, operator_norm(B))
-    schedule = StepSchedule.constant(lam, nu)
+    schedule = StepSchedule(*default_step_sizes(problem.L_p, 0.0, operator_norm(B)))
     state = initial_state(BregmanPoint.from_positive_coords(np.full(n, 1.0 / n)),
                           np.zeros(n - 1))
     return problem, schedule, state
@@ -79,13 +75,12 @@ def test_default_step_sizes_errors():
         default_step_sizes(1.0, 0.0, 1.0, safety=1.5)
 
 
-def test_constant_schedule_is_nondecreasing_and_bounded():
-    sched = StepSchedule.constant(0.2, 0.5)
-    for k in range(100):
-        assert sched.lam(k) <= sched.lam(k + 1) <= sched.lam_inf
-        assert sched.nu(k) <= sched.nu(k + 1) <= sched.nu_inf
-    with pytest.raises(ValueError):
-        StepSchedule.constant(0.0, 0.5)
+def test_step_schedule_rejects_nonpositive_steps():
+    sched = StepSchedule(0.2, 0.5)
+    assert (sched.lam, sched.nu) == (0.2, 0.5)
+    for lam, nu in ((0.0, 0.5), (0.2, -1.0), (float("nan"), 0.5)):
+        with pytest.raises(ValueError):
+            StepSchedule(lam, nu)
 
 
 def test_zero_problem_fixed_point():
@@ -95,7 +90,7 @@ def test_zero_problem_fixed_point():
         h_star_grad=lambda mu: np.zeros(n - 1),
         g_prox=kl_prox_simplex,
         l_star_prox=lambda mu, v, nu: linf_ball_prox(mu, v, nu, 1.0),
-        coupling=ZeroMap(n, n - 1),
+        coupling=DenseMatrixMap(np.zeros((n - 1, n))),
         L_p=0.0,
         L_d=0.0,
         phi_p=ShannonBoltzmann(n),
@@ -104,7 +99,7 @@ def test_zero_problem_fixed_point():
         primal_feasible=lambda x: True,
         dual_feasible=lambda mu: True,
     )
-    schedule = StepSchedule.constant(1.0, 1.0)
+    schedule = StepSchedule(1.0, 1.0)
     x0 = BregmanPoint.from_positive_coords([0.1, 0.2, 0.3, 0.15, 0.25])
     mu0 = np.array([0.5, -0.5, 0.25, 0.0])
     state = sbpd_step(problem, schedule, initial_state(x0, mu0))
@@ -117,7 +112,7 @@ def test_single_step_composes_prox_and_gradient():
     problem, schedule, state = tv_problem(2, 3, seed=0)
     out = sbpd_step(problem, schedule, state)
     expected = kl_prox_simplex(state.x, problem.f_grad(state.x.coords),
-                               schedule.lam(0))
+                               schedule.lam)
     assert np.array_equal(out.x.coords, expected.coords)
     assert out.k == 1
     assert out.x_prev is state.x
@@ -173,7 +168,7 @@ def test_three_dim_run_matches_half_step_reference():
     # twice as long; both must land on the same primal solution
     problem, schedule, state = tv_problem(3, 4, seed=5, beta=0.02)
     main = run(problem, schedule, state, 60_000)
-    half = StepSchedule.constant(schedule.lam(0) / 2, schedule.nu(0) / 2)
+    half = StepSchedule(schedule.lam / 2, schedule.nu / 2)
     _, _, state2 = tv_problem(3, 4, seed=5, beta=0.02)
     ref = run(problem, half, state2, 120_000)
     assert np.abs(main.x.coords - ref.x.coords).sum() <= 1e-6
@@ -200,7 +195,7 @@ def test_classical_primal_dual_degeneration():
         primal_feasible=lambda x: bool(np.abs(x).max() <= 1.0 + 1e-12),
         dual_feasible=lambda mu: bool(np.abs(mu).max() <= beta + 1e-12),
     )
-    schedule = StepSchedule.constant(lam, nu)
+    schedule = StepSchedule(lam, nu)
     state = initial_state(BregmanPoint.from_coords([0.9, -0.4]),
                           np.array([0.1, 0.2]))
     x_hand = np.array([0.9, -0.4])
@@ -257,7 +252,7 @@ def test_estimate_inequality_rejects_infeasible_ref():
     problem, schedule, state = tv_problem(4, 4, seed=8)
     new = sbpd_step(problem, schedule, state)
     with pytest.raises(DomainError):
-        estimate_inequality_slack(problem, schedule, (state.x, state.mu),
+        estimate_inequality_terms(problem, schedule, (state.x, state.mu),
                                   (new.x, new.mu),
                                   (np.array([0.5, 0.5, 0.5, 0.5]), np.zeros(3)))
 
