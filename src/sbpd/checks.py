@@ -150,7 +150,8 @@ def _check_operator_norms(level):
     facts.append(abs(operator_norm(DenseMatrixMap(np.eye(7))) - 1.0) <= 1e-9)
     facts.append(abs(operator_norm(DenseMatrixMap(np.diag([3.0, -4.0]))) - 4.0) <= 1e-8)
     fd_norm = operator_norm(ForwardDifferenceMap(250))
-    facts.append(1.99 < fd_norm < 2.0)
+    fd_exact = 2.0 * np.cos(np.pi / 500)  # closed form 2 cos(pi / 2n) at n = 250
+    facts.append(abs(fd_norm - fd_exact) <= 1e-12 * fd_exact)
     blocks = [ForwardDifferenceMap(20), DenseMatrixMap(rng.standard_normal((8, 20)))]
     stack_norm = operator_norm(VerticalStackMap(blocks))
     lo = max(operator_norm(b) for b in blocks)

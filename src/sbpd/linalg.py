@@ -1,13 +1,12 @@
 """Linear operators used by the solver and the problem builders.
 
 Everything is dense and real. Operators expose ``apply`` / ``adjoint_apply``
-plus their shape, and ``operator_norm`` estimates the spectral norm by power
-iteration so that step sizes can be derived uniformly for every operator kind.
+plus their shape, and ``operator_norm`` computes the exact spectral norm from
+one SVD of the operator's matrix, so that the step sizes of every operator
+kind rest on the true norm rather than an estimate.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -131,7 +130,7 @@ class ForwardDifferenceMap(LinearMap):
         return out
 
 
-class ConvolutionMap(LinearMap):
+class ConvolutionMap(DenseMatrixMap):
     """Column-stochastic convolution built from a symmetric kernel.
 
     The kernel of length ``2r + 1`` is placed on each column, truncated at
@@ -147,7 +146,6 @@ class ConvolutionMap(LinearMap):
             raise ValueError("kernel length must be odd (2r + 1 taps)")
         if np.any(kernel < 0) or kernel.sum() <= 0:
             raise ValueError("kernel must be nonnegative with positive mass")
-        super().__init__(n, n)
         r = kernel.size // 2
         mat = np.zeros((n, n))
         for c in range(n):
@@ -155,15 +153,9 @@ class ConvolutionMap(LinearMap):
             hi = min(n, c + r + 1)
             mat[lo:hi, c] = kernel[lo - c + r:hi - c + r]
         mat /= mat.sum(axis=0, keepdims=True)
+        super().__init__(mat)
         self.kernel = kernel
         self.radius = r
-        self.matrix = np.ascontiguousarray(mat)
-
-    def _apply(self, x):
-        return self.matrix @ x
-
-    def _adjoint(self, y):
-        return self.matrix.T @ y
 
 
 class VerticalStackMap(LinearMap):
@@ -192,53 +184,19 @@ class VerticalStackMap(LinearMap):
         return out
 
 
-_NORM_SEED = 0x5EED
+def operator_norm(op):
+    """Spectral norm of ``op``: the largest singular value of its matrix.
 
-
-def operator_norm(op, tol=1e-9, max_iter=10_000):
-    """Estimate the spectral norm of ``op`` by power iteration on op*op.
-
-    Starts from a fixed seeded vector so repeated calls are deterministic.
-    The returned value is a Rayleigh-type estimate ``||op v|| / ||v||`` and
-    therefore never exceeds the true norm.
+    The matrix is built one column at a time from ``op._apply`` on the
+    identity columns, so every operator kind takes the same exact route.
 
     Parameters
     ----------
     op : LinearMap
-    tol : float
-        Relative change in the estimate at which iteration stops.
-    max_iter : int
-        Iteration cap; on hitting it a ``RuntimeWarning`` is issued and the
-        best estimate so far is returned.
 
     Returns
     -------
     float
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rng = np.random.default_rng(_NORM_SEED)
-    v = rng.standard_normal(op.input_dim)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        u = op._apply(v)
-        s = np.linalg.norm(u)
-        if s == 0.0:
-            # v is orthogonal to the range; with a random start this means
-            # the operator is (numerically) zero.
-            return 0.0
-        w = op._adjoint(u)
-        if abs(s - sigma) <= tol * max(s, 1.0):
-            return float(s)
-        sigma = s
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return float(s)
-        v = w / nw
-    warnings.warn(
-        f"operator_norm did not converge within {max_iter} iterations; "
-        f"returning the current estimate {sigma:.6e}",
-        RuntimeWarning,
-    )
-    return float(sigma)
+    cols = [op._apply(e) for e in np.eye(op.input_dim)]
+    return float(np.linalg.norm(np.column_stack(cols), 2))

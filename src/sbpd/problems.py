@@ -397,7 +397,8 @@ class ReferenceSolution:
 
 
 def reference_config_hash(problem, budget, seed):
-    doc = dict(problem.descriptor(), budget=int(budget), seed=int(seed))
+    doc = dict(problem.descriptor(), budget=int(budget), seed=int(seed),
+               coupling_norm=problem.coupling_norm)
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
@@ -438,21 +439,30 @@ def compute_reference(problem, budget, seed, cache_dir=None):
     ``1/lam + 1/nu + ||T||``, a heuristic certificate for how far gap
     evaluations against this reference can dip below zero. With a cache
     directory the result is persisted under its config hash and reloaded
-    on identical requests.
+    on identical requests; a file that does not parse or fails the hash,
+    budget, shape, finiteness or feasibility checks is recomputed.
     """
     if budget < 1000:
         raise ValueError("reference budget must be at least 1000 iterations")
     config_hash = reference_config_hash(problem, budget, seed)
-    if cache_dir is not None:
-        path = _reference_path(cache_dir, config_hash)
-        if os.path.exists(path):
-            ref = load_reference(path)
-            if ref.config_hash == config_hash and ref.iterations == budget:
-                return ref
-
     saddle = problem.saddle_problem()
-    schedule = problem.default_schedule()
     x0, mu0 = problem.initial_point()
+    if cache_dir is not None:
+        try:
+            ref = load_reference(_reference_path(cache_dir, config_hash))
+        except (OSError, ValueError, KeyError, TypeError):
+            ref = None
+        if (ref is not None and ref.config_hash == config_hash
+                and ref.iterations == budget
+                and ref.x_star.shape == x0.coords.shape
+                and ref.mu_star.shape == mu0.shape
+                and np.all(np.isfinite(ref.mu_star))
+                and 0.0 <= ref.ref_tol < np.inf
+                and saddle.primal_feasible(ref.x_star)
+                and saddle.dual_feasible(ref.mu_star)):
+            return ref
+
+    schedule = problem.default_schedule()
     state = initial_state(x0, mu0)
     last = {"residual": np.inf}
 

@@ -169,6 +169,38 @@ def test_reference_cache_is_reused(tmp_path):
     assert ref_files[0].stat().st_mtime_ns == stamp
 
 
+def _edited(text, key, edit):
+    doc = json.loads(text)
+    doc[key] = edit(doc[key])
+    return json.dumps(doc)
+
+
+CACHE_FAULTS = {
+    "truncated": lambda t: t[:len(t) // 2],
+    "short-x-star": lambda t: _edited(t, "x_star", lambda x: x[:-1]),
+    "nan-x-star": lambda t: _edited(t, "x_star", lambda x: [float("nan")] + x[1:]),
+    "nan-mu-star": lambda t: _edited(t, "mu_star", lambda m: [float("nan")] + m[1:]),
+    "infeasible": lambda t: _edited(t, "x_star", lambda x: [2.0 * v for v in x]),
+    "wrong-hash": lambda t: _edited(t, "config_hash", lambda h: "0" * len(h)),
+    "wrong-iterations": lambda t: _edited(t, "iterations", lambda k: k + 1),
+}
+
+
+@pytest.mark.parametrize("experiment", ["simplex-tv", "ot-inverse"])
+@pytest.mark.parametrize("fault", sorted(CACHE_FAULTS))
+def test_corrupt_reference_cache_is_recomputed(tmp_path, fault, experiment):
+    config = _tiny_config(tmp_path, experiment=experiment, iterations=120)
+    assert run_experiment(config, log=lambda s: None) == 0
+    out = tmp_path / "out"
+    [ref_file] = out.glob("reference_*.json")
+    clean = ref_file.read_text()
+    trace = (out / "trace.csv").read_bytes()
+    ref_file.write_text(CACHE_FAULTS[fault](clean))
+    assert run_experiment(config, log=lambda s: None) == 0
+    assert ref_file.read_text() == clean
+    assert (out / "trace.csv").read_bytes() == trace
+
+
 def test_invalid_config_writes_error_json(tmp_path):
     lines = []
     config = _tiny_config(tmp_path, batch_size=-3)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from sbpd.bregman import DomainError, bregman_divergence, ShannonBoltzmann
+from sbpd.experiment import ExperimentConfig
 from sbpd.problems import (
     build_ot_inverse,
     build_simplex_tv,
@@ -14,6 +16,7 @@ from sbpd.problems import (
     kl_rel_smooth_constant,
     lse,
     ot_semidual_value_grad,
+    reference_config_hash,
     simplex_tv_from_arrays,
     softmax,
 )
@@ -265,7 +268,37 @@ def test_build_ot_inverse_determinism_and_validation():
         build_ot_inverse(10, seed=0, noise_level=1.5)
 
 
+# ------------------------------------------------------------- coupling norm
+
+def _difference_norm(n):
+    return 2.0 * np.cos(np.pi / (2 * n))
+
+
+@pytest.mark.parametrize("config,expected", [
+    (ExperimentConfig(experiment="simplex-tv", n=50, m=50, seed=3),
+     lambda p: _difference_norm(50)),
+    (ExperimentConfig(experiment="custom", A=[[1.0, 0.2, 0.7]] * 4,
+                      b=[0.5] * 4),
+     lambda p: _difference_norm(3)),
+    (ExperimentConfig(experiment="ot-inverse", n=108, seed=3),
+     lambda p: np.linalg.norm(np.vstack([
+         p.F.matrix, np.diff(np.eye(108), axis=0)]), 2)),
+], ids=["simplex-tv", "custom", "ot-inverse"])
+def test_coupling_norm_matches_independent_value(config, expected):
+    problem = config.build_problem()
+    assert problem.coupling_norm == pytest.approx(expected(problem), rel=1e-12)
+
+
 # ---------------------------------------------------------------- reference
+
+def test_reference_hash_covers_coupling_norm():
+    problem = build_simplex_tv(6, 6, seed=13)
+    other = dataclasses.replace(problem)
+    other.__dict__["coupling_norm"] = problem.coupling_norm * (1.0 + 1e-12)
+    assert other.descriptor() == problem.descriptor()
+    assert (reference_config_hash(other, 1000, 13)
+            != reference_config_hash(problem, 1000, 13))
+
 
 def test_reference_cache_round_trip(tmp_path):
     problem = build_simplex_tv(6, 6, seed=13)
