@@ -136,6 +136,10 @@ class ExperimentConfig:
             if self.batch_size > m:
                 raise ConfigError(
                     f"batch_size {self.batch_size} exceeds the {m} gradient summands")
+        if self.stop_gap is not None and self.is_stochastic() and self.repeats > 1:
+            # each repeat would stop at its own k, and the mean trace and
+            # final gap would average rows from different iterations
+            raise ConfigError("stop_gap on a stochastic run needs repeats = 1")
         return self
 
     def resolved_reference_budget(self):

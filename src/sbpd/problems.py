@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.special import softmax as _softmax
+from scipy.special import logsumexp, softmax
 
 from .bregman import (
     BregmanPoint,
@@ -48,8 +47,6 @@ __all__ = [
     "kl_fidelity_value",
     "kl_fidelity_grad",
     "kl_rel_smooth_constant",
-    "lse",
-    "softmax",
     "ot_semidual_value_grad",
     "SimplexTVProblem",
     "OTInverseProblem",
@@ -95,30 +92,15 @@ def kl_rel_smooth_constant(A):
     return float(A.sum(axis=0).max())
 
 
-# ---------------------------------------------------------------- lse family
-
-def lse(tau, gamma):
-    """Log-sum-exp with temperature: gamma * log sum_i exp(tau_i / gamma)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    tau = as_vector(tau, name="tau")
-    return float(gamma * logsumexp(tau / gamma))
-
-
-def softmax(tau, gamma):
-    """Gradient of :func:`lse`: positive entries summing to one."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    tau = as_vector(tau, name="tau")
-    return _softmax(tau / gamma)
-
+# ----------------------------------------------------------------- semidual
 
 def ot_semidual_value_grad(tau, theta, C, gamma):
     """Value and gradient of the smooth transport semidual term.
 
-    h*(tau) = sum_j theta_j * lse_gamma(tau - C[:, j]); the gradient is the
-    matching convex combination of tempered softmaxes, hence a simplex
-    vector for every tau.
+    h*(tau) = sum_j theta_j * lse_gamma(tau - C[:, j]), with the tempered
+    log-sum-exp lse_gamma(t) = gamma * log sum_i exp(t_i / gamma); the
+    gradient is the matching convex combination of tempered softmaxes, hence
+    a simplex vector for every tau.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -132,7 +114,7 @@ def ot_semidual_value_grad(tau, theta, C, gamma):
         raise DomainError("theta must lie on the simplex")
     Z = (tau[:, None] - C) / gamma
     value = float(gamma * (theta @ logsumexp(Z, axis=0)))
-    grad = _softmax(Z, axis=0) @ theta
+    grad = softmax(Z, axis=0) @ theta
     return value, grad
 
 

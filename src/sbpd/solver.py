@@ -104,7 +104,6 @@ class SolverState:
     k: int
     x: BregmanPoint
     mu: np.ndarray
-    x_prev: BregmanPoint
     x_bar: np.ndarray
     mu_bar: np.ndarray
 
@@ -112,7 +111,7 @@ class SolverState:
 def initial_state(x0, mu0):
     """State at k = 0; ergodic means start at the (excluded) initial point."""
     mu0 = np.asarray(mu0, dtype=np.float64)
-    return SolverState(0, x0, mu0, x0, x0.coords.copy(), mu0.copy())
+    return SolverState(0, x0, mu0, x0.coords.copy(), mu0.copy())
 
 
 def sbpd_step(problem, schedule, state, oracle=None):
@@ -139,7 +138,7 @@ def sbpd_step(problem, schedule, state, oracle=None):
     k1 = k + 1
     x_bar = state.x_bar + (x_next.coords - state.x_bar) / k1
     mu_bar = state.mu_bar + (mu_next - state.mu_bar) / k1
-    return SolverState(k1, x_next, mu_next, state.x, x_bar, mu_bar)
+    return SolverState(k1, x_next, mu_next, x_bar, mu_bar)
 
 
 def run(problem, schedule, state, iterations, oracle=None, callback=None):

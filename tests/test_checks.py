@@ -1,15 +1,26 @@
 import numpy as np
 import pytest
 
-from sbpd.checks import CheckResult, adjoint_consistency_failures, run_check_suite
+from sbpd.checks import (
+    SUITES,
+    CheckResult,
+    adjoint_consistency_failures,
+    run_check_suite,
+)
 from sbpd.linalg import DenseMatrixMap, LinearMap
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_suite_passes_at_full_volume(name):
+    result = CheckResult(name, *SUITES[name]("full"))
+    assert result.passed, result.line()
 
 
 def test_fast_battery_passes():
     report = run_check_suite("fast")
     assert report.passed
     names = [r.name for r in report.results]
-    assert len(names) == len(set(names))
+    assert names == list(SUITES)
     assert all(r.samples > 0 for r in report.results)
     # the individually reported suites the battery must contain
     for required in ("pinsker-inequality", "three-point-identity",

@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,26 +202,40 @@ def test_corrupt_reference_cache_is_recomputed(tmp_path, fault, experiment):
     assert (out / "trace.csv").read_bytes() == trace
 
 
-def test_invalid_config_writes_error_json(tmp_path):
+def _assert_invalid_config(config, match):
+    """The run exits 2 and reports ``invalid-config`` in error.json and the log."""
     lines = []
-    config = _tiny_config(tmp_path, batch_size=-3)
     assert run_experiment(config, log=lines.append) == 2
-    doc = json.loads((tmp_path / "out" / "error.json").read_text())
+    doc = json.loads((Path(config.output_dir) / "error.json").read_text())
     assert doc["error"] == "invalid-config"
-    assert "batch_size" in doc["message"]
+    assert match in doc["message"]
     assert json.loads(lines[0]) == doc
+
+
+def test_invalid_config_writes_error_json(tmp_path):
+    _assert_invalid_config(_tiny_config(tmp_path, batch_size=-3), "batch_size")
 
 
 def test_stochastic_oracle_on_ot_inverse_is_rejected(tmp_path):
+    config = _tiny_config(tmp_path, experiment="ot-inverse", iterations=50,
+                          oracle_mode="paper-partial", batch_size=4)
+    _assert_invalid_config(config, "ot-inverse")
+
+
+def test_custom_matrix_with_nan_is_rejected(tmp_path):
+    config = _tiny_config(tmp_path, experiment="custom",
+                          A=[[1.0, float("nan")], [0.3, 1.4]], b=[0.4, 0.9])
+    _assert_invalid_config(config, "non-finite")
+
+
+def test_output_dir_under_a_regular_file_is_reported(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
     lines = []
-    config = ExperimentConfig(experiment="ot-inverse", n=8, iterations=50,
-                              oracle_mode="paper-partial", batch_size=4,
-                              output_dir=str(tmp_path / "out"))
+    config = _tiny_config(tmp_path, output_dir=str(blocker / "out"))
     assert run_experiment(config, log=lines.append) == 2
-    doc = json.loads((tmp_path / "out" / "error.json").read_text())
-    assert doc["error"] == "invalid-config"
-    assert "ot-inverse" in doc["message"]
-    assert json.loads(lines[0]) == doc
+    assert json.loads(lines[0])["error"] == "unwritable-output-dir"
+    assert blocker.read_text() == ""
 
 
 @pytest.mark.parametrize("experiment,data", [
@@ -230,10 +245,7 @@ def test_stochastic_oracle_on_ot_inverse_is_rejected(tmp_path):
 def test_batch_larger_than_summand_count_is_rejected(tmp_path, experiment, data):
     config = _tiny_config(tmp_path, experiment=experiment,
                           oracle_mode="scaled-unbiased", batch_size=11, **data)
-    assert run_experiment(config, log=lambda s: None) == 2
-    doc = json.loads((tmp_path / "out" / "error.json").read_text())
-    assert doc["error"] == "invalid-config"
-    assert "batch_size 11 exceeds the 10" in doc["message"]
+    _assert_invalid_config(config, "batch_size 11 exceeds the 10")
     # a batch of every summand is still a valid request
     config.with_overrides(batch_size=10).validate()
 
@@ -281,3 +293,15 @@ def test_stop_gap_cuts_run_short(tmp_path):
     assert run_experiment(config, log=lambda s: None) == 0
     records = read_trace(tmp_path / "out" / "trace.csv")
     assert len(records) == 100 and records[-1].k == 100
+
+
+def test_stop_gap_with_stochastic_repeats_is_rejected(tmp_path):
+    config = _tiny_config(tmp_path, oracle_mode="paper-partial", batch_size=4,
+                          repeats=3, stop_gap=1e9)
+    _assert_invalid_config(config, "stop_gap")
+    # a single stochastic repeat still stops early
+    config = config.with_overrides(repeats=1, output_dir=str(tmp_path / "one"))
+    assert run_experiment(config, log=lambda s: None) == 0
+    for name in ("run_000.csv", "mean_trace.csv"):
+        records = read_trace(tmp_path / "one" / name)
+        assert len(records) == 100 and records[-1].k == 100

@@ -36,16 +36,6 @@ def test_batch_indices_distinct_and_in_range():
         assert batch.min() >= 0 and batch.max() < 12
 
 
-def test_batch_marginal_frequencies():
-    oracle = GradientOracle("paper-partial", 3, 123, 10)
-    counts = np.zeros(10)
-    draws = 100_000
-    for k in range(draws):
-        counts[oracle.sample_batch(k)] += 1
-    freq = counts / draws
-    assert np.all(np.abs(freq - 0.3) <= 0.01)
-
-
 def test_exact_mode_zero_delta():
     _, _, full, partial = toy_instance()
     x = np.full(6, 1.0 / 6.0)
@@ -80,17 +70,6 @@ def test_scaled_unbiased_mean_over_all_batches():
     assert np.allclose(mean, full, rtol=1e-12, atol=1e-14)
 
 
-def test_scaled_unbiased_empirical_mean():
-    _, _, full, partial = toy_instance()
-    x = np.full(6, 1.0 / 6.0)
-    oracle = GradientOracle("scaled-unbiased", 3, 77, 8)
-    draws = np.array([oracle.grad_estimate(full, partial, x, k)[1]
-                      for k in range(2000)])
-    mean = draws.mean(axis=0)
-    sigma = np.sqrt(np.sum((draws - mean) ** 2) / (draws.shape[0] - 1))
-    assert np.linalg.norm(mean) <= 4.0 * sigma / np.sqrt(draws.shape[0])
-
-
 def test_paper_partial_delta_is_missing_rows():
     A, b, full, partial = toy_instance()
     x = np.full(6, 1.0 / 6.0)
@@ -101,23 +80,6 @@ def test_paper_partial_delta_is_missing_rows():
         comp = np.setdiff1d(np.arange(8), batch)
         expected = -(A[comp].T @ np.log(A[comp] @ x / b[comp]))
         assert np.allclose(delta, expected, rtol=1e-12, atol=1e-14)
-
-
-def test_paper_partial_norm_bound():
-    # the missing-row error is bounded by ||A~|| (||log(A~ x)|| + ||log b~||)
-    rng = np.random.default_rng(2)
-    A, b, full, partial = toy_instance(seed=3, n=10, m=12)
-    oracle = GradientOracle("paper-partial", 4, 21, 12)
-    for k in range(100):
-        x = rng.dirichlet(np.ones(10))
-        x = np.maximum(x, 1e-12)
-        x /= x.sum()
-        _, delta = oracle.grad_estimate(full, partial, x, k)
-        comp = np.setdiff1d(np.arange(12), oracle.sample_batch(k))
-        At = A[comp]
-        bound = np.linalg.norm(At, 2) * (
-            np.linalg.norm(np.log(At @ x)) + np.linalg.norm(np.log(b[comp])))
-        assert np.linalg.norm(delta) <= bound + 1e-12
 
 
 def test_estimate_matches_grad_estimate():

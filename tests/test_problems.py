@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sbpd.bregman import DomainError, bregman_divergence, ShannonBoltzmann
+from sbpd.bregman import DomainError
 from sbpd.experiment import ExperimentConfig
 from sbpd.problems import (
     build_ot_inverse,
@@ -14,11 +14,9 @@ from sbpd.problems import (
     kl_fidelity_grad,
     kl_fidelity_value,
     kl_rel_smooth_constant,
-    lse,
     ot_semidual_value_grad,
     reference_config_hash,
     simplex_tv_from_arrays,
-    softmax,
 )
 
 
@@ -66,61 +64,17 @@ def test_rel_smooth_constant_rejects_bad_matrices():
         kl_rel_smooth_constant([[1.0, 2.0], [0.0, 0.0]])
 
 
-def test_descent_lemma_on_simplex_pairs():
-    problem = build_simplex_tv(12, 10, seed=3)
-    A, b = problem.A.matrix, problem.b
-    L = problem.L_p
-    phi = ShannonBoltzmann(12)
-    rng = np.random.default_rng(4)
-    for _ in range(1000):
-        x = rng.dirichlet(np.ones(12)) + 1e-9
-        y = rng.dirichlet(np.ones(12)) + 1e-9
-        x, y = x / x.sum(), y / y.sum()
-        lhs = kl_fidelity_value(A, b, x)
-        rhs = (kl_fidelity_value(A, b, y)
-               + kl_fidelity_grad(A, b, y) @ (x - y)
-               + L * bregman_divergence(phi, x, y))
-        assert lhs <= rhs + 1e-9 * (1.0 + abs(lhs) + abs(rhs))
-
-
-# --------------------------------------------------------------- lse family
-
-def test_lse_softmax_uniform_case():
-    n, gamma = 7, 0.35
-    tau = np.zeros(n)
-    assert lse(tau, gamma) == pytest.approx(gamma * np.log(n), abs=1e-13)
-    assert np.allclose(softmax(tau, gamma), 1.0 / n, atol=1e-14)
-
-
-def test_lse_shift_invariance():
-    rng = np.random.default_rng(5)
-    tau = rng.standard_normal(9)
-    c = 3.7
-    for gamma in (0.5, 1.0, 2.0):
-        assert lse(tau + c, gamma) == pytest.approx(lse(tau, gamma) + c, abs=1e-10)
-        assert np.allclose(softmax(tau + c, gamma), softmax(tau, gamma), atol=1e-12)
-
-
-def test_softmax_is_lse_gradient():
-    rng = np.random.default_rng(6)
-    h = 1e-5
-    for gamma in (0.5, 2.0):
-        tau = rng.standard_normal(6)
-        s = softmax(tau, gamma)
-        for i in range(6):
-            e = np.zeros(6)
-            e[i] = h
-            fd = (lse(tau + e, gamma) - lse(tau - e, gamma)) / (2 * h)
-            assert fd == pytest.approx(s[i], rel=1e-5, abs=1e-8)
-
+# ----------------------------------------------------------------- semidual
 
 def test_semidual_collapses_when_cost_is_zero():
     rng = np.random.default_rng(7)
     tau = rng.standard_normal(5)
     theta = rng.dirichlet(np.ones(8))
     value, grad = ot_semidual_value_grad(tau, theta, np.zeros((5, 8)), 1.3)
-    assert value == pytest.approx(lse(tau, 1.3), abs=1e-12)
-    assert np.allclose(grad, softmax(tau, 1.3), atol=1e-12)
+    # closed forms: tempered log-sum-exp and softmax of tau
+    weights = np.exp(tau / 1.3)
+    assert value == pytest.approx(1.3 * np.log(weights.sum()), abs=1e-12)
+    assert np.allclose(grad, weights / weights.sum(), atol=1e-12)
     v0, g0 = ot_semidual_value_grad(np.zeros(5), theta, np.zeros((5, 8)), 1.3)
     assert v0 == pytest.approx(1.3 * np.log(5), abs=1e-12)
     assert np.allclose(g0, 0.2, atol=1e-13)
@@ -153,22 +107,6 @@ def test_semidual_gradient_matches_value_finite_differences():
         vp, _ = ot_semidual_value_grad(tau + e, theta, C, 0.8)
         vm, _ = ot_semidual_value_grad(tau - e, theta, C, 0.8)
         assert (vp - vm) / (2 * h) == pytest.approx(grad[i], rel=1e-5, abs=1e-8)
-
-
-def test_semidual_lipschitz_ratio():
-    rng = np.random.default_rng(10)
-    n = 25
-    idx = np.arange(n, dtype=float)
-    C = 0.5 * (idx[:, None] - idx[None, :]) ** 2
-    theta = rng.dirichlet(np.ones(n))
-    for gamma in (0.5, 1.0, 2.0):
-        for _ in range(1000):
-            t1 = rng.standard_normal(n) * rng.uniform(0.1, 10)
-            t2 = t1 + rng.standard_normal(n) * rng.uniform(1e-6, 5)
-            _, g1 = ot_semidual_value_grad(t1, theta, C, gamma)
-            _, g2 = ot_semidual_value_grad(t2, theta, C, gamma)
-            ratio = np.linalg.norm(g1 - g2) / np.linalg.norm(t1 - t2)
-            assert ratio <= 1.0 / gamma + 1e-9
 
 
 def test_semidual_rejects_off_simplex_theta():
@@ -244,16 +182,6 @@ def test_build_ot_inverse_structure():
     support = np.flatnonzero(p.rho_truth)
     gaps = np.diff(support)
     assert gaps.max() > 1
-
-
-def test_ot_forward_operator_preserves_simplex():
-    p = build_ot_inverse(30, seed=4)
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        rho = rng.dirichlet(np.ones(30))
-        out = p.F.apply(rho)
-        assert abs(out.sum() - 1.0) <= 1e-12
-        assert np.all(out >= 0)
 
 
 def test_build_ot_inverse_determinism_and_validation():
