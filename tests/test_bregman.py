@@ -139,6 +139,26 @@ def test_three_point_degenerate():
     assert three_point_identity_check(ShannonBoltzmann(2), x, x, x) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_three_point_euclidean_exact():
+    rng = np.random.default_rng(5)
+    phi = EuclideanEnergy(6)
+    for _ in range(300):
+        x, y, z = rng.standard_normal((3, 6))
+        assert three_point_identity_check(phi, x, y, z) < 1e-12
+
+
+def test_three_point_shannon():
+    rng = np.random.default_rng(6)
+    phi = ShannonBoltzmann(6)
+    for _ in range(1000):
+        x = random_simplex(rng, 6)
+        y = interior_simplex(rng, 6) + 1e-6
+        z = interior_simplex(rng, 6) + 1e-6
+        resid = three_point_identity_check(phi, x, y, z)
+        bound = 1e-10 * (1.0 + bregman_divergence(phi, x, z))
+        assert resid <= bound
+
+
 # ---------------------------------------------------------------- kl prox
 
 def test_kl_prox_zero_drift_is_identity():
