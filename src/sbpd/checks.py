@@ -43,7 +43,7 @@ from .problems import (
 from .solver import (
     estimate_inequality_terms,
     initial_state,
-    sbpd_step,
+    run,
     symmetrized_energy_slack,
 )
 
@@ -362,21 +362,16 @@ def _check_estimate_inequality(level):
         x_ref = rng.dirichlet(np.ones(8))
         mu_ref = rng.uniform(-1.0, 1.0, 7) * problem.beta
         refs.append((x_ref, mu_ref))
-    x0, mu0 = problem.initial_point()
-    state = initial_state(x0, mu0)
-    failures = 0
-    total = 0
-    for _ in range(iters):
-        new = sbpd_step(saddle, schedule, state)
-        for ref in refs:
-            slack, scale = estimate_inequality_terms(
-                saddle, schedule, (state.x, state.mu), (new.x, new.mu),
-                ref, k=state.k)
-            if slack < -1e-8 * scale:
-                failures += 1
-            total += 1
-        state = new
-    return total, failures
+    terms = []
+
+    def certify(prev, new):
+        terms.extend(estimate_inequality_terms(
+            saddle, schedule, (prev.x, prev.mu), (new.x, new.mu), ref)
+            for ref in refs)
+
+    run(saddle, schedule, initial_state(*problem.initial_point()), iters,
+        callback=certify)
+    return len(terms), sum(1 for slack, scale in terms if slack < -1e-8 * scale)
 
 
 def _check_cross_term(level):
@@ -465,18 +460,17 @@ def _check_ergodic_consistency(level):
     problem = build_simplex_tv(6, 8, seed=25)
     saddle = problem.saddle_problem()
     schedule = problem.default_schedule()
-    x0, mu0 = problem.initial_point()
-    state = initial_state(x0, mu0)
-    xs, mus = [], []
-    failures = 0
-    for _ in range(iters):
-        state = sbpd_step(saddle, schedule, state)
+    xs, mus, drifted = [], [], []
+
+    def compare(prev, state):
         xs.append(state.x.coords)
         mus.append(state.mu)
-        if (np.abs(state.x_bar - np.mean(xs, axis=0)).max() > 1e-10
-                or np.abs(state.mu_bar - np.mean(mus, axis=0)).max() > 1e-10):
-            failures += 1
-    return iters, failures
+        drifted.append(np.abs(state.x_bar - np.mean(xs, axis=0)).max() > 1e-10
+                       or np.abs(state.mu_bar - np.mean(mus, axis=0)).max() > 1e-10)
+
+    run(saddle, schedule, initial_state(*problem.initial_point()), iters,
+        callback=compare)
+    return iters, int(sum(drifted))
 
 
 def _check_simplex_preservation(level):
@@ -486,24 +480,20 @@ def _check_simplex_preservation(level):
     problem = build_simplex_tv(10, 12, seed=26)
     saddle = problem.saddle_problem()
     schedule = problem.default_schedule()
-    x0, mu0 = problem.initial_point()
-    state = initial_state(x0, mu0)
-    failures = 0
-    total = 0
+    failed = []
     for _ in range(n):
         x = rng.dirichlet(np.ones(40))
         y = conv.apply(x)
-        if np.any(y < 0) or abs(y.sum() - 1.0) > 1e-12:
-            failures += 1
-        total += 1
-    for _ in range(min(n, 100)):
-        state = sbpd_step(saddle, schedule, state)
-        if (abs(state.x.coords.sum() - 1.0) > 1e-12
-                or np.any(state.x.coords < 0)
-                or np.abs(state.mu).max() > problem.beta + 1e-12):
-            failures += 1
-        total += 1
-    return total, failures
+        failed.append(np.any(y < 0) or abs(y.sum() - 1.0) > 1e-12)
+
+    def check_iterate(prev, state):
+        failed.append(abs(state.x.coords.sum() - 1.0) > 1e-12
+                      or np.any(state.x.coords < 0)
+                      or np.abs(state.mu).max() > problem.beta + 1e-12)
+
+    run(saddle, schedule, initial_state(*problem.initial_point()), min(n, 100),
+        callback=check_iterate)
+    return len(failed), int(sum(failed))
 
 
 # suite name -> suite(level), which returns (samples, failures[, detail])

@@ -20,6 +20,7 @@ import sys
 
 from .checks import run_check_suite
 from .experiment import ConfigError, ExperimentConfig, run_experiment
+from .oracle import ORACLE_MODES
 from .problems import compute_reference
 
 __all__ = ["main", "build_parser"]
@@ -35,7 +36,6 @@ _FLAG_KEYS = {
     "gamma": "gamma",
     "beta": "beta",
     "noise_level": "noise_level",
-    "step_safety": "step_safety",
     "repeats": "repeats",
     "cert_every": "cert_every",
     "output_dir": "output_dir",
@@ -62,15 +62,12 @@ def _add_run_flags(parser, with_config=True):
     parser.add_argument("--seed", type=int, help="instance and oracle base seed")
     parser.add_argument("--iterations", type=int, help="measured iteration budget")
     parser.add_argument("--batch", type=_batch, help="oracle batch size or 'full'")
-    parser.add_argument("--oracle", dest="oracle",
-                        choices=["exact", "paper-partial", "scaled-unbiased"],
+    parser.add_argument("--oracle", dest="oracle", choices=ORACLE_MODES,
                         help="gradient oracle mode")
     parser.add_argument("--gamma", type=float, help="entropic regularization weight")
     parser.add_argument("--beta", type=float, help="total-variation weight")
     parser.add_argument("--noise-level", type=float, dest="noise_level",
                         help="observation noise mixing weight in [0, 1]")
-    parser.add_argument("--step-safety", type=float, dest="step_safety",
-                        help="step-size safety factor in (0, 1]")
     parser.add_argument("--repeats", type=int, help="stochastic repetitions")
     parser.add_argument("--cert-every", type=int, dest="cert_every",
                         help="certificate cadence (0 disables)")

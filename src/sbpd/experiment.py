@@ -2,8 +2,9 @@
 
 A run has two phases. First a long deterministic reference run produces an
 approximate saddle point (cached under its config hash). Then the measured
-phase reruns the solver for 80% of the reference budget by default, either
-once (deterministic) or ``repeats`` times with derived seeds (stochastic),
+phase reruns the solver for 80% of the reference budget by default, once per
+oracle: once with the exact oracle (replaying the first steps of the
+reference trajectory) or ``repeats`` times with derived seeds (stochastic),
 logging Lagrangian gaps against the reference into CSV traces.
 """
 
@@ -32,7 +33,8 @@ from .solver import (
     estimate_inequality_terms,
     initial_state,
     lagrangian_gap,
-    sbpd_step,
+    run,
+    sbpd_step,  # noqa: F401  unused; benchmarks/tracing.py patches it by name
 )
 
 __all__ = [
@@ -69,7 +71,6 @@ class ExperimentConfig:
     gamma: float = 1.0
     beta: float = 1.0
     noise_level: float = 0.1
-    step_safety: float = 1.0
     repeats: int = 1
     cert_every: int = 1
     output_dir: str = "runs"
@@ -112,14 +113,17 @@ class ExperimentConfig:
             q = self.batch_size
             if not isinstance(q, int) or isinstance(q, bool) or q < 1:
                 raise ConfigError("batch_size must be 'full' or a positive integer")
+        # no silent fallback to one run with the exact oracle
+        if self.is_stochastic() and self.batch_size == "full":
+            raise ConfigError(f"oracle_mode {self.oracle_mode} needs an integer batch_size")
+        if not self.is_stochastic() and (self.batch_size != "full" or self.repeats > 1):
+            raise ConfigError("the exact oracle needs batch_size 'full' and repeats = 1")
         if self.gamma <= 0:
             raise ConfigError("gamma must be positive")
         if self.beta < 0:
             raise ConfigError("beta must be nonnegative")
         if not 0.0 <= self.noise_level <= 1.0:
             raise ConfigError("noise_level must lie in [0, 1]")
-        if not 0.0 < self.step_safety <= 1.0:
-            raise ConfigError("step_safety must lie in (0, 1]")
         if self.repeats < 1:
             raise ConfigError("repeats must be positive")
         if self.cert_every < 0:
@@ -131,12 +135,12 @@ class ExperimentConfig:
         if self.experiment == "ot-inverse" and self.is_stochastic():
             raise ConfigError("ot-inverse has no finite-sum gradient; "
                               "stochastic oracles need simplex-tv or custom")
-        if self.batch_size != "full" and self.experiment != "ot-inverse":
+        if self.batch_size != "full":
             m = self.m if self.experiment == "simplex-tv" else np.size(self.b)
             if self.batch_size > m:
                 raise ConfigError(
                     f"batch_size {self.batch_size} exceeds the {m} gradient summands")
-        if self.stop_gap is not None and self.is_stochastic() and self.repeats > 1:
+        if self.stop_gap is not None and self.repeats > 1:
             # each repeat would stop at its own k, and the mean trace and
             # final gap would average rows from different iterations
             raise ConfigError("stop_gap on a stochastic run needs repeats = 1")
@@ -162,7 +166,7 @@ class ExperimentConfig:
                                       self.beta)
 
     def is_stochastic(self):
-        return self.oracle_mode != "exact" and self.batch_size != "full"
+        return self.oracle_mode != "exact"
 
 
 @dataclass(frozen=True)
@@ -254,17 +258,15 @@ def _mean_records(traces):
 def _measured_run(problem, saddle, schedule, reference, iterations, config,
                   oracle=None):
     """One measured-phase run; returns the list of logged records."""
-    x0, mu0 = problem.initial_point()
-    state = initial_state(x0, mu0)
     w_star = reference.w_star
     records = []
     stop_count = 0
     t0 = time.perf_counter_ns()
-    for k in range(iterations):
-        prev = state
-        state = sbpd_step(saddle, schedule, prev, oracle)
+
+    def observe(prev, state):
+        nonlocal stop_count
         if not should_log(state.k, final=iterations):
-            continue
+            return False
         slack = None
         if config.cert_every and state.k % config.cert_every == 0:
             delta = None
@@ -273,7 +275,7 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
                     saddle.f_grad, saddle.f_partial_grad, prev.x.coords, prev.k)
             slack, _ = estimate_inequality_terms(
                 saddle, schedule, (prev.x, prev.mu), (state.x, state.mu),
-                w_star, k=prev.k, primal_delta=delta)
+                w_star, primal_delta=delta)
         records.append(TraceRecord(
             k=state.k,
             gap_pointwise=lagrangian_gap(saddle, (state.x, state.mu), w_star),
@@ -284,10 +286,13 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
             wall_nanos=(time.perf_counter_ns() - t0 if config.record_timing
                         else None),
         ))
-        if config.stop_gap is not None:
-            stop_count = stop_count + 1 if records[-1].gap_pointwise < config.stop_gap else 0
-            if stop_count >= 100:
-                break
+        if config.stop_gap is None:
+            return False
+        stop_count = stop_count + 1 if records[-1].gap_pointwise < config.stop_gap else 0
+        return stop_count >= 100
+
+    run(saddle, schedule, initial_state(*problem.initial_point()), iterations,
+        oracle, observe)
     return records
 
 
@@ -325,31 +330,28 @@ def run_experiment(config, log=print):
 
     try:
         saddle = problem.saddle_problem()
-        schedule = problem.default_schedule(config.step_safety)
+        schedule = problem.default_schedule()
         ref_budget = config.resolved_reference_budget()
         reference = compute_reference(problem, ref_budget, config.seed,
                                       cache_dir=output_dir)
 
         stochastic = config.is_stochastic()
-        oracle_seeds = []
+        oracle_seeds = ([config.seed + r for r in range(config.repeats)]
+                        if stochastic else [])
+        # None is the exact oracle
+        oracles = [GradientOracle(config.oracle_mode, config.batch_size, seed,
+                                  problem.m) for seed in oracle_seeds] or [None]
+        traces = [_measured_run(problem, saddle, schedule, reference,
+                                config.iterations, config, oracle)
+                  for oracle in oracles]
+        final_gap = float(np.mean([t[-1].gap_ergodic for t in traces]))
         if stochastic:
-            traces = []
-            for r in range(config.repeats):
-                oracle = GradientOracle(config.oracle_mode, config.batch_size,
-                                        config.seed + r, problem.m)
-                oracle_seeds.append(config.seed + r)
-                records = _measured_run(problem, saddle, schedule, reference,
-                                        config.iterations, config, oracle)
+            for r, records in enumerate(traces):
                 write_trace(os.path.join(output_dir, f"run_{r:03d}.csv"), records)
-                traces.append(records)
             write_trace(os.path.join(output_dir, "mean_trace.csv"),
                         _mean_records(traces))
-            final_gap = float(np.mean([t[-1].gap_ergodic for t in traces]))
         else:
-            records = _measured_run(problem, saddle, schedule, reference,
-                                    config.iterations, config)
-            write_trace(os.path.join(output_dir, "trace.csv"), records)
-            final_gap = records[-1].gap_ergodic
+            write_trace(os.path.join(output_dir, "trace.csv"), traces[0])
 
         x0, mu0 = problem.initial_point()
         meta = {
@@ -361,8 +363,8 @@ def run_experiment(config, log=print):
                 "coupling_norm": problem.coupling_norm,
                 "lam": schedule.lam,
                 "nu": schedule.nu,
-                "oracle_mode": config.oracle_mode if stochastic else "exact",
-                "batch_size": (config.batch_size if stochastic else "full"),
+                "oracle_mode": config.oracle_mode,
+                "batch_size": config.batch_size,
                 "oracle_seeds": oracle_seeds,
                 "measured_iterations": config.iterations,
                 "reference_iterations": ref_budget,

@@ -181,9 +181,8 @@ class SimplexTVProblem:
         x0 = BregmanPoint.from_positive_coords(np.full(self.n, 1.0 / self.n))
         return x0, np.zeros(self.n - 1)
 
-    def default_schedule(self, safety=1.0):
-        return StepSchedule(*default_step_sizes(self.L_p, 0.0,
-                                                self.coupling_norm, safety))
+    def default_schedule(self):
+        return StepSchedule(*default_step_sizes(self.L_p, 0.0, self.coupling_norm))
 
     def descriptor(self):
         return {
@@ -310,9 +309,8 @@ class OTInverseProblem:
         x0 = BregmanPoint.from_positive_coords(np.full(self.n, 1.0 / self.n))
         return x0, np.zeros(2 * self.n - 1)
 
-    def default_schedule(self, safety=1.0):
-        return StepSchedule(*default_step_sizes(0.0, self.L_d,
-                                                self.coupling_norm, safety))
+    def default_schedule(self):
+        return StepSchedule(*default_step_sizes(0.0, self.L_d, self.coupling_norm))
 
     def descriptor(self):
         return {

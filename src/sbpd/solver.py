@@ -78,19 +78,16 @@ class StepSchedule:
             raise ValueError("step sizes must be positive")
 
 
-def default_step_sizes(L_p, L_d, opnorm, safety=1.0):
+def default_step_sizes(L_p, L_d, opnorm):
     """Symmetric step sizes 1/(L_p + ||T||) and 1/(L_d + ||T||).
 
-    ``safety`` in (0, 1] shrinks both; at 1 the bounds are met with
-    equality, which is what the reference experiments use.
+    Both meet the step-size bound behind the ergodic rate with equality.
     """
     if opnorm <= 0:
         raise ValueError("opnorm must be positive")
     if L_p < 0 or L_d < 0:
         raise ValueError("smoothness constants must be nonnegative")
-    if not 0 < safety <= 1:
-        raise ValueError("safety must lie in (0, 1]")
-    return float(safety / (L_p + opnorm)), float(safety / (L_d + opnorm))
+    return float(1.0 / (L_p + opnorm)), float(1.0 / (L_d + opnorm))
 
 
 @dataclass(frozen=True)
@@ -142,10 +139,11 @@ def sbpd_step(problem, schedule, state, oracle=None):
 
 
 def run(problem, schedule, state, iterations, oracle=None, callback=None):
-    """Iterate ``sbpd_step`` a fixed number of times.
+    """Iterate ``sbpd_step`` a fixed number of times: the one iteration loop.
 
-    ``callback(prev_state, new_state)`` fires after every step; its return
-    value, when truthy, stops the run early.
+    ``callback(prev_state, new_state)`` fires after every step and is where
+    callers observe the run (residuals, trace rows, certificates); its
+    return value, when truthy, stops the run early.
     """
     for _ in range(iterations):
         new = sbpd_step(problem, schedule, state, oracle)

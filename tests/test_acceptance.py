@@ -70,28 +70,22 @@ def long_run(desk_problem, desk_reference):
     schedule = desk_problem.default_schedule()
     w_star = desk_reference.ref.w_star
     x0, mu0 = desk_problem.initial_point()
-    state = initial_state(x0, mu0)
     iterations = 20_000
-
-    cert_total = 0
-    cert_held = 0
-    worst_scaled_slack = np.inf
+    terms = []
     logged_gaps = []
-    t0 = time.perf_counter()
-    for _ in range(iterations):
-        prev = state
-        state = sbpd_step(saddle, schedule, prev)
-        slack, scale = estimate_inequality_terms(
-            saddle, schedule, (prev.x, prev.mu), (state.x, state.mu),
-            w_star, k=prev.k)
-        cert_total += 1
-        if slack >= -1e-8 * scale:
-            cert_held += 1
-        worst_scaled_slack = min(worst_scaled_slack, slack / scale)
+    last = []
+
+    def observe(prev, state):
+        terms.append(estimate_inequality_terms(
+            saddle, schedule, (prev.x, prev.mu), (state.x, state.mu), w_star))
         if state.k >= 10 and should_log(state.k, final=iterations):
             logged_gaps.append(
                 (state.k, lagrangian_gap(saddle, (state.x_bar, state.mu_bar),
                                          w_star)))
+        last[:] = prev, state
+
+    t0 = time.perf_counter()
+    run(saddle, schedule, initial_state(x0, mu0), iterations, callback=observe)
     elapsed = time.perf_counter() - t0
     return SimpleNamespace(
         saddle=saddle,
@@ -99,10 +93,10 @@ def long_run(desk_problem, desk_reference):
         rate_constant=ergodic_rate_constant(saddle, schedule, w_star, (x0, mu0)),
         ref_tol=desk_reference.ref.ref_tol,
         logged_gaps=logged_gaps,
-        cert_total=cert_total,
-        cert_held=cert_held,
-        worst_scaled_slack=worst_scaled_slack,
-        final_residual=asymptotic_residual(prev, state),
+        cert_total=len(terms),
+        cert_held=sum(1 for slack, scale in terms if slack >= -1e-8 * scale),
+        worst_scaled_slack=min(slack / scale for slack, scale in terms),
+        final_residual=asymptotic_residual(*last),
         elapsed=elapsed,
     )
 

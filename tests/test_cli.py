@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from sbpd.checks import CheckReport, CheckResult
 from sbpd.cli import main
 from sbpd.experiment import read_trace
 
@@ -64,11 +65,42 @@ def test_unknown_oracle_mode_rejected():
     assert exc.value.code == 2
 
 
-def test_check_fast_passes(capsys):
+def _stub_checks(monkeypatch, failures):
+    """Replace the battery by a one-suite report; returns the levels asked for."""
+    levels = []
+
+    def fake(level):
+        levels.append(level)
+        return CheckReport(level, (CheckResult("stub-suite", 3, failures),))
+
+    monkeypatch.setattr("sbpd.cli.run_check_suite", fake)
+    return levels
+
+
+def test_check_fast_passes(monkeypatch, capsys):
+    levels = _stub_checks(monkeypatch, failures=0)
     assert main(["check"]) == 0
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert "estimate-inequality" in out
+    assert levels == ["fast"]
+    assert capsys.readouterr().out.splitlines() == [
+        "pass  stub-suite: 0/3 violations",
+        "all checks passed (fast level, 1 suites)",
+    ]
+
+
+def test_check_full_flag_selects_full_level(monkeypatch, capsys):
+    levels = _stub_checks(monkeypatch, failures=0)
+    assert main(["check", "--full"]) == 0
+    assert levels == ["full"]
+    assert "full level" in capsys.readouterr().out
+
+
+def test_check_failing_report_exits_one(monkeypatch, capsys):
+    _stub_checks(monkeypatch, failures=2)
+    assert main(["check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  stub-suite: 2/3 violations",
+        "CHECKS FAILED (fast level, 1 suites)",
+    ]
 
 
 def test_reference_subcommand(tmp_path, capsys):
@@ -97,6 +129,17 @@ def test_bad_config_key_reports_json_error(tmp_path, capsys):
     assert main(["solve", "--config", str(config)]) == 2
     doc = json.loads(capsys.readouterr().err)
     assert "turbo" in doc["message"]
+
+
+def test_step_safety_is_rejected(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"experiment": "simplex-tv", "n": 8, "m": 9,
+                                  "step_safety": 0.5}))
+    assert main(["solve", "--config", str(config)]) == 2
+    assert "step_safety" in json.loads(capsys.readouterr().err)["message"]
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "simplex-tv", "--step-safety", "0.5"])
+    assert exc.value.code == 2
 
 
 def test_module_entry_point():

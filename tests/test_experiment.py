@@ -37,8 +37,8 @@ def test_config_rejects_unknown_keys():
     ({"gamma": 0.0}, "gamma"),
     ({"beta": -1.0}, "beta"),
     ({"noise_level": 1.5}, "noise_level"),
-    ({"step_safety": 0.0}, "step_safety"),
-    ({"step_safety": 1.5}, "step_safety"),
+    ({"m": 1}, "m must"),
+    ({"batch_size": True}, "batch_size"),
     ({"repeats": 0}, "repeats"),
     ({"cert_every": -1}, "cert_every"),
     ({"reference_iterations": 10}, "reference_iterations"),
@@ -214,6 +214,18 @@ def _assert_invalid_config(config, match):
 
 def test_invalid_config_writes_error_json(tmp_path):
     _assert_invalid_config(_tiny_config(tmp_path, batch_size=-3), "batch_size")
+
+
+@pytest.mark.parametrize("overrides,match", [
+    ({"repeats": 3}, "exact oracle needs"),
+    ({"oracle_mode": "paper-partial"}, "needs an integer batch_size"),
+    ({"batch_size": 4}, "exact oracle needs"),
+], ids=["repeats-with-exact-oracle", "stochastic-oracle-with-full-batch",
+        "batch-with-exact-oracle"])
+def test_config_that_would_run_as_exact_is_rejected(tmp_path, overrides, match):
+    config = _tiny_config(tmp_path, **overrides)
+    _assert_invalid_config(config, match)
+    assert not (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_stochastic_oracle_on_ot_inverse_is_rejected(tmp_path):
