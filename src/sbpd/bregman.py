@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .linalg import as_vector
 
@@ -204,7 +203,8 @@ def kl_prox_simplex(x, v, lam):
 
         log x' = (log x - lam v) - logsumexp(log x - lam v),
 
-    so the output stays strictly interior for arbitrarily large drifts.
+    with the log-sum-exp shifted by its largest term, so the output stays
+    strictly interior for arbitrarily large drifts.
 
     Parameters
     ----------
@@ -225,7 +225,8 @@ def kl_prox_simplex(x, v, lam):
         raise DomainError("kl_prox_simplex needs a point with log coordinates")
     v = as_vector(v, x.dimension, "v")
     z = x.log_coords - lam * v
-    z = z - logsumexp(z)
+    top = z.max()
+    z = z - (top + np.log(np.exp(z - top).sum()))
     return BregmanPoint(np.exp(z), z)
 
 

@@ -49,6 +49,13 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("simplex-tv", "ot-inverse", "custom")
+# keys each experiment never reads; setting one (to a value other than its
+# default) is an error, not a silent no-op
+UNREAD_KEYS = {
+    "simplex-tv": ("gamma", "noise_level", "A", "b"),
+    "ot-inverse": ("m", "A", "b"),
+    "custom": ("n", "m", "gamma", "noise_level"),
+}
 CSV_HEADER = "k,gap_pointwise,gap_ergodic,lagrangian,residual,estimate_slack,wall_nanos"
 ENV_OUTPUT_DIR = "SBPD_OUTPUT_DIR"
 
@@ -144,6 +151,12 @@ class ExperimentConfig:
             # each repeat would stop at its own k, and the mean trace and
             # final gap would average rows from different iterations
             raise ConfigError("stop_gap on a stochastic run needs repeats = 1")
+        defaults = ExperimentConfig()
+        unread = [key for key in UNREAD_KEYS[self.experiment]
+                  if _differs(getattr(self, key), getattr(defaults, key))]
+        if unread:
+            raise ConfigError(f"{self.experiment} does not read "
+                              f"{', '.join(unread)}; remove from the config")
         return self
 
     def resolved_reference_budget(self):
@@ -167,6 +180,11 @@ class ExperimentConfig:
 
     def is_stochastic(self):
         return self.oracle_mode != "exact"
+
+
+def _differs(value, default):
+    # None defaults mark array keys, which must not be compared elementwise
+    return value is not None if default is None else value != default
 
 
 @dataclass(frozen=True)

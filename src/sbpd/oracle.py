@@ -3,7 +3,10 @@
 Batches are drawn from a counter-based generator keyed by ``(seed, k)``, so
 the batch of iteration k can be reproduced without replaying the stream.
 That makes runs restartable and lets diagnostics recompute the noise term of
-any iteration after the fact.
+any iteration after the fact. Since a batch depends on nothing but its key
+and counter, each oracle keeps one Philox generator and re-keys it per draw
+(the counter-based design of Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 __all__ = ["OracleError", "GradientOracle", "ORACLE_MODES"]
 
 ORACLE_MODES = ("exact", "paper-partial", "scaled-unbiased")
+_WORD = (1 << 64) - 1
 
 
 class OracleError(RuntimeError):
@@ -54,16 +58,31 @@ class GradientOracle:
         if not 1 <= self.batch_size <= self.m:
             raise ValueError(
                 f"batch_size must lie in [1, {self.m}], got {self.batch_size}")
+        # one generator per oracle, re-keyed by sample_batch on every draw;
+        # not safe to share across threads, so give each thread its own oracle
+        bits = np.random.Philox(key=self.seed)
+        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_rng", np.random.Generator(bits))
+        object.__setattr__(self, "_fresh_state", bits.state)
 
     @property
     def is_exact(self):
         return self.mode == "exact" or self.batch_size == self.m
 
     def sample_batch(self, k):
-        """The q distinct uniform indices of iteration ``k`` (sorted)."""
-        bits = np.random.Philox(key=self.seed, counter=int(k) << 64)
-        rng = np.random.Generator(bits)
-        return np.sort(rng.choice(self.m, size=self.batch_size, replace=False))
+        """The q distinct uniform indices of iteration ``k`` (sorted).
+
+        Draws from Philox with key ``seed`` and counter ``k << 64``, with an
+        empty output buffer, exactly as a freshly built generator would.
+        """
+        counter = int(k) << 64
+        if not 0 <= counter < 1 << 256:
+            raise ValueError(f"iteration index {k} out of range")
+        state = self._fresh_state
+        state["state"]["counter"][:] = [(counter >> s) & _WORD
+                                        for s in (0, 64, 128, 192)]
+        self._bits.state = state
+        return np.sort(self._rng.choice(self.m, size=self.batch_size, replace=False))
 
     def estimate(self, full_grad_fn, partial_grad_fn, x, k):
         """Gradient estimate at ``x`` for iteration ``k`` (no noise report)."""

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .bregman import (
     BregmanPoint,
@@ -113,8 +112,12 @@ def ot_semidual_value_grad(tau, theta, C, gamma):
     if np.any(theta < 0) or abs(theta.sum() - 1.0) > 1e-9:
         raise DomainError("theta must lie on the simplex")
     Z = (tau[:, None] - C) / gamma
-    value = float(gamma * (theta @ logsumexp(Z, axis=0)))
-    grad = softmax(Z, axis=0) @ theta
+    # shift each column by its max so exp never overflows
+    top = Z.max(axis=0)
+    E = np.exp(Z - top)
+    s = E.sum(axis=0)
+    value = float(gamma * (theta @ (top + np.log(s))))
+    grad = E @ (theta / s)
     return value, grad
 
 
@@ -421,6 +424,10 @@ def compute_reference(problem, budget, seed, cache_dir=None):
     directory the result is persisted under its config hash and reloaded
     on identical requests; a file that does not parse or fails the hash,
     budget, shape, finiteness or feasibility checks is recomputed.
+
+    ``seed`` only feeds that hash, and so the cache file name: the run is
+    deterministic and draws no random numbers, and the instance data are
+    hashed through ``problem.descriptor()`` already.
     """
     if budget < 1000:
         raise ValueError("reference budget must be at least 1000 iterations")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -104,6 +105,11 @@ def _tiny_config(tmp_path, **overrides):
     base = dict(experiment="simplex-tv", n=8, m=10, seed=5, iterations=300,
                 output_dir=str(tmp_path / "out"))
     base.update(overrides)
+    # ot-inverse reads no m, and custom takes both sizes from A
+    unread = {"ot-inverse": ("m",), "custom": ("n", "m")}
+    for key in unread.get(base["experiment"], ()):
+        if key not in overrides:
+            del base[key]
     return ExperimentConfig(**base)
 
 
@@ -260,6 +266,38 @@ def test_batch_larger_than_summand_count_is_rejected(tmp_path, experiment, data)
     _assert_invalid_config(config, "batch_size 11 exceeds the 10")
     # a batch of every summand is still a valid request
     config.with_overrides(batch_size=10).validate()
+
+
+CUSTOM_DATA = {"A": [[1.0, 0.2], [0.3, 1.4]], "b": [0.4, 0.9]}
+
+
+UNREAD_CASES = [
+    ("simplex-tv", "gamma", 0.25),
+    ("simplex-tv", "noise_level", 0.9),
+    ("simplex-tv", "A", CUSTOM_DATA["A"]),
+    ("simplex-tv", "b", CUSTOM_DATA["b"]),
+    ("ot-inverse", "m", 10),
+    ("ot-inverse", "A", CUSTOM_DATA["A"]),
+    ("ot-inverse", "b", CUSTOM_DATA["b"]),
+    ("custom", "n", 8),
+    ("custom", "m", 10),
+    ("custom", "gamma", 0.25),
+    ("custom", "noise_level", 0.9),
+]
+
+
+@pytest.mark.parametrize("experiment,key,value", UNREAD_CASES,
+                         ids=[f"{e}-{k}" for e, k, _ in UNREAD_CASES])
+def test_key_the_experiment_never_reads_is_rejected(tmp_path, experiment, key,
+                                                    value):
+    data = CUSTOM_DATA if experiment == "custom" else {}
+    config = _tiny_config(tmp_path, experiment=experiment,
+                          **dict(data, **{key: value}))
+    _assert_invalid_config(config, f"{experiment} does not read {key}")
+    assert not (tmp_path / "out" / "trace.csv").exists()
+    # the same key left at its default is not an error
+    default = getattr(ExperimentConfig(), key)
+    dataclasses.replace(config, **{key: default}).validate()
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):

@@ -28,6 +28,35 @@ def test_batch_deterministic_in_seed_and_k():
     assert not np.array_equal(a.sample_batch(0), a.sample_batch(1))
 
 
+def _fresh_generator_batch(seed, m, q, k):
+    # one new Philox and Generator per draw, keyed by (seed, k)
+    bits = np.random.Philox(key=seed, counter=k << 64)
+    return np.sort(np.random.Generator(bits).choice(m, q, replace=False))
+
+
+def test_batches_equal_fresh_generator_draws():
+    for seed in (0, 7, 26, 1234):
+        for q in (1, 5, 25, 45, 50):
+            oracle = GradientOracle("paper-partial", q, seed, 50)
+            for k in [*range(200), 10**6, 2**40]:
+                assert np.array_equal(oracle.sample_batch(k),
+                                      _fresh_generator_batch(seed, 50, q, k)), \
+                    (seed, q, k)
+
+
+def test_reused_generator_carries_no_state_between_draws():
+    oracle = GradientOracle("scaled-unbiased", 5, 26, 50)
+    first, back, again = (oracle.sample_batch(k) for k in (5, 3, 5))
+    assert np.array_equal(first, _fresh_generator_batch(26, 50, 5, 5))
+    assert np.array_equal(back, _fresh_generator_batch(26, 50, 5, 3))
+    assert np.array_equal(again, first)
+
+
+def test_negative_iteration_index_is_rejected():
+    with pytest.raises(ValueError):
+        GradientOracle("paper-partial", 3, 0, 8).sample_batch(-1)
+
+
 def test_batch_indices_distinct_and_in_range():
     oracle = GradientOracle("scaled-unbiased", 5, 9, 12)
     for k in range(200):

@@ -93,6 +93,25 @@ def test_semidual_gradient_is_simplex_vector():
         assert abs(grad.sum() - 1.0) <= 1e-12
 
 
+def test_semidual_survives_huge_scaled_potentials():
+    # gamma = 1e-3 and |tau| ~ 1e3 put |Z| = |tau - C| / gamma near 1e6
+    rng = np.random.default_rng(10)
+    n, gamma = 30, 1e-3
+    idx = np.arange(n, dtype=float)
+    C = 0.5 * (idx[:, None] - idx[None, :]) ** 2
+    theta = rng.dirichlet(np.ones(n))
+    tau = rng.uniform(-1e3, 1e3, n)
+    Z = (tau[:, None] - C) / gamma
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(np.exp(Z)))   # an unshifted exp overflows
+    value, grad = ot_semidual_value_grad(tau, theta, C, gamma)
+    top = theta @ Z.max(axis=0)
+    assert np.isfinite(value)
+    assert gamma * top <= value <= gamma * (top + np.log(n))
+    assert not np.any(np.isnan(grad))
+    assert abs(grad.sum() - 1.0) <= 1e-12
+
+
 def test_semidual_gradient_matches_value_finite_differences():
     rng = np.random.default_rng(9)
     n = 6

@@ -4,7 +4,10 @@ import ast
 import importlib
 import math
 import pkgutil
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,14 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     printed = capsys.readouterr().out.split()
     assert len(printed) == 1 and math.isfinite(float(printed[0]))
+
+
+def test_cli_imports_without_scipy():
+    # numpy is the library's only dependency; scipy is for benchmarks/ alone
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, sbpd.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
