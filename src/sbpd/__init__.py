@@ -14,15 +14,7 @@ from .bregman import (
     pinsker_slack,
     three_point_identity_check,
 )
-from .linalg import (
-    ConvolutionMap,
-    DenseMatrixMap,
-    ForwardDifferenceMap,
-    LinearMap,
-    ShapeError,
-    VerticalStackMap,
-    operator_norm,
-)
+from .linalg import LinearMap, ShapeError, operator_norm
 from .oracle import ORACLE_MODES, GradientOracle, OracleError
 from .solver import (
     SaddleProblem,

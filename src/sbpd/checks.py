@@ -27,10 +27,9 @@ from .bregman import (
     three_point_identity_check,
 )
 from .linalg import (
-    ConvolutionMap,
-    DenseMatrixMap,
-    ForwardDifferenceMap,
-    VerticalStackMap,
+    LinearMap,
+    convolution_matrix,
+    forward_difference_matrix,
     operator_norm,
 )
 from .oracle import GradientOracle
@@ -95,13 +94,13 @@ def _pick(level, fast, full):
 
 def _operator_zoo(rng):
     return [
-        ("forward-difference", ForwardDifferenceMap(40)),
-        ("dense", DenseMatrixMap(rng.standard_normal((12, 7)))),
-        ("convolution", ConvolutionMap(30, bump_kernel(4))),
-        ("identity", DenseMatrixMap(np.eye(9))),
-        ("zero", DenseMatrixMap(np.zeros((4, 6)))),
-        ("stack", VerticalStackMap([ForwardDifferenceMap(10),
-                                    DenseMatrixMap(rng.standard_normal((5, 10)))])),
+        ("forward-difference", LinearMap(forward_difference_matrix(40))),
+        ("dense", LinearMap(rng.standard_normal((12, 7)))),
+        ("convolution", LinearMap(convolution_matrix(30, bump_kernel(4)))),
+        ("identity", LinearMap(np.eye(9))),
+        ("zero", LinearMap(np.zeros((4, 6)))),
+        ("stack", LinearMap(np.vstack([forward_difference_matrix(10),
+                                       rng.standard_normal((5, 10))]))),
     ]
 
 
@@ -151,17 +150,18 @@ def _check_linearity(level):
 def _check_operator_norms(level):
     rng = np.random.default_rng(103)
     facts = []
-    facts.append(abs(operator_norm(DenseMatrixMap(np.eye(7))) - 1.0) <= 1e-9)
-    facts.append(abs(operator_norm(DenseMatrixMap(np.diag([3.0, -4.0]))) - 4.0) <= 1e-8)
-    fd_norm = operator_norm(ForwardDifferenceMap(250))
+    facts.append(abs(operator_norm(LinearMap(np.eye(7))) - 1.0) <= 1e-9)
+    facts.append(abs(operator_norm(LinearMap(np.diag([3.0, -4.0]))) - 4.0) <= 1e-8)
+    fd_norm = operator_norm(LinearMap(forward_difference_matrix(250)))
     fd_exact = 2.0 * np.cos(np.pi / 500)  # closed form 2 cos(pi / 2n) at n = 250
     facts.append(abs(fd_norm - fd_exact) <= 1e-12 * fd_exact)
-    blocks = [ForwardDifferenceMap(20), DenseMatrixMap(rng.standard_normal((8, 20)))]
-    stack_norm = operator_norm(VerticalStackMap(blocks))
+    blocks = [LinearMap(forward_difference_matrix(20)),
+              LinearMap(rng.standard_normal((8, 20)))]
+    stack_norm = operator_norm(LinearMap(np.vstack([b.matrix for b in blocks])))
     lo = max(operator_norm(b) for b in blocks)
     hi = float(np.sqrt(sum(operator_norm(b) ** 2 for b in blocks))) + 1e-9
     facts.append(lo - 1e-9 <= stack_norm <= hi)
-    facts.append(operator_norm(DenseMatrixMap(np.zeros((3, 5)))) == 0.0)
+    facts.append(operator_norm(LinearMap(np.zeros((3, 5)))) == 0.0)
     failures = sum(1 for ok in facts if not ok)
     return len(facts), failures
 
@@ -423,7 +423,7 @@ def _check_bias_control(level):
 def _check_oracle_boundedness(level):
     draws = _pick(level, 200, 1000)
     problem = build_simplex_tv(9, 30, seed=24)
-    A = problem.A.matrix
+    A = problem.A
     rng = np.random.default_rng(114)
     oracle = GradientOracle("paper-partial", 7, seed=901, m=30)
     failures = 0
@@ -476,7 +476,7 @@ def _check_ergodic_consistency(level):
 def _check_simplex_preservation(level):
     n = _pick(level, 50, 200)
     rng = np.random.default_rng(115)
-    conv = ConvolutionMap(40, bump_kernel(6))
+    conv = LinearMap(convolution_matrix(40, bump_kernel(6)))
     problem = build_simplex_tv(10, 12, seed=26)
     saddle = problem.saddle_problem()
     schedule = problem.default_schedule()

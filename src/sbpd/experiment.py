@@ -56,6 +56,9 @@ UNREAD_KEYS = {
     "ot-inverse": ("m", "A", "b"),
     "custom": ("n", "m", "gamma", "noise_level"),
 }
+INTEGER_KEYS = ("n", "m", "seed", "iterations", "repeats", "cert_every",
+                "reference_iterations")
+REAL_KEYS = ("gamma", "beta", "noise_level", "stop_gap")
 CSV_HEADER = "k,gap_pointwise,gap_ergodic,lagrangian,residual,estimate_slack,wall_nanos"
 ENV_OUTPUT_DIR = "SBPD_OUTPUT_DIR"
 
@@ -108,6 +111,15 @@ class ExperimentConfig:
     def validate(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
+        # a JSON config can carry any type; compare and count only numbers
+        for key in INTEGER_KEYS + REAL_KEYS:
+            value = getattr(self, key)
+            if value is None and getattr(ExperimentConfig, key) is None:
+                continue  # an optional key left unset
+            kind = int if key in INTEGER_KEYS else (int, float)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                label = "an integer" if kind is int else "a real number"
+                raise ConfigError(f"{key} must be {label}, got {value!r}")
         if self.n < 2:
             raise ConfigError("n must be at least 2")
         if self.experiment == "simplex-tv" and self.m < 2:

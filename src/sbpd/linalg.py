@@ -1,25 +1,18 @@
 """Linear operators used by the solver and the problem builders.
 
-Everything is dense and real. Operators expose ``apply`` / ``adjoint_apply``
-plus their shape, and ``operator_norm`` computes the exact spectral norm from
-one SVD of the operator's matrix, so that the step sizes of every operator
-kind rest on the true norm rather than an estimate.
+At the paper's sizes every coupling is a small dense matrix, so one class
+holds it: ``LinearMap`` applies a matrix and its transpose to validated
+vectors. The forward-difference and convolution builders return plain
+arrays, and ``operator_norm`` is the exact spectral norm of the matrix, so
+the step sizes rest on the true norm rather than an estimate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "ShapeError",
-    "LinearMap",
-    "DenseMatrixMap",
-    "ForwardDifferenceMap",
-    "ConvolutionMap",
-    "VerticalStackMap",
-    "as_vector",
-    "operator_norm",
-]
+__all__ = ["ShapeError", "LinearMap", "as_vector", "convolution_matrix",
+           "forward_difference_matrix", "operator_norm"]
 
 
 class ShapeError(ValueError):
@@ -27,21 +20,10 @@ class ShapeError(ValueError):
 
 
 def as_vector(x, dim=None, name="x"):
-    """Coerce ``x`` to a 1-d float64 array and validate it.
+    """Coerce ``x`` to a finite 1-d float64 array of length ``dim``.
 
-    Parameters
-    ----------
-    x : array_like
-        Input data.
-    dim : int, optional
-        Required length. ``None`` skips the length check.
-    name : str
-        Label used in error messages.
-
-    Returns
-    -------
-    numpy.ndarray
-        The validated vector (a copy only when conversion requires one).
+    ``dim=None`` skips the length check and ``name`` labels the error
+    messages. A copy is made only when the conversion requires one.
     """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
@@ -54,149 +36,61 @@ def as_vector(x, dim=None, name="x"):
 
 
 class LinearMap:
-    """Base class for dense linear operators.
+    """Operator backed by a dense row-major matrix (rows are outputs).
 
-    Subclasses set ``input_dim``, ``output_dim`` and ``kind`` and implement
-    ``_apply`` / ``_adjoint``. The public entry points validate shapes and
-    finiteness so the solver can assume clean data.
+    ``apply`` and ``adjoint_apply`` validate shapes and finiteness so the
+    solver can assume clean data.
     """
-
-    kind = "abstract"
-
-    def __init__(self, input_dim, output_dim):
-        if input_dim < 1 or output_dim < 1:
-            raise ValueError("operator dimensions must be positive")
-        self.input_dim = int(input_dim)
-        self.output_dim = int(output_dim)
-
-    def apply(self, x):
-        x = as_vector(x, self.input_dim, "x")
-        return self._apply(x)
-
-    def adjoint_apply(self, y):
-        y = as_vector(y, self.output_dim, "y")
-        return self._adjoint(y)
-
-    def _apply(self, x):
-        raise NotImplementedError
-
-    def _adjoint(self, y):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return (f"{type(self).__name__}({self.input_dim} -> "
-                f"{self.output_dim}, kind={self.kind!r})")
-
-
-class DenseMatrixMap(LinearMap):
-    """Operator backed by a dense row-major matrix (rows are outputs)."""
-
-    kind = "dense-matrix"
 
     def __init__(self, matrix):
         mat = np.ascontiguousarray(matrix, dtype=np.float64)
         if mat.ndim != 2:
             raise ShapeError(f"matrix must be 2-dimensional, got {mat.shape}")
+        if min(mat.shape) < 1:
+            raise ValueError("operator dimensions must be positive")
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix contains non-finite entries")
-        super().__init__(mat.shape[1], mat.shape[0])
         self.matrix = mat
+        self.output_dim, self.input_dim = mat.shape
 
-    def _apply(self, x):
-        return self.matrix @ x
+    def apply(self, x):
+        """``M @ x`` for a finite vector ``x`` of length ``input_dim``."""
+        return self.matrix @ as_vector(x, self.input_dim, "x")
 
-    def _adjoint(self, y):
-        return self.matrix.T @ y
-
-
-class ForwardDifferenceMap(LinearMap):
-    """Discrete forward difference, (Bx)_i = x_{i+1} - x_i, mapping n to n-1."""
-
-    kind = "forward-difference"
-
-    def __init__(self, n):
-        if n < 2:
-            raise ValueError("forward difference needs n >= 2")
-        super().__init__(n, n - 1)
-
-    def _apply(self, x):
-        return np.diff(x)
-
-    def _adjoint(self, y):
-        out = np.empty(self.input_dim)
-        out[0] = -y[0]
-        out[1:-1] = y[:-1] - y[1:]
-        out[-1] = y[-1]
-        return out
+    def adjoint_apply(self, y):
+        """``M.T @ y`` for a finite vector ``y`` of length ``output_dim``."""
+        return self.matrix.T @ as_vector(y, self.output_dim, "y")
 
 
-class ConvolutionMap(DenseMatrixMap):
-    """Column-stochastic convolution built from a symmetric kernel.
+def forward_difference_matrix(n):
+    """Matrix of the forward difference (Bx)_i = x_{i+1} - x_i, n to n-1."""
+    if n < 2:
+        raise ValueError("forward difference needs n >= 2")
+    return np.diff(np.eye(n), axis=0)
+
+
+def convolution_matrix(n, kernel):
+    """Column-stochastic n-by-n convolution with a symmetric kernel.
 
     The kernel of length ``2r + 1`` is placed on each column, truncated at
     the boundaries (zero padding), and every column is renormalized to sum
-    to one, so the operator maps the simplex into the simplex.
+    to one, so the matrix maps the simplex into the simplex.
     """
-
-    kind = "convolution"
-
-    def __init__(self, n, kernel):
-        kernel = as_vector(kernel, name="kernel")
-        if kernel.size % 2 != 1:
-            raise ValueError("kernel length must be odd (2r + 1 taps)")
-        if np.any(kernel < 0) or kernel.sum() <= 0:
-            raise ValueError("kernel must be nonnegative with positive mass")
-        r = kernel.size // 2
-        mat = np.zeros((n, n))
-        for c in range(n):
-            lo = max(0, c - r)
-            hi = min(n, c + r + 1)
-            mat[lo:hi, c] = kernel[lo - c + r:hi - c + r]
-        mat /= mat.sum(axis=0, keepdims=True)
-        super().__init__(mat)
-        self.kernel = kernel
-        self.radius = r
-
-
-class VerticalStackMap(LinearMap):
-    """Stack of operators sharing one input: x maps to (A1 x, ..., Ak x)."""
-
-    kind = "vertical-stack"
-
-    def __init__(self, blocks):
-        blocks = list(blocks)
-        if not blocks:
-            raise ValueError("need at least one block")
-        dims = {blk.input_dim for blk in blocks}
-        if len(dims) != 1:
-            raise ShapeError(f"blocks disagree on input dimension: {sorted(dims)}")
-        super().__init__(blocks[0].input_dim, sum(blk.output_dim for blk in blocks))
-        self.blocks = blocks
-        self._offsets = np.cumsum([0] + [blk.output_dim for blk in blocks])
-
-    def _apply(self, x):
-        return np.concatenate([blk._apply(x) for blk in self.blocks])
-
-    def _adjoint(self, y):
-        out = np.zeros(self.input_dim)
-        for blk, lo, hi in zip(self.blocks, self._offsets[:-1], self._offsets[1:]):
-            out += blk._adjoint(y[lo:hi])
-        return out
+    kernel = as_vector(kernel, name="kernel")
+    if kernel.size % 2 != 1:
+        raise ValueError("kernel length must be odd (2r + 1 taps)")
+    if np.any(kernel < 0) or kernel.sum() <= 0:
+        raise ValueError("kernel must be nonnegative with positive mass")
+    r = kernel.size // 2
+    mat = np.zeros((n, n))
+    for c in range(n):
+        lo = max(0, c - r)
+        hi = min(n, c + r + 1)
+        mat[lo:hi, c] = kernel[lo - c + r:hi - c + r]
+    mat /= mat.sum(axis=0, keepdims=True)
+    return mat
 
 
 def operator_norm(op):
-    """Spectral norm of ``op``: the largest singular value of its matrix.
-
-    The matrix is built one column at a time from ``op._apply`` on the
-    identity columns, so every operator kind takes the same exact route.
-
-    Parameters
-    ----------
-    op : LinearMap
-
-    Returns
-    -------
-    float
-    """
-    cols = [op._apply(e) for e in np.eye(op.input_dim)]
-    return float(np.linalg.norm(np.column_stack(cols), 2))
+    """Spectral norm of a ``LinearMap``: the largest singular value of its matrix."""
+    return float(np.linalg.norm(op.matrix, 2))

@@ -26,11 +26,10 @@ from .bregman import (
     linf_ball_prox,
 )
 from .linalg import (
-    ConvolutionMap,
-    DenseMatrixMap,
-    ForwardDifferenceMap,
-    VerticalStackMap,
+    LinearMap,
     as_vector,
+    convolution_matrix,
+    forward_difference_matrix,
     operator_norm,
 )
 from .solver import (
@@ -131,32 +130,32 @@ def _simplex_feasible(x, tol=1e-9):
 class SimplexTVProblem:
     """min over the simplex of D_K(Ax, b) + beta * ||Bx||_1."""
 
-    A: DenseMatrixMap
+    A: np.ndarray
     b: np.ndarray
     beta: float
-    B: ForwardDifferenceMap
+    B: LinearMap
     L_p: float
 
     @property
     def n(self):
-        return self.A.input_dim
+        return self.A.shape[1]
 
     @property
     def m(self):
-        return self.A.output_dim
+        return self.A.shape[0]
 
     @cached_property
     def coupling_norm(self):
         return operator_norm(self.B)
 
     def f_value(self, x):
-        return kl_fidelity_value(self.A.matrix, self.b, x)
+        return kl_fidelity_value(self.A, self.b, x)
 
     def f_grad(self, x):
-        return kl_fidelity_grad(self.A.matrix, self.b, x)
+        return kl_fidelity_grad(self.A, self.b, x)
 
     def f_partial_grad(self, batch, x):
-        sub = self.A.matrix[batch]
+        sub = self.A[batch]
         return sub.T @ np.log(sub @ x / self.b[batch])
 
     def lagrangian(self, x, mu):
@@ -194,7 +193,7 @@ class SimplexTVProblem:
             "m": self.m,
             "beta": self.beta,
             "data": hashlib.sha256(
-                self.A.matrix.tobytes() + self.b.tobytes()).hexdigest(),
+                self.A.tobytes() + self.b.tobytes()).hexdigest(),
         }
 
 
@@ -204,6 +203,8 @@ def simplex_tv_from_arrays(A, b, beta):
     b = as_vector(b, name="b")
     if A.ndim != 2 or A.shape[0] != b.shape[0]:
         raise ValueError(f"A of shape {A.shape} does not match b of length {b.shape[0]}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A contains non-finite entries")
     if np.any(A <= 0):
         raise ValueError("A must have strictly positive entries")
     if np.any(b <= 0):
@@ -211,10 +212,10 @@ def simplex_tv_from_arrays(A, b, beta):
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     return SimplexTVProblem(
-        A=DenseMatrixMap(A),
+        A=A,
         b=b,
         beta=float(beta),
-        B=ForwardDifferenceMap(A.shape[1]),
+        B=LinearMap(forward_difference_matrix(A.shape[1])),
         L_p=kl_rel_smooth_constant(A),
     )
 
@@ -243,12 +244,12 @@ class OTInverseProblem:
 
     Primal variable: a simplex vector rho. Dual variable: the transport
     potential tau stacked over the total-variation dual zeta, coupled
-    through (F rho, B rho). Only the zeta block is ball-constrained.
+    through (F rho, D rho), with D the forward difference. Only the zeta
+    block is ball-constrained.
     """
 
     C: np.ndarray
-    F: ConvolutionMap
-    B: ForwardDifferenceMap
+    F: np.ndarray
     theta: np.ndarray
     gamma: float
     beta: float
@@ -257,11 +258,11 @@ class OTInverseProblem:
 
     @property
     def n(self):
-        return self.F.input_dim
+        return self.F.shape[1]
 
     @cached_property
     def coupling(self):
-        return VerticalStackMap([self.F, self.B])
+        return LinearMap(np.vstack([self.F, forward_difference_matrix(self.n)]))
 
     @cached_property
     def coupling_norm(self):
@@ -322,7 +323,7 @@ class OTInverseProblem:
             "gamma": self.gamma,
             "beta": self.beta,
             "data": hashlib.sha256(
-                self.theta.tobytes() + self.F.matrix.tobytes()
+                self.theta.tobytes() + self.F.tobytes()
                 + self.C.tobytes()).hexdigest(),
         }
 
@@ -344,7 +345,7 @@ def build_ot_inverse(n, seed, gamma=1.0, beta=1.0, noise_level=0.1,
         raise ValueError("noise_level must lie in [0, 1]")
     idx = np.arange(n, dtype=np.float64)
     C = 0.5 * (idx[:, None] - idx[None, :]) ** 2
-    F = ConvolutionMap(n, bump_kernel(kernel_radius))
+    F = convolution_matrix(n, bump_kernel(kernel_radius))
 
     rho = np.zeros(n)
     w1, w2 = max(1, n // 10), max(1, n // 6)
@@ -354,12 +355,11 @@ def build_ot_inverse(n, seed, gamma=1.0, beta=1.0, noise_level=0.1,
     rho /= rho.sum()
 
     rng = np.random.default_rng(seed)
-    clean = F.apply(rho)
+    clean = F @ rho
     theta = (1.0 - noise_level) * clean + noise_level * rng.dirichlet(np.ones(n))
     theta = theta / theta.sum()
-    return OTInverseProblem(C=C, F=F, B=ForwardDifferenceMap(n), theta=theta,
-                            gamma=float(gamma), beta=float(beta),
-                            L_d=1.0 / gamma, rho_truth=rho)
+    return OTInverseProblem(C=C, F=F, theta=theta, gamma=float(gamma),
+                            beta=float(beta), L_d=1.0 / gamma, rho_truth=rho)
 
 
 # ----------------------------------------------------------------- reference

@@ -20,7 +20,7 @@ from sbpd.bregman import (
     pinsker_slack,
 )
 from sbpd.experiment import ExperimentConfig, run_experiment, should_log
-from sbpd.linalg import DenseMatrixMap
+from sbpd.linalg import LinearMap
 from sbpd.oracle import GradientOracle
 from sbpd.problems import (
     build_simplex_tv,
@@ -314,7 +314,7 @@ def test_09_grid_search_agreement(cache_dir, capsys):
         blocks.append(np.stack([np.full_like(j, i), j, 1000 - i - j], axis=1))
     grid = np.vstack(blocks).astype(np.float64) * 1e-3
     grid_pos = np.maximum(grid, 1e-300)
-    U = grid_pos @ problem.A.matrix.T
+    U = grid_pos @ problem.A.T
     fidelity = np.sum(U * np.log(U / problem.b) - U + problem.b, axis=1)
     penalty = problem.beta * np.abs(np.diff(grid, axis=1)).sum(axis=1)
     best = grid[np.argmin(fidelity + penalty)]
@@ -331,7 +331,7 @@ def test_09_grid_search_agreement(cache_dir, capsys):
 
 
 def test_10_euclidean_degeneration(capsys):
-    T = DenseMatrixMap(np.array([[1.0, -2.0], [3.0, 4.0]]) / 3.0)
+    T = LinearMap(np.array([[1.0, -2.0], [3.0, 4.0]]) / 3.0)
     lam, nu, beta = 0.3, 0.25, 0.7
     problem = SaddleProblem(
         f_grad=lambda x: np.zeros(2),

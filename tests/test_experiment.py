@@ -234,6 +234,26 @@ def test_config_that_would_run_as_exact_is_rejected(tmp_path, overrides, match):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
+MALFORMED_NUMBERS = [
+    ({"n": 8.5}, "n must be an integer"),
+    ({"experiment": "ot-inverse", "beta": "1"}, "beta must be a real number"),
+    ({"iterations": 20.0}, "iterations must be an integer"),
+    ({"stop_gap": "x"}, "stop_gap must be a real number"),
+    ({"cert_every": 1.5}, "cert_every must be an integer"),
+    ({"repeats": True}, "repeats must be an integer"),
+]
+
+
+@pytest.mark.parametrize("overrides,match", MALFORMED_NUMBERS,
+                         ids=["n-float", "beta-string", "iterations-float",
+                              "stop_gap-string", "cert_every-float", "repeats-bool"])
+def test_malformed_numeric_value_is_rejected(tmp_path, overrides, match):
+    # each value once crashed with a TypeError, failed only after the
+    # reference was cached, or ran (cert_every 1.5 certified every third step)
+    _assert_invalid_config(_tiny_config(tmp_path, **overrides), match)
+    assert list((tmp_path / "out").glob("reference_*.json")) == []
+
+
 def test_stochastic_oracle_on_ot_inverse_is_rejected(tmp_path):
     config = _tiny_config(tmp_path, experiment="ot-inverse", iterations=50,
                           oracle_mode="paper-partial", batch_size=4)
@@ -241,9 +261,12 @@ def test_stochastic_oracle_on_ot_inverse_is_rejected(tmp_path):
 
 
 def test_custom_matrix_with_nan_is_rejected(tmp_path):
-    config = _tiny_config(tmp_path, experiment="custom",
-                          A=[[1.0, float("nan")], [0.3, 1.4]], b=[0.4, 0.9])
-    _assert_invalid_config(config, "non-finite")
+    # NaN passes the positivity test (NaN <= 0 is false), so only the
+    # finiteness check stops it
+    for bad in (float("nan"), float("inf")):
+        config = _tiny_config(tmp_path, experiment="custom",
+                              A=[[1.0, bad], [0.3, 1.4]], b=[0.4, 0.9])
+        _assert_invalid_config(config, "non-finite")
 
 
 def test_output_dir_under_a_regular_file_is_reported(tmp_path):

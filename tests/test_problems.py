@@ -139,12 +139,12 @@ def test_semidual_rejects_off_simplex_theta():
 def test_build_simplex_tv_ranges_and_determinism():
     p1 = build_simplex_tv(50, 50, seed=7)
     p2 = build_simplex_tv(50, 50, seed=7)
-    A, b = p1.A.matrix, p1.b
+    A, b = p1.A, p1.b
     assert A.shape == (50, 50)
     assert np.all(A >= 0.01) and np.all(A <= 1.01)
     assert np.all(b > 0) and np.all(b <= 1.0)
     assert p1.L_p == kl_rel_smooth_constant(A)
-    assert np.array_equal(A, p2.A.matrix)
+    assert np.array_equal(A, p2.A)
     assert np.array_equal(b, p2.b)
     assert build_simplex_tv(50, 50, seed=8).b[0] != b[0]
 
@@ -184,7 +184,7 @@ def test_bump_kernel_properties():
 
 def test_build_ot_inverse_noiseless_observation():
     p = build_ot_inverse(40, seed=0, noise_level=0.0)
-    assert np.allclose(p.theta, p.F.apply(p.rho_truth), atol=1e-12)
+    assert np.allclose(p.theta, p.F @ p.rho_truth, atol=1e-12)
 
 
 def test_build_ot_inverse_structure():
@@ -194,7 +194,7 @@ def test_build_ot_inverse_structure():
     assert p.C[0, 107] == 0.5 * 107.0**2
     assert abs(p.theta.sum() - 1.0) <= 1e-12
     assert np.all(p.theta >= 0)
-    assert np.allclose(p.F.matrix.sum(axis=0), 1.0, atol=1e-12)
+    assert np.allclose(p.F.sum(axis=0), 1.0, atol=1e-12)
     assert p.L_d == 1.0
     assert abs(p.rho_truth.sum() - 1.0) <= 1e-12
     # the two boxes do not touch
@@ -215,6 +215,21 @@ def test_build_ot_inverse_determinism_and_validation():
         build_ot_inverse(10, seed=0, noise_level=1.5)
 
 
+def test_ot_coupling_adjoint_matches_blockwise_sum():
+    p = build_ot_inverse(108, seed=3)
+    D = np.diff(np.eye(108), axis=0)
+    rng = np.random.default_rng(0)
+    rho = rng.standard_normal(108)
+    tau = rng.standard_normal(108)
+    zeta = rng.standard_normal(107)
+    y = np.concatenate([tau, zeta])
+    expected = p.F.T @ tau + D.T @ zeta
+    assert np.allclose(p.coupling.adjoint_apply(y), expected, rtol=0, atol=1e-14)
+    lhs = p.coupling.apply(rho) @ y
+    rhs = rho @ p.coupling.adjoint_apply(y)
+    assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
+
 # ------------------------------------------------------------- coupling norm
 
 def _difference_norm(n):
@@ -229,7 +244,7 @@ def _difference_norm(n):
      lambda p: _difference_norm(3)),
     (ExperimentConfig(experiment="ot-inverse", n=108, seed=3),
      lambda p: np.linalg.norm(np.vstack([
-         p.F.matrix, np.diff(np.eye(108), axis=0)]), 2)),
+         p.F, np.diff(np.eye(108), axis=0)]), 2)),
 ], ids=["simplex-tv", "custom", "ot-inverse"])
 def test_coupling_norm_matches_independent_value(config, expected):
     problem = config.build_problem()

@@ -9,7 +9,7 @@ from sbpd.bregman import (
     kl_prox_simplex,
     linf_ball_prox,
 )
-from sbpd.linalg import DenseMatrixMap, ForwardDifferenceMap, operator_norm
+from sbpd.linalg import LinearMap, forward_difference_matrix, operator_norm
 from sbpd.oracle import GradientOracle
 from sbpd.solver import (
     SaddleProblem,
@@ -31,7 +31,7 @@ def tv_problem(n, m, seed, beta=1.0):
     rng = np.random.default_rng(seed)
     A = rng.uniform(0.01, 1.01, (m, n))
     b = 1.0 - rng.uniform(0.0, 1.0, m)
-    B = ForwardDifferenceMap(n)
+    B = LinearMap(forward_difference_matrix(n))
 
     def f_value(x):
         u = A @ x
@@ -85,7 +85,7 @@ def test_zero_problem_fixed_point():
         h_star_grad=lambda mu: np.zeros(n - 1),
         g_prox=kl_prox_simplex,
         l_star_prox=lambda mu, v, nu: linf_ball_prox(mu, v, nu, 1.0),
-        coupling=DenseMatrixMap(np.zeros((n - 1, n))),
+        coupling=LinearMap(np.zeros((n - 1, n))),
         L_p=0.0,
         L_d=0.0,
         phi_p=ShannonBoltzmann(n),
