@@ -27,14 +27,15 @@ from .problems import (
     compute_reference,
     simplex_tv_from_arrays,
 )
-from .solver import (
+from .solver import (  # noqa: F401  benchmarks/tracing.py patches the unused names
+    ReferenceEvaluator,
     asymptotic_residual,
     ergodic_rate_constant,
     estimate_inequality_terms,
     initial_state,
     lagrangian_gap,
     run,
-    sbpd_step,  # noqa: F401  unused; benchmarks/tracing.py patches it by name
+    sbpd_step,
 )
 
 __all__ = [
@@ -120,6 +121,9 @@ class ExperimentConfig:
             if not isinstance(value, kind) or isinstance(value, bool):
                 label = "an integer" if kind is int else "a real number"
                 raise ConfigError(f"{key} must be {label}, got {value!r}")
+            # NaN compares false with every bound below, so check it here
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.n < 2:
             raise ConfigError("n must be at least 2")
         if self.experiment == "simplex-tv" and self.m < 2:
@@ -287,30 +291,41 @@ def _mean_records(traces):
 
 def _measured_run(problem, saddle, schedule, reference, iterations, config,
                   oracle=None):
-    """One measured-phase run; returns the list of logged records."""
-    w_star = reference.w_star
+    """One measured-phase run; returns the list of logged records.
+
+    Each logged row evaluates the Lagrangian parts of its two points once;
+    the row's gap is the certificate's gap term, and a certified row hands
+    its energy to the next row when that row certifies the following step.
+    """
+    evaluator = ReferenceEvaluator(saddle, schedule, reference.w_star)
     records = []
     stop_count = 0
+    carried = (None, None)  # (k, energy against the state at k)
     t0 = time.perf_counter_ns()
 
     def observe(prev, state):
-        nonlocal stop_count
+        nonlocal stop_count, carried
         if not should_log(state.k, final=iterations):
             return False
+        w = (state.x, state.mu)
+        gap, parts = evaluator.gap(w)
         slack = None
         if config.cert_every and state.k % config.cert_every == 0:
             delta = None
             if oracle is not None and not oracle.is_exact:
                 _, delta = oracle.grad_estimate(
                     saddle.f_grad, saddle.f_partial_grad, prev.x.coords, prev.k)
-            slack, _ = estimate_inequality_terms(
-                saddle, schedule, (prev.x, prev.mu), (state.x, state.mu),
-                w_star, primal_delta=delta)
+            k_carried, e_carried = carried
+            slack, _, e_next = evaluator.certificate(
+                (prev.x, prev.mu), w, gap,
+                e_k=e_carried if k_carried == prev.k else None,
+                primal_delta=delta)
+            carried = (state.k, e_next)
         records.append(TraceRecord(
             k=state.k,
-            gap_pointwise=lagrangian_gap(saddle, (state.x, state.mu), w_star),
-            gap_ergodic=lagrangian_gap(saddle, (state.x_bar, state.mu_bar), w_star),
-            lagrangian=saddle.lagrangian_eval(state.x.coords, state.mu),
+            gap_pointwise=gap,
+            gap_ergodic=evaluator.gap((state.x_bar, state.mu_bar))[0],
+            lagrangian=evaluator.lagrangian(parts),
             residual=asymptotic_residual(prev, state),
             estimate_slack=slack,
             wall_nanos=(time.perf_counter_ns() - t0 if config.record_timing

@@ -92,14 +92,9 @@ def kl_rel_smooth_constant(A):
 
 # ----------------------------------------------------------------- semidual
 
-def ot_semidual_value_grad(tau, theta, C, gamma):
-    """Value and gradient of the smooth transport semidual term.
-
-    h*(tau) = sum_j theta_j * lse_gamma(tau - C[:, j]), with the tempered
-    log-sum-exp lse_gamma(t) = gamma * log sum_i exp(t_i / gamma); the
-    gradient is the matching convex combination of tempered softmaxes, hence
-    a simplex vector for every tau.
-    """
+def _semidual_exponentials(tau, theta, C, gamma):
+    # shared by the value and the gradient: the validated theta, the column
+    # maxima of Z = (tau - C) / gamma, E = exp(Z - max) and its column sums
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     tau = as_vector(tau, name="tau")
@@ -114,10 +109,26 @@ def ot_semidual_value_grad(tau, theta, C, gamma):
     # shift each column by its max so exp never overflows
     top = Z.max(axis=0)
     E = np.exp(Z - top)
-    s = E.sum(axis=0)
+    return theta, top, E, E.sum(axis=0)
+
+
+def ot_semidual_value_grad(tau, theta, C, gamma):
+    """Value and gradient of the smooth transport semidual term.
+
+    h*(tau) = sum_j theta_j * lse_gamma(tau - C[:, j]), with the tempered
+    log-sum-exp lse_gamma(t) = gamma * log sum_i exp(t_i / gamma); the
+    gradient is the matching convex combination of tempered softmaxes, hence
+    a simplex vector for every tau.
+    """
+    theta, top, E, s = _semidual_exponentials(tau, theta, C, gamma)
     value = float(gamma * (theta @ (top + np.log(s))))
-    grad = E @ (theta / s)
-    return value, grad
+    return value, E @ (theta / s)
+
+
+def _semidual_grad(tau, theta, C, gamma):
+    # the gradient of ot_semidual_value_grad without log(s) and the value
+    theta, _, E, s = _semidual_exponentials(tau, theta, C, gamma)
+    return E @ (theta / s)
 
 
 # ------------------------------------------------------------------ problems
@@ -158,9 +169,6 @@ class SimplexTVProblem:
         sub = self.A[batch]
         return sub.T @ np.log(sub @ x / self.b[batch])
 
-    def lagrangian(self, x, mu):
-        return self.f_value(x) + float(self.B.apply(x) @ mu)
-
     def saddle_problem(self):
         beta = self.beta
         return SaddleProblem(
@@ -173,7 +181,8 @@ class SimplexTVProblem:
             L_d=0.0,
             phi_p=ShannonBoltzmann(self.n),
             phi_d=EuclideanEnergy(self.n - 1),
-            lagrangian_eval=self.lagrangian,
+            f_value=self.f_value,
+            h_star_value=None,
             primal_feasible=_simplex_feasible,
             dual_feasible=lambda mu: bool(np.abs(mu).max() <= beta + 1e-12),
             f_partial_grad=self.f_partial_grad,
@@ -277,12 +286,9 @@ class OTInverseProblem:
         return value
 
     def h_star_grad(self, mu):
-        _, grad = ot_semidual_value_grad(self.split_dual(mu)[0], self.theta,
-                                         self.C, self.gamma)
+        grad = _semidual_grad(self.split_dual(mu)[0], self.theta, self.C,
+                              self.gamma)
         return np.concatenate([grad, np.zeros(self.n - 1)])
-
-    def lagrangian(self, rho, mu):
-        return float(self.coupling.apply(rho) @ mu) - self.h_star_value(mu)
 
     def dual_prox(self, mu, v, nu):
         # plain gradient step on tau, clipped step on the ball-constrained zeta
@@ -302,7 +308,8 @@ class OTInverseProblem:
             L_d=self.L_d,
             phi_p=ShannonBoltzmann(n),
             phi_d=EuclideanEnergy(2 * n - 1),
-            lagrangian_eval=self.lagrangian,
+            f_value=None,
+            h_star_value=self.h_star_value,
             primal_feasible=_simplex_feasible,
             dual_feasible=lambda mu: bool(
                 mu.shape[0] == 2 * n - 1

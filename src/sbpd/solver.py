@@ -9,8 +9,9 @@ inequality is evaluated here verbatim as a runtime certificate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .linalg import LinearMap
 
 __all__ = [
     "SaddleProblem",
+    "LagrangianParts",
+    "ReferenceEvaluator",
     "StepSchedule",
     "SolverState",
     "default_step_sizes",
@@ -33,14 +36,55 @@ __all__ = [
 ]
 
 
+class LagrangianParts(NamedTuple):
+    """f(x), Tx and h*(mu) of one point (x, mu), plus its mu.
+
+    ``None`` marks a part that is identically zero for the problem.
+    """
+
+    f: Optional[float]
+    Tx: np.ndarray
+    h: Optional[float]
+    mu: np.ndarray
+
+
+def _lagrangian(primal, dual):
+    """L(x, mu) = f(x) + <Tx, mu> - h*(mu), x from ``primal``, mu from ``dual``.
+
+    Parts that are identically zero are left out of the sum, so each problem
+    family keeps its own float expression (signed zeros included).
+    """
+    value = float(primal.Tx @ dual.mu)
+    if primal.f is not None:
+        value = primal.f + value
+    if dual.h is not None:
+        value = value - dual.h
+    return value
+
+
+def _parts(f_value, coupling, h_star_value, x, mu):
+    return LagrangianParts(None if f_value is None else f_value(x),
+                           coupling.apply(x),
+                           None if h_star_value is None else h_star_value(mu),
+                           mu)
+
+
+def _lagrangian_at(f_value, coupling, h_star_value, x, mu):
+    parts = _parts(f_value, coupling, h_star_value, x, mu)
+    return _lagrangian(parts, parts)
+
+
 @dataclass
 class SaddleProblem:
     """A convex-concave saddle problem in split form.
 
     The Lagrangian is f(x) + g(x) + <Tx, mu> - h*(mu) - l*(mu), with g and
     l* entering only through their D-prox handles (they typically contain
-    the constraint indicators). ``lagrangian_eval`` evaluates the smooth and
-    coupling parts at feasible points, where the indicators vanish.
+    the constraint indicators). ``f_value`` and ``h_star_value`` are the
+    smooth values, ``None`` when that term is identically zero;
+    ``lagrangian_eval`` evaluates the smooth and coupling parts at feasible
+    points, where the indicators vanish, and defaults to the composition of
+    ``parts``.
 
     ``f_partial_grad(batch, x)`` returns the sum of the per-summand
     gradients over ``batch`` when f has finite-sum structure (otherwise
@@ -56,14 +100,25 @@ class SaddleProblem:
     L_d: float
     phi_p: Entropy
     phi_d: Entropy
-    lagrangian_eval: Callable[[np.ndarray, np.ndarray], float]
+    f_value: Optional[Callable[[np.ndarray], float]]
+    h_star_value: Optional[Callable[[np.ndarray], float]]
     primal_feasible: Callable[[np.ndarray], bool]
     dual_feasible: Callable[[np.ndarray], bool]
     f_partial_grad: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    lagrangian_eval: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
     def __post_init__(self):
         if self.L_p < 0 or self.L_d < 0:
             raise ValueError("smoothness constants must be nonnegative")
+        if self.lagrangian_eval is None:
+            # not a bound method: a reference cycle through self would keep
+            # each problem and its data alive until a full garbage collection
+            self.lagrangian_eval = functools.partial(
+                _lagrangian_at, self.f_value, self.coupling, self.h_star_value)
+
+    def parts(self, x, mu):
+        """The parts f(x), Tx and h*(mu) of the Lagrangian at (x, mu)."""
+        return _parts(self.f_value, self.coupling, self.h_star_value, x, mu)
 
 
 @dataclass(frozen=True)
@@ -164,29 +219,89 @@ def _check_feasible(problem, x_coords, mu, label):
         raise DomainError(f"dual part of {label} violates its constraints")
 
 
-def lagrangian_gap(problem, w, w_ref):
-    """L(x, mu_ref) - L(x_ref, mu); nonnegative at an exact saddle reference.
-
-    All four points must be feasible; indicator violations raise rather
-    than propagating infinities.
-    """
-    x, mu = w
-    x_ref, mu_ref = w_ref
-    x = _as_point(x).coords
-    x_ref = _as_point(x_ref).coords
-    mu = np.asarray(mu, dtype=np.float64)
-    mu_ref = np.asarray(mu_ref, dtype=np.float64)
-    _check_feasible(problem, x, mu, "w")
-    _check_feasible(problem, x_ref, mu_ref, "w_ref")
-    return problem.lagrangian_eval(x, mu_ref) - problem.lagrangian_eval(x_ref, mu)
-
-
 def _energy(problem, schedule, x_ref, mu_ref, point, mu):
     # E(w_ref) = D_p(x_ref, x)/lam + D_d(mu_ref, mu)/nu - <T(x_ref - x), mu_ref - mu>
     dp = bregman_divergence(problem.phi_p, x_ref, point)
     dd = bregman_divergence(problem.phi_d, mu_ref, _as_point(mu))
     cross = float(problem.coupling.apply(x_ref - point.coords) @ (mu_ref - mu))
     return dp / schedule.lam + dd / schedule.nu - cross
+
+
+class ReferenceEvaluator:
+    """Lagrangian gaps and energy-inequality certificates against one reference.
+
+    Built once per reference ``w_ref``: it checks that ``w_ref`` is feasible
+    and evaluates the reference's parts f(x_ref), T x_ref and h*(mu_ref)
+    once. ``gap`` evaluates a point's parts once and returns them with the
+    gap, so the point's own Lagrangian and the certificate's gap term reuse
+    them. ``schedule`` is needed only by ``certificate``.
+    """
+
+    def __init__(self, problem, schedule, w_ref):
+        x_ref, mu_ref = w_ref
+        self.problem = problem
+        self.schedule = schedule
+        self.x_ref = _as_point(x_ref).coords
+        self.mu_ref = np.asarray(mu_ref, dtype=np.float64)
+        _check_feasible(problem, self.x_ref, self.mu_ref, "w_ref")
+        self.ref = problem.parts(self.x_ref, self.mu_ref)
+
+    def gap(self, w, check=True):
+        """``(L(x, mu_ref) - L(x_ref, mu), parts of w)``.
+
+        The gap is nonnegative at an exact saddle reference. ``w`` must be
+        feasible; with ``check`` an indicator violation raises rather than
+        propagating infinities.
+        """
+        x, mu = w
+        x = _as_point(x).coords
+        mu = np.asarray(mu, dtype=np.float64)
+        if check:
+            _check_feasible(self.problem, x, mu, "w")
+        parts = self.problem.parts(x, mu)
+        ref = self.ref
+        return _lagrangian(parts, ref) - _lagrangian(ref, parts), parts
+
+    @staticmethod
+    def lagrangian(parts):
+        """L(x, mu) at the point whose parts ``gap`` returned."""
+        return _lagrangian(parts, parts)
+
+    def _energy(self, w):
+        x, mu = w
+        return _energy(self.problem, self.schedule, self.x_ref, self.mu_ref,
+                       _as_point(x), np.asarray(mu, dtype=np.float64))
+
+    def certificate(self, w_k, w_next, gap, e_k=None, primal_delta=None,
+                    dual_delta=None):
+        """``(slack, scale, e_next)`` of the step from ``w_k`` to ``w_next``.
+
+        ``gap`` is the gap of ``w_next``, as ``gap`` returns it. ``e_k``
+        is the energy against ``w_k``: pass the ``e_next`` of the step that
+        ended at ``w_k`` to reuse it, or ``None`` to evaluate it here.
+        """
+        if e_k is None:
+            e_k = self._energy(w_k)
+        e_next = self._energy(w_next)
+        noise = 0.0
+        if primal_delta is not None:
+            x_n = _as_point(w_next[0]).coords
+            noise += float(np.asarray(primal_delta) @ (self.x_ref - x_n))
+        if dual_delta is not None:
+            mu_n = np.asarray(w_next[1], dtype=np.float64)
+            noise += float(np.asarray(dual_delta) @ (self.mu_ref - mu_n))
+        slack = e_k + noise - gap - e_next
+        scale = 1.0 + max(abs(e_k), abs(e_next), abs(gap), abs(noise))
+        return float(slack), float(scale), e_next
+
+
+def lagrangian_gap(problem, w, w_ref):
+    """L(x, mu_ref) - L(x_ref, mu); nonnegative at an exact saddle reference.
+
+    All four points must be feasible; indicator violations raise rather
+    than propagating infinities.
+    """
+    return ReferenceEvaluator(problem, None, w_ref).gap(w)[0]
 
 
 def ergodic_rate_constant(problem, schedule, w_ref, w0):
@@ -216,30 +331,14 @@ def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
     mu - mu_j>. Returns ``(slack, scale)`` with slack = RHS - LHS and scale
     = 1 + the largest term magnitude; nonnegative slack up to roundoff is
     the certified behavior. ``k`` is the index of ``w_k``; with constant
-    steps the inequality does not depend on it.
+    steps the inequality does not depend on it. A one-shot
+    ``ReferenceEvaluator``: only ``w_ref`` is checked for feasibility.
     """
-    x_k, mu_k = w_k
-    x_n, mu_n = w_next
-    x_ref, mu_ref = w_ref
-    x_k = _as_point(x_k)
-    x_n = _as_point(x_n)
-    x_ref = _as_point(x_ref).coords
-    mu_k = np.asarray(mu_k, dtype=np.float64)
-    mu_n = np.asarray(mu_n, dtype=np.float64)
-    mu_ref = np.asarray(mu_ref, dtype=np.float64)
-    _check_feasible(problem, x_ref, mu_ref, "w_ref")
-    e_k = _energy(problem, schedule, x_ref, mu_ref, x_k, mu_k)
-    e_next = _energy(problem, schedule, x_ref, mu_ref, x_n, mu_n)
-    gap = (problem.lagrangian_eval(x_n.coords, mu_ref)
-           - problem.lagrangian_eval(x_ref, mu_n))
-    noise = 0.0
-    if primal_delta is not None:
-        noise += float(np.asarray(primal_delta) @ (x_ref - x_n.coords))
-    if dual_delta is not None:
-        noise += float(np.asarray(dual_delta) @ (mu_ref - mu_n))
-    slack = e_k + noise - gap - e_next
-    scale = 1.0 + max(abs(e_k), abs(e_next), abs(gap), abs(noise))
-    return float(slack), float(scale)
+    evaluator = ReferenceEvaluator(problem, schedule, w_ref)
+    gap, _ = evaluator.gap(w_next, check=False)
+    slack, scale, _ = evaluator.certificate(
+        w_k, w_next, gap, primal_delta=primal_delta, dual_delta=dual_delta)
+    return slack, scale
 
 
 def symmetrized_energy_slack(problem, schedule, w1, w2):

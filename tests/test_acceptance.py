@@ -344,7 +344,8 @@ def test_10_euclidean_degeneration(capsys):
         L_d=0.0,
         phi_p=EuclideanEnergy(2),
         phi_d=EuclideanEnergy(2),
-        lagrangian_eval=lambda x, mu: float(T.apply(x) @ mu),
+        f_value=None,
+        h_star_value=None,
         primal_feasible=lambda x: bool(np.abs(x).max() <= 1.0 + 1e-12),
         dual_feasible=lambda mu: bool(np.abs(mu).max() <= beta + 1e-12),
     )

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sbpd import experiment
+from sbpd.bregman import DomainError
 from sbpd.experiment import (
     CSV_HEADER,
     ConfigError,
@@ -15,6 +17,14 @@ from sbpd.experiment import (
     run_experiment,
     should_log,
     write_trace,
+)
+from sbpd.oracle import GradientOracle
+from sbpd.problems import ReferenceSolution, compute_reference
+from sbpd.solver import (
+    estimate_inequality_terms,
+    initial_state,
+    lagrangian_gap,
+    run,
 )
 
 
@@ -254,6 +264,26 @@ def test_malformed_numeric_value_is_rejected(tmp_path, overrides, match):
     assert list((tmp_path / "out").glob("reference_*.json")) == []
 
 
+NON_FINITE_REALS = [
+    {"experiment": "ot-inverse", "gamma": float("nan")},
+    {"stop_gap": float("nan")},
+    {"experiment": "ot-inverse", "gamma": float("inf")},
+    {"beta": float("nan")},
+]
+
+
+@pytest.mark.parametrize("overrides", NON_FINITE_REALS,
+                         ids=["ot-gamma-nan", "tv-stop_gap-nan",
+                              "ot-gamma-inf", "tv-beta-nan"])
+def test_non_finite_real_value_is_rejected(tmp_path, overrides):
+    # NaN fails every bound comparison: these once failed after the build,
+    # ran as if stop_gap were unset, or ran to a NaN final gap
+    key = next(k for k in overrides if k != "experiment")
+    config = _tiny_config(tmp_path, iterations=20, **overrides)
+    _assert_invalid_config(config, f"{key} must be finite")
+    assert list((tmp_path / "out").glob("reference_*.json")) == []
+
+
 def test_stochastic_oracle_on_ot_inverse_is_rejected(tmp_path):
     config = _tiny_config(tmp_path, experiment="ot-inverse", iterations=50,
                           oracle_mode="paper-partial", batch_size=4)
@@ -378,3 +408,76 @@ def test_stop_gap_with_stochastic_repeats_is_rejected(tmp_path):
     for name in ("run_000.csv", "mean_trace.csv"):
         records = read_trace(tmp_path / "one" / name)
         assert len(records) == 100 and records[-1].k == 100
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"oracle_mode": "paper-partial", "batch_size": 5},
+    {"cert_every": 3},
+    {"experiment": "ot-inverse"},
+], ids=["tv-exact", "tv-paper-partial-q5", "tv-cert-every-3", "ot-inverse"])
+def test_logged_rows_match_one_shot_functions(tmp_path, overrides):
+    # past k = 1000 rows are sparse, so the certificate of a logged row can
+    # not reuse the previous row's energy; cert_every = 3 never can
+    config = _tiny_config(tmp_path, iterations=1200, **overrides)
+    assert run_experiment(config, log=lambda s: None) == 0
+    problem = config.build_problem()
+    saddle = problem.saddle_problem()
+    schedule = problem.default_schedule()
+    w_star = compute_reference(problem, config.resolved_reference_budget(),
+                               config.seed, cache_dir=config.output_dir).w_star
+    oracle = None
+    name = "trace.csv"
+    if config.is_stochastic():
+        oracle = GradientOracle(config.oracle_mode, config.batch_size,
+                                config.seed, problem.m)
+        name = "run_000.csv"
+    rows = {r.k: r for r in read_trace(tmp_path / "out" / name)}
+    seen = []
+
+    def observe(prev, state):
+        row = rows.get(state.k)
+        if row is None:
+            return False
+        seen.append(state.k)
+        assert row.gap_pointwise == lagrangian_gap(
+            saddle, (state.x, state.mu), w_star)
+        assert row.gap_ergodic == lagrangian_gap(
+            saddle, (state.x_bar, state.mu_bar), w_star)
+        assert row.lagrangian == saddle.lagrangian_eval(state.x.coords, state.mu)
+        if state.k % config.cert_every:
+            assert row.estimate_slack is None
+            return False
+        delta = None
+        if oracle is not None:
+            _, delta = oracle.grad_estimate(
+                saddle.f_grad, saddle.f_partial_grad, prev.x.coords, prev.k)
+        slack, _ = estimate_inequality_terms(
+            saddle, schedule, (prev.x, prev.mu), (state.x, state.mu), w_star,
+            k=prev.k, primal_delta=delta)
+        assert row.estimate_slack == slack
+        return False
+
+    run(saddle, schedule, initial_state(*problem.initial_point()),
+        config.iterations, oracle, observe)
+    assert seen == sorted(rows) and seen[-1] == 1200
+    assert any(k > 1000 and k - 1 not in rows for k in seen)
+
+
+def test_infeasible_reference_fails_before_any_step(tmp_path):
+    config = _tiny_config(tmp_path)
+    problem = config.build_problem()
+    steps = []
+
+    def counted_grad(x):
+        steps.append(1)
+        return problem.f_grad(x)
+
+    saddle = dataclasses.replace(problem.saddle_problem(), f_grad=counted_grad)
+    x0, mu0 = problem.initial_point()
+    reference = ReferenceSolution(x_star=np.full(8, 0.5), mu_star=mu0,
+                                  ref_tol=0.0, config_hash="", iterations=1000)
+    with pytest.raises(DomainError, match="w_ref"):
+        experiment._measured_run(problem, saddle, problem.default_schedule(),
+                                 reference, 10, config)
+    assert steps == []

@@ -230,6 +230,43 @@ def test_ot_coupling_adjoint_matches_blockwise_sum():
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(experiment="simplex-tv", n=20, m=30, seed=3),
+    ExperimentConfig(experiment="ot-inverse", n=24, seed=3),
+], ids=["simplex-tv", "ot-inverse"])
+def test_lagrangian_eval_is_bitwise_the_composition_of_its_parts(config):
+    problem = config.build_problem()
+    saddle = problem.saddle_problem()
+    rng = np.random.default_rng(1)
+    T = saddle.coupling
+    for _ in range(20):
+        x = rng.dirichlet(np.ones(problem.n))
+        mu = rng.uniform(-problem.beta, problem.beta, T.matrix.shape[0])
+        value = saddle.lagrangian_eval(x, mu)
+        parts = saddle.parts(x, mu)
+        if config.experiment == "simplex-tv":
+            # h* vanishes identically: L = f(x) + <Tx, mu>
+            assert parts.h is None
+            assert value == problem.f_value(x) + float(T.apply(x) @ mu)
+            assert value == parts.f + float(parts.Tx @ mu)
+        else:
+            # f vanishes identically: L = <Tx, mu> - h*(mu)
+            assert parts.f is None
+            assert value == float(T.apply(x) @ mu) - problem.h_star_value(mu)
+            assert value == float(parts.Tx @ mu) - parts.h
+
+
+def test_h_star_grad_is_bitwise_the_semidual_gradient():
+    p = build_ot_inverse(24, seed=3)
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 50.0):
+        mu = scale * rng.standard_normal(47)
+        _, grad = ot_semidual_value_grad(mu[:24], p.theta, p.C, p.gamma)
+        out = p.h_star_grad(mu)
+        assert np.array_equal(out[:24], grad)
+        assert np.array_equal(out[24:], np.zeros(23))
+
+
 # ------------------------------------------------------------- coupling norm
 
 def _difference_norm(n):

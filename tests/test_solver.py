@@ -12,6 +12,7 @@ from sbpd.bregman import (
 from sbpd.linalg import LinearMap, forward_difference_matrix, operator_norm
 from sbpd.oracle import GradientOracle
 from sbpd.solver import (
+    ReferenceEvaluator,
     SaddleProblem,
     StepSchedule,
     asymptotic_residual,
@@ -47,7 +48,8 @@ def tv_problem(n, m, seed, beta=1.0):
         L_d=0.0,
         phi_p=ShannonBoltzmann(n),
         phi_d=EuclideanEnergy(n - 1),
-        lagrangian_eval=lambda x, mu: f_value(x) + float(B.apply(x) @ mu),
+        f_value=f_value,
+        h_star_value=None,
         primal_feasible=lambda x: bool(np.all(x >= 0) and abs(x.sum() - 1) <= 1e-9),
         dual_feasible=lambda mu: bool(np.abs(mu).max() <= beta + 1e-12),
         f_partial_grad=lambda idx, x: A[idx].T @ np.log(A[idx] @ x / b[idx]),
@@ -90,7 +92,8 @@ def test_zero_problem_fixed_point():
         L_d=0.0,
         phi_p=ShannonBoltzmann(n),
         phi_d=EuclideanEnergy(n - 1),
-        lagrangian_eval=lambda x, mu: 0.0,
+        f_value=None,
+        h_star_value=None,
         primal_feasible=lambda x: True,
         dual_feasible=lambda mu: True,
     )
@@ -209,6 +212,43 @@ def test_lagrangian_gap_identity_and_feasibility():
         lagrangian_gap(problem, (np.full(5, 0.3), np.zeros(4)), w)
     with pytest.raises(DomainError):
         lagrangian_gap(problem, w, (state.x.coords, np.full(4, 5.0)))
+
+
+def test_reference_evaluator_failure_paths():
+    problem, schedule, state = tv_problem(5, 5, seed=10)
+    w = (state.x.coords, np.zeros(4))
+    # an infeasible reference fails when the evaluator is built
+    for bad_ref in ((np.full(5, 0.3), np.zeros(4)),
+                    (state.x.coords, np.full(4, 5.0))):
+        with pytest.raises(DomainError, match="w_ref"):
+            ReferenceEvaluator(problem, schedule, bad_ref)
+    evaluator = ReferenceEvaluator(problem, schedule, w)
+    for bad_w in ((np.full(5, 0.3), np.zeros(4)),
+                  (state.x.coords, np.full(4, 5.0))):
+        with pytest.raises(DomainError, match="of w violates"):
+            evaluator.gap(bad_w)
+
+
+def test_reference_evaluator_shares_parts_and_carries_energy():
+    problem, schedule, state = tv_problem(6, 8, seed=4)
+    rng = np.random.default_rng(2)
+    ref = next(iter(feasible_refs(rng, 6, 1.0, 1)))
+    evaluator = ReferenceEvaluator(problem, schedule, ref)
+    prev_e = None
+    for _ in range(20):
+        new = sbpd_step(problem, schedule, state)
+        w_k, w_n = (state.x, state.mu), (new.x, new.mu)
+        gap, parts = evaluator.gap(w_n)
+        assert gap == lagrangian_gap(problem, w_n, ref)
+        assert evaluator.lagrangian(parts) == problem.lagrangian_eval(
+            new.x.coords, new.mu)
+        expected = estimate_inequality_terms(problem, schedule, w_k, w_n, ref)
+        fresh = evaluator.certificate(w_k, w_n, gap)
+        assert fresh[:2] == expected
+        if prev_e is not None:
+            assert evaluator.certificate(w_k, w_n, gap, e_k=prev_e) == fresh
+        prev_e = fresh[2]
+        state = new
 
 
 def test_ergodic_rate_constant_nonnegative_and_hand_value():
