@@ -5,14 +5,10 @@ __version__ = "0.1.0"
 from .bregman import (
     BregmanPoint,
     DomainError,
-    Entropy,
-    EuclideanEnergy,
-    ShannonBoltzmann,
-    bregman_divergence,
+    euclidean_divergence,
+    kl_divergence,
     kl_prox_simplex,
     linf_ball_prox,
-    pinsker_slack,
-    three_point_identity_check,
 )
 from .linalg import LinearMap, ShapeError, operator_norm
 from .oracle import ORACLE_MODES, GradientOracle, OracleError
@@ -28,7 +24,6 @@ from .solver import (
     lagrangian_gap,
     run,
     sbpd_step,
-    symmetrized_energy_slack,
 )
 from .problems import (
     OTInverseProblem,

@@ -1,10 +1,11 @@
-"""Entropies, Bregman divergences, and the D-prox mappings of the solver.
+"""The two Bregman divergences of the solver and its D-prox mappings.
 
-Two entropies are supported: the Shannon-Boltzmann entropy sum(x log x) on
-the nonnegative orthant (0 log 0 = 0) and the Euclidean energy ||x||^2 / 2 on
-the whole space. Simplex iterates are carried together with their logarithms
-(``BregmanPoint``) so that the multiplicative prox update never leaves the
-interior, no matter how large the drift is.
+The primal lives on the probability simplex and is measured in the
+Kullback-Leibler divergence, the Bregman divergence of the Shannon entropy
+sum(x log x) (0 log 0 = 0); the dual is measured in half the squared
+Euclidean distance. Simplex iterates are carried together with their
+logarithms (``BregmanPoint``) so that the multiplicative prox update never
+leaves the interior, no matter how large the drift is.
 """
 
 from __future__ import annotations
@@ -13,15 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_vector
+from .linalg import ShapeError, as_vector
 
 __all__ = [
     "DomainError",
-    "Entropy",
-    "ShannonBoltzmann",
-    "EuclideanEnergy",
     "BregmanPoint",
-    "bregman_divergence",
+    "kl_divergence",
+    "euclidean_divergence",
     "three_point_identity_check",
     "kl_prox_simplex",
     "linf_ball_prox",
@@ -32,86 +31,14 @@ SIMPLEX_SUM_TOL = 1e-9
 
 
 class DomainError(ValueError):
-    """Raised when a point lies outside an entropy's (interior) domain."""
-
-
-class Entropy:
-    """A convex entropy with value, gradient, and domain predicates."""
-
-    kind = "abstract"
-
-    def __init__(self, dimension):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        self.dimension = int(dimension)
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def gradient(self, x):
-        raise NotImplementedError
-
-    def in_domain(self, x):
-        raise NotImplementedError
-
-    def in_interior(self, x):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"{type(self).__name__}(dimension={self.dimension})"
-
-
-class ShannonBoltzmann(Entropy):
-    """phi(x) = sum_i x_i log x_i on the nonnegative orthant, 0 log 0 = 0."""
-
-    kind = "shannon-boltzmann"
-
-    def value(self, x):
-        x = as_vector(x, self.dimension)
-        if np.any(x < 0):
-            raise DomainError("shannon-boltzmann requires nonnegative entries")
-        pos = x > 0
-        return float(np.sum(x[pos] * np.log(x[pos])))
-
-    def gradient(self, x):
-        x = as_vector(x, self.dimension)
-        if np.any(x <= 0):
-            raise DomainError("gradient needs strictly positive entries")
-        return 1.0 + np.log(x)
-
-    def in_domain(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return bool(np.all(np.isfinite(x)) and np.all(x >= 0))
-
-    def in_interior(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return bool(np.all(np.isfinite(x)) and np.all(x > 0))
-
-
-class EuclideanEnergy(Entropy):
-    """phi(x) = ||x||^2 / 2 on all of R^n."""
-
-    kind = "euclidean-energy"
-
-    def value(self, x):
-        x = as_vector(x, self.dimension)
-        return 0.5 * float(x @ x)
-
-    def gradient(self, x):
-        return as_vector(x, self.dimension).copy()
-
-    def in_domain(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return bool(np.all(np.isfinite(x)))
-
-    in_interior = in_domain
+    """Raised when a point lies outside a divergence's (interior) domain."""
 
 
 @dataclass(frozen=True)
 class BregmanPoint:
     """An iterate, optionally carrying log coordinates.
 
-    ``log_coords`` is present exactly for Shannon-Boltzmann carriers; the
+    ``log_coords`` is present exactly for simplex iterates; the
     multiplicative prox works on the logarithms and the coordinates are the
     exponentials (which may underflow to zero without harming the update).
     """
@@ -137,60 +64,62 @@ class BregmanPoint:
         return self.coords.shape[0]
 
 
-def _kl_divergence(x, y, log_y=None):
-    # sum x log(x/y) - x + y, with the 0 log 0 convention on the first slot
-    lx = np.log(np.where(x > 0, x, 1.0))
-    ly = np.log(y) if log_y is None else log_y
-    terms = np.where(x > 0, x * (lx - ly), 0.0)
-    return float(terms.sum() - x.sum() + y.sum())
+def kl_divergence(x, y):
+    """D_KL(x, y) = sum x log(x/y) - x + y, with 0 log 0 = 0.
 
-
-def bregman_divergence(phi, x, y):
-    """D_phi(x, y) = phi(x) - phi(y) - <grad phi(y), x - y>.
-
-    ``x`` must lie in the domain of ``phi`` and ``y`` in its interior;
-    a boundary ``y`` raises :class:`DomainError` instead of returning
-    infinity, because the solver never legitimately produces one.
+    ``x`` must be nonnegative and ``y`` strictly positive; a boundary ``y``
+    raises :class:`DomainError` instead of returning infinity, because the
+    solver never legitimately produces one.
 
     A :class:`BregmanPoint` ``y`` (a solver iterate) skips the vector
     validation, and its log coordinates, when present, stand in for
     ``log y``: the value stays finite even where coordinates underflow.
     """
-    kl = phi.kind == "shannon-boltzmann"
     log_y = None
     if isinstance(y, BregmanPoint):
         x = np.asarray(x, dtype=np.float64)
         y, log_y = y.coords, y.log_coords
-        if kl:
-            if np.any(x < 0):
-                raise DomainError("x has negative entries")
-            if log_y is None and np.any(y <= 0):
-                raise DomainError("y is not interior and lacks log coordinates")
     else:
-        x = as_vector(x, phi.dimension, "x")
-        y = as_vector(y, phi.dimension, "y")
-        if kl:
-            if not phi.in_domain(x):
-                raise DomainError("x outside the nonnegative orthant")
-            if not phi.in_interior(y):
-                raise DomainError(f"y is not in the interior domain of {phi.kind}")
-    if kl:
-        return _kl_divergence(x, y, log_y=log_y)
-    diff = x - y
-    return 0.5 * float(diff @ diff)
+        x = as_vector(x, name="x")
+        y = as_vector(y, x.shape[0], "y")
+    if np.any(x < 0):
+        raise DomainError("x has negative entries")
+    if log_y is None:
+        if np.any(y <= 0):
+            raise DomainError("y has nonpositive entries and no log coordinates")
+        log_y = np.log(y)
+    lx = np.log(np.where(x > 0, x, 1.0))
+    terms = np.where(x > 0, x * (lx - log_y), 0.0)
+    return float(terms.sum() - x.sum() + y.sum())
 
 
-def three_point_identity_check(phi, x, y, z):
-    """Residual of the three-point identity, zero in exact arithmetic.
+def euclidean_divergence(x, y):
+    """||x - y||^2 / 2, the Bregman divergence of the energy ||x||^2 / 2.
 
-    Returns |D(x,z) - D(x,y) - D(y,z) - <grad phi(y) - grad phi(z), x - y>|.
+    Only the shapes are checked: the energy has no domain to leave, and the
+    certificates call this on every certified step.
     """
-    x = as_vector(x, phi.dimension, "x")
-    y = as_vector(y, phi.dimension, "y")
-    z = as_vector(z, phi.dimension, "z")
-    lhs = bregman_divergence(phi, x, z)
-    rhs = (bregman_divergence(phi, x, y) + bregman_divergence(phi, y, z)
-           + float((phi.gradient(y) - phi.gradient(z)) @ (x - y)))
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ShapeError(f"x and y must be vectors of one length, "
+                         f"got shapes {x.shape} and {y.shape}")
+    d = x - y
+    return 0.5 * float(d @ d)
+
+
+def three_point_identity_check(x, y, z):
+    """Residual of the KL three-point identity, zero in exact arithmetic.
+
+    Returns |D(x,z) - D(x,y) - D(y,z) - <log y - log z, x - y>|, the mirror
+    map of the Shannon entropy being log up to a constant.
+    """
+    x = as_vector(x, name="x")
+    y = as_vector(y, x.shape[0], "y")
+    z = as_vector(z, x.shape[0], "z")
+    lhs = kl_divergence(x, z)
+    rhs = (kl_divergence(x, y) + kl_divergence(y, z)
+           + float((np.log(y) - np.log(z)) @ (x - y)))
     return abs(lhs - rhs)
 
 
@@ -264,4 +193,4 @@ def pinsker_slack(x, y):
     if np.any(y <= 0):
         raise DomainError("y must be strictly positive")
     l1 = float(np.abs(x - y).sum())
-    return _kl_divergence(x, y) - 0.5 * l1 * l1
+    return kl_divergence(x, y) - 0.5 * l1 * l1

@@ -137,6 +137,12 @@ def _cmd_reference(args):
     return 0
 
 
+def _report_error(exc):
+    kind = "invalid-config" if isinstance(exc, ConfigError) else type(exc).__name__
+    print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "check":
@@ -147,19 +153,15 @@ def main(argv=None):
     if args.command == "reference":
         try:
             return _cmd_reference(args)
-        except (ConfigError, ValueError, OSError) as exc:
-            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-                  file=sys.stderr)
-            return 2
+        except (ValueError, OSError) as exc:
+            return _report_error(exc)
     try:
         if args.command == "solve":
             config = _resolve_config(args)
         else:
             config = _resolve_config(args, experiment=args.experiment)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return _report_error(exc)
     return run_experiment(config)
 
 

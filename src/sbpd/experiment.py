@@ -124,6 +124,13 @@ class ExperimentConfig:
             # NaN compares false with every bound below, so check it here
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
+        # a truthy string would record wall-clock data into trace.csv
+        if not isinstance(self.record_timing, bool):
+            raise ConfigError(f"record_timing must be true or false, "
+                              f"got {self.record_timing!r}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError(f"output_dir must be a non-empty string, "
+                              f"got {self.output_dir!r}")
         if self.n < 2:
             raise ConfigError("n must be at least 2")
         if self.experiment == "simplex-tv" and self.m < 2:
@@ -347,7 +354,7 @@ def _error_json(output_dir, kind, message):
         os.makedirs(output_dir, exist_ok=True)
         with open(os.path.join(output_dir, "error.json"), "w") as fh:
             json.dump(doc, fh, indent=2)
-    except OSError:
+    except (OSError, TypeError):  # TypeError: output_dir is no path at all
         pass
     return doc
 

@@ -20,8 +20,6 @@ import numpy as np
 from .bregman import (
     BregmanPoint,
     DomainError,
-    EuclideanEnergy,
-    ShannonBoltzmann,
     kl_prox_simplex,
     linf_ball_prox,
 )
@@ -179,8 +177,6 @@ class SimplexTVProblem:
             coupling=self.B,
             L_p=self.L_p,
             L_d=0.0,
-            phi_p=ShannonBoltzmann(self.n),
-            phi_d=EuclideanEnergy(self.n - 1),
             f_value=self.f_value,
             h_star_value=None,
             primal_feasible=_simplex_feasible,
@@ -306,8 +302,6 @@ class OTInverseProblem:
             coupling=self.coupling,
             L_p=0.0,
             L_d=self.L_d,
-            phi_p=ShannonBoltzmann(n),
-            phi_d=EuclideanEnergy(2 * n - 1),
             f_value=None,
             h_star_value=self.h_star_value,
             primal_feasible=_simplex_feasible,

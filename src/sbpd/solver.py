@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bregman import BregmanPoint, DomainError, Entropy, bregman_divergence
+from .bregman import BregmanPoint, DomainError, euclidean_divergence, kl_divergence
 from .linalg import LinearMap
 
 __all__ = [
@@ -84,7 +84,9 @@ class SaddleProblem:
     smooth values, ``None`` when that term is identically zero;
     ``lagrangian_eval`` evaluates the smooth and coupling parts at feasible
     points, where the indicators vanish, and defaults to the composition of
-    ``parts``.
+    ``parts``. Certificates measure the primal in the KL divergence and the
+    dual in half the squared Euclidean distance, the pair that g_prox on
+    the simplex and a Euclidean l*_prox are built on.
 
     ``f_partial_grad(batch, x)`` returns the sum of the per-summand
     gradients over ``batch`` when f has finite-sum structure (otherwise
@@ -98,8 +100,6 @@ class SaddleProblem:
     coupling: LinearMap
     L_p: float
     L_d: float
-    phi_p: Entropy
-    phi_d: Entropy
     f_value: Optional[Callable[[np.ndarray], float]]
     h_star_value: Optional[Callable[[np.ndarray], float]]
     primal_feasible: Callable[[np.ndarray], bool]
@@ -220,9 +220,9 @@ def _check_feasible(problem, x_coords, mu, label):
 
 
 def _energy(problem, schedule, x_ref, mu_ref, point, mu):
-    # E(w_ref) = D_p(x_ref, x)/lam + D_d(mu_ref, mu)/nu - <T(x_ref - x), mu_ref - mu>
-    dp = bregman_divergence(problem.phi_p, x_ref, point)
-    dd = bregman_divergence(problem.phi_d, mu_ref, _as_point(mu))
+    # E(w_ref) = KL(x_ref, x)/lam + |mu_ref - mu|^2/(2 nu) - <T(x_ref - x), mu_ref - mu>
+    dp = kl_divergence(x_ref, point)
+    dd = euclidean_divergence(mu_ref, mu)
     cross = float(problem.coupling.apply(x_ref - point.coords) @ (mu_ref - mu))
     return dp / schedule.lam + dd / schedule.nu - cross
 
@@ -344,21 +344,19 @@ def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
 def symmetrized_energy_slack(problem, schedule, w1, w2):
     """Slack of the cross-term domination inequality, nonnegative in theory.
 
-    Returns (1/Lambda)(D(w1, w2) + D(w2, w1)) - 2 M(w1, w2). Valid step
-    sizes make this nonnegative for every pair of admissible points, which
-    is what lets the noise pairing of inexact updates be controlled.
+    Returns (1/Lambda)(D(w1, w2) + D(w2, w1)) - 2 M(w1, w2), which is the
+    energy of w2 against w1 plus that of w1 against w2, since the cross term
+    is symmetric. Valid step sizes make this nonnegative for every pair of
+    admissible points, which is what lets the noise pairing of inexact
+    updates be controlled.
     """
     x1, mu1 = w1
     x2, mu2 = w2
     p1, p2 = _as_point(x1), _as_point(x2)
     mu1 = np.asarray(mu1, dtype=np.float64)
     mu2 = np.asarray(mu2, dtype=np.float64)
-    dp = (bregman_divergence(problem.phi_p, p1.coords, p2)
-          + bregman_divergence(problem.phi_p, p2.coords, p1))
-    dd = (bregman_divergence(problem.phi_d, mu1, _as_point(mu2))
-          + bregman_divergence(problem.phi_d, mu2, _as_point(mu1)))
-    cross = float(problem.coupling.apply(p1.coords - p2.coords) @ (mu1 - mu2))
-    return float(dp / schedule.lam + dd / schedule.nu - 2.0 * cross)
+    return float(_energy(problem, schedule, p1.coords, mu1, p2, mu2)
+                 + _energy(problem, schedule, p2.coords, mu2, p1, mu1))
 
 
 def asymptotic_residual(state_k, state_next):

@@ -13,9 +13,7 @@ import pytest
 
 from sbpd.bregman import (
     BregmanPoint,
-    EuclideanEnergy,
-    ShannonBoltzmann,
-    bregman_divergence,
+    kl_divergence,
     linf_ball_prox,
     pinsker_slack,
 )
@@ -222,7 +220,6 @@ def _descent_violations(instance_seed, n_pairs):
     A = rng.uniform(0.01, 1.01, (50, 50))
     b = 1.0 - rng.uniform(0.0, 1.0, 50)
     problem = simplex_tv_from_arrays(A, b, 1.0)
-    shannon = ShannonBoltzmann(50)
     half_pairs = n_pairs // 2
     Xg = rng.dirichlet(np.ones(50), size=half_pairs) * rng.uniform(0.2, 2.0, (half_pairs, 1))
     Yg = rng.dirichlet(np.ones(50), size=half_pairs) * rng.uniform(0.2, 2.0, (half_pairs, 1))
@@ -240,7 +237,7 @@ def _descent_violations(instance_seed, n_pairs):
     for x, y in zip(X, Y):
         fx = problem.f_value(x)
         linear = problem.f_value(y) + float(problem.f_grad(y) @ (x - y))
-        div = bregman_divergence(shannon, x, y)
+        div = kl_divergence(x, y)
         tol = 1e-9 * (1.0 + abs(fx) + abs(linear) + problem.L_p * div)
         if fx > linear + problem.L_p * div + tol:
             at_full += 1
@@ -342,8 +339,6 @@ def test_10_euclidean_degeneration(capsys):
         coupling=T,
         L_p=0.0,
         L_d=0.0,
-        phi_p=EuclideanEnergy(2),
-        phi_d=EuclideanEnergy(2),
         f_value=None,
         h_star_value=None,
         primal_feasible=lambda x: bool(np.abs(x).max() <= 1.0 + 1e-12),

@@ -131,6 +131,33 @@ def test_bad_config_key_reports_json_error(tmp_path, capsys):
     assert "turbo" in doc["message"]
 
 
+def _config_with_numeric_output_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv("SBPD_OUTPUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"n": 8, "m": 9, "iterations": 20, "output_dir": 5}))
+    return config
+
+
+def test_solve_rejects_non_string_output_dir(tmp_path, monkeypatch, capsys):
+    # once a TypeError traceback from os.makedirs, also while writing error.json
+    config = _config_with_numeric_output_dir(tmp_path, monkeypatch)
+    assert main(["solve", "--config", str(config)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "invalid-config"
+    assert "output_dir" in doc["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+def test_reference_rejects_non_string_output_dir(tmp_path, monkeypatch, capsys):
+    config = _config_with_numeric_output_dir(tmp_path, monkeypatch)
+    assert main(["reference", "--config", str(config)]) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "invalid-config"
+    assert "output_dir" in doc["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
 def test_step_safety_is_rejected(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"experiment": "simplex-tv", "n": 8, "m": 9,

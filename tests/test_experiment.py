@@ -391,6 +391,15 @@ def test_record_timing_populates_wall_nanos(tmp_path):
     assert walls == sorted(walls)
 
 
+@pytest.mark.parametrize("value", ["no", 1, None], ids=["string", "int", "null"])
+def test_record_timing_must_be_a_bool(tmp_path, value):
+    # "no" is truthy: it once ran and wrote wall-clock nanoseconds into
+    # trace.csv, so reruns were no longer byte-identical
+    config = _tiny_config(tmp_path, iterations=20, record_timing=value)
+    _assert_invalid_config(config, "record_timing")
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
 def test_stop_gap_cuts_run_short(tmp_path):
     config = _tiny_config(tmp_path, iterations=4000, stop_gap=1e9)
     assert run_experiment(config, log=lambda s: None) == 0

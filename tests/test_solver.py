@@ -4,8 +4,6 @@ import pytest
 from sbpd.bregman import (
     BregmanPoint,
     DomainError,
-    EuclideanEnergy,
-    ShannonBoltzmann,
     kl_prox_simplex,
     linf_ball_prox,
 )
@@ -46,8 +44,6 @@ def tv_problem(n, m, seed, beta=1.0):
         coupling=B,
         L_p=float(A.sum(axis=0).max()),
         L_d=0.0,
-        phi_p=ShannonBoltzmann(n),
-        phi_d=EuclideanEnergy(n - 1),
         f_value=f_value,
         h_star_value=None,
         primal_feasible=lambda x: bool(np.all(x >= 0) and abs(x.sum() - 1) <= 1e-9),
@@ -90,8 +86,6 @@ def test_zero_problem_fixed_point():
         coupling=LinearMap(np.zeros((n - 1, n))),
         L_p=0.0,
         L_d=0.0,
-        phi_p=ShannonBoltzmann(n),
-        phi_d=EuclideanEnergy(n - 1),
         f_value=None,
         h_star_value=None,
         primal_feasible=lambda x: True,
