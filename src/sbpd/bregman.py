@@ -72,13 +72,16 @@ def kl_divergence(x, y):
     solver never legitimately produces one.
 
     A :class:`BregmanPoint` ``y`` (a solver iterate) skips the vector
-    validation, and its log coordinates, when present, stand in for
+    validation but the length check, and its log coordinates, when present, stand in for
     ``log y``: the value stays finite even where coordinates underflow.
     """
     log_y = None
     if isinstance(y, BregmanPoint):
         x = np.asarray(x, dtype=np.float64)
         y, log_y = y.coords, y.log_coords
+        if x.shape != y.shape:
+            raise ShapeError(f"x and y must be vectors of one length, "
+                             f"got shapes {x.shape} and {y.shape}")
     else:
         x = as_vector(x, name="x")
         y = as_vector(y, x.shape[0], "y")

@@ -8,8 +8,12 @@ Subcommands:
   sbpd reference --config FILE         only the cached reference phase
   sbpd check [--full]                  numerical self-check battery
 
-Every flag overrides exactly one config key; flags beat the config file and
-the SBPD_OUTPUT_DIR environment variable beats both for the output path.
+Each flag's destination is the config key it overrides; flags beat the
+config file and the SBPD_OUTPUT_DIR environment variable beats both for the
+output path. ``experiment``, ``solve`` and ``reference`` run behind
+``experiment.run_guarded``: every failure is one JSON line on stderr, exit 2
+with ``error.json`` for a config that cannot be loaded or checked, exit 1
+with ``error.json`` for a failure while running.
 """
 
 from __future__ import annotations
@@ -17,52 +21,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .checks import run_check_suite
-from .experiment import ConfigError, ExperimentConfig, run_experiment
+from .experiment import ExperimentConfig, run_guarded, run_phases
 from .oracle import ORACLE_MODES
 from .problems import compute_reference
 
 __all__ = ["main", "build_parser"]
 
-# flag destination -> config key
-_FLAG_KEYS = {
-    "n": "n",
-    "m": "m",
-    "seed": "seed",
-    "iterations": "iterations",
-    "batch": "batch_size",
-    "oracle": "oracle_mode",
-    "gamma": "gamma",
-    "beta": "beta",
-    "noise_level": "noise_level",
-    "repeats": "repeats",
-    "cert_every": "cert_every",
-    "output_dir": "output_dir",
-    "reference_iterations": "reference_iterations",
-    "timing": "record_timing",
-    "stop_gap": "stop_gap",
-}
+
+def batch(text):
+    # named for argparse's "invalid batch value" on anything else
+    return text if text == "full" else int(text)
 
 
-def _batch(text):
-    if text == "full":
-        return "full"
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("batch must be 'full' or an integer")
-
-
-def _add_run_flags(parser, with_config=True):
-    if with_config:
-        parser.add_argument("--config", help="JSON config file to start from")
+def _add_run_flags(parser):
     parser.add_argument("--n", type=int, help="primal dimension")
     parser.add_argument("--m", type=int, help="number of observations / summands")
     parser.add_argument("--seed", type=int, help="instance and oracle base seed")
     parser.add_argument("--iterations", type=int, help="measured iteration budget")
-    parser.add_argument("--batch", type=_batch, help="oracle batch size or 'full'")
-    parser.add_argument("--oracle", dest="oracle", choices=ORACLE_MODES,
+    parser.add_argument("--batch", type=batch, dest="batch_size",
+                        metavar="BATCH", help="oracle batch size or 'full'")
+    parser.add_argument("--oracle", dest="oracle_mode", choices=ORACLE_MODES,
                         help="gradient oracle mode")
     parser.add_argument("--gamma", type=float, help="entropic regularization weight")
     parser.add_argument("--beta", type=float, help="total-variation weight")
@@ -78,6 +59,7 @@ def _add_run_flags(parser, with_config=True):
     parser.add_argument("--stop-gap", type=float, dest="stop_gap",
                         help="early-stop tolerance on the pointwise gap")
     parser.add_argument("--timing", action="store_true", default=None,
+                        dest="record_timing",
                         help="record wall-clock nanoseconds per logged row")
 
 
@@ -90,10 +72,12 @@ def build_parser():
     exp = sub.add_parser("experiment", help="run a canned experiment")
     exp_sub = exp.add_subparsers(dest="experiment", required=True)
     for name in ("simplex-tv", "ot-inverse"):
-        _add_run_flags(exp_sub.add_parser(name, help=f"{name} instance"))
+        canned = exp_sub.add_parser(name, help=f"{name} instance")
+        canned.add_argument("--config", help="JSON config file to start from")
+        _add_run_flags(canned)
 
     solve = sub.add_parser("solve", help="run any experiment from a config file")
-    _add_run_flags(solve, with_config=False)
+    _add_run_flags(solve)
     solve.add_argument("--config", required=True, help="JSON config file")
 
     ref = sub.add_parser("reference", help="compute and cache only the reference")
@@ -108,39 +92,16 @@ def build_parser():
     return parser
 
 
-def _resolve_config(args, experiment=None):
-    if getattr(args, "config", None):
-        config = ExperimentConfig.from_json(args.config)
-    else:
-        config = ExperimentConfig()
-    overrides = {}
-    for flag, key in _FLAG_KEYS.items():
-        if hasattr(args, flag) and getattr(args, flag) is not None:
-            overrides[key] = getattr(args, flag)
-    if experiment is not None:
-        overrides["experiment"] = experiment
-    return config.with_overrides(**overrides)
-
-
-def _cmd_reference(args):
-    config = _resolve_config(args)
-    config.validate()
-    problem = config.build_problem()
+def _reference(config, problem, output_dir):
     reference = compute_reference(
         problem, config.resolved_reference_budget(), config.seed,
-        cache_dir=config.resolved_output_dir())
+        cache_dir=output_dir)
     print(json.dumps({
         "config_hash": reference.config_hash,
         "iterations": reference.iterations,
         "ref_tol": reference.ref_tol,
     }))
     return 0
-
-
-def _report_error(exc):
-    kind = "invalid-config" if isinstance(exc, ConfigError) else type(exc).__name__
-    print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
-    return 2
 
 
 def main(argv=None):
@@ -150,19 +111,19 @@ def main(argv=None):
         for line in report.lines():
             print(line)
         return 0 if report.passed else 1
-    if args.command == "reference":
-        try:
-            return _cmd_reference(args)
-        except (ValueError, OSError) as exc:
-            return _report_error(exc)
-    try:
-        if args.command == "solve":
-            config = _resolve_config(args)
-        else:
-            config = _resolve_config(args, experiment=args.experiment)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        return _report_error(exc)
-    return run_experiment(config)
+    keys = {f.name for f in fields(ExperimentConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in keys}
+    # also where error.json goes when the config file cannot be loaded
+    flags_only = ExperimentConfig().with_overrides(**overrides)
+
+    def load():
+        if args.config is None:
+            return flags_only
+        return ExperimentConfig.from_json(args.config).with_overrides(**overrides)
+
+    body = _reference if args.command == "reference" else run_phases
+    return run_guarded(load, body, lambda line: print(line, file=sys.stderr),
+                       flags_only.resolved_output_dir())
 
 
 if __name__ == "__main__":

@@ -46,7 +46,9 @@ __all__ = [
     "should_log",
     "write_trace",
     "read_trace",
+    "run_guarded",
     "run_experiment",
+    "run_phases",
 ]
 
 EXPERIMENTS = ("simplex-tv", "ot-inverse", "custom")
@@ -93,6 +95,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a JSON object, "
+                              f"got {type(doc).__name__}")
         known = {f.name for f in fields(ExperimentConfig)}
         unknown = set(doc) - known
         if unknown:
@@ -101,8 +106,12 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path):
-        with open(path) as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON text
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        return ExperimentConfig.from_dict(doc)
 
     def with_overrides(self, **overrides):
         doc = asdict(self)
@@ -348,89 +357,104 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
     return records
 
 
-def _error_json(output_dir, kind, message):
-    doc = {"error": kind, "message": message}
+def _fail(log, status, kind, message, output_dir=None):
+    """Log one failure document, and write it to ``output_dir/error.json``."""
+    doc = {"error": kind, "message": str(message)}
+    if output_dir is not None:
+        try:
+            os.makedirs(output_dir, exist_ok=True)
+            with open(os.path.join(output_dir, "error.json"), "w") as fh:
+                json.dump(doc, fh, indent=2)
+        except (OSError, TypeError):  # TypeError: output_dir is no path at all
+            pass
+    log(json.dumps(doc))
+    return status
+
+
+def run_guarded(load, body, log=print, fallback_dir="runs"):
+    """Load and check a config, probe its output dir, then run ``body``.
+
+    ``load()`` returns the config and ``body(config, problem, output_dir)``
+    the exit status. A failure logs one JSON document and exits 2 for a
+    config that cannot be loaded, validated or built (``invalid-config``,
+    also in ``error.json``, under ``fallback_dir`` when ``load`` fails) or
+    an unwritable output dir, and 1 for an exception from ``body`` (named
+    by its type, also in ``error.json``).
+    """
+    output_dir = fallback_dir
+    try:
+        config = load()
+        output_dir = config.resolved_output_dir()
+        config.validate()
+        problem = config.build_problem()
+    except ValueError as exc:  # ConfigError, or a problem builder's check
+        return _fail(log, 2, "invalid-config", exc, output_dir)
     try:
         os.makedirs(output_dir, exist_ok=True)
-        with open(os.path.join(output_dir, "error.json"), "w") as fh:
-            json.dump(doc, fh, indent=2)
-    except (OSError, TypeError):  # TypeError: output_dir is no path at all
-        pass
-    return doc
+        probe = os.path.join(output_dir, ".write_probe")
+        open(probe, "w").close()
+        os.remove(probe)
+    except OSError as exc:
+        return _fail(log, 2, "unwritable-output-dir", exc)
+    try:
+        return body(config, problem, output_dir)
+    except Exception as exc:  # solver or I/O failure: report and signal
+        return _fail(log, 1, type(exc).__name__, exc, output_dir)
 
 
 def run_experiment(config, log=print):
     """Execute a configured experiment; returns a process exit status."""
-    output_dir = config.resolved_output_dir()
-    try:
-        config.validate()
-        problem = config.build_problem()
-    except (ConfigError, ValueError) as exc:
-        doc = _error_json(output_dir, "invalid-config", str(exc))
-        log(json.dumps(doc))
-        return 2
+    return run_guarded(lambda: config, run_phases, log)
 
-    try:
-        os.makedirs(output_dir, exist_ok=True)
-        probe = os.path.join(output_dir, ".write_probe")
-        with open(probe, "w") as fh:
-            fh.write("")
-        os.remove(probe)
-    except OSError as exc:
-        log(json.dumps({"error": "unwritable-output-dir", "message": str(exc)}))
-        return 2
 
-    try:
-        saddle = problem.saddle_problem()
-        schedule = problem.default_schedule()
-        ref_budget = config.resolved_reference_budget()
-        reference = compute_reference(problem, ref_budget, config.seed,
-                                      cache_dir=output_dir)
+def run_phases(config, problem, output_dir):
+    """The reference and measured phases of a checked config; returns 0."""
+    saddle = problem.saddle_problem()
+    schedule = problem.default_schedule()
+    ref_budget = config.resolved_reference_budget()
+    reference = compute_reference(problem, ref_budget, config.seed,
+                                  cache_dir=output_dir)
 
-        stochastic = config.is_stochastic()
-        oracle_seeds = ([config.seed + r for r in range(config.repeats)]
-                        if stochastic else [])
-        # None is the exact oracle
-        oracles = [GradientOracle(config.oracle_mode, config.batch_size, seed,
-                                  problem.m) for seed in oracle_seeds] or [None]
-        traces = [_measured_run(problem, saddle, schedule, reference,
-                                config.iterations, config, oracle)
-                  for oracle in oracles]
-        final_gap = float(np.mean([t[-1].gap_ergodic for t in traces]))
-        if stochastic:
-            for r, records in enumerate(traces):
-                write_trace(os.path.join(output_dir, f"run_{r:03d}.csv"), records)
-            write_trace(os.path.join(output_dir, "mean_trace.csv"),
-                        _mean_records(traces))
-        else:
-            write_trace(os.path.join(output_dir, "trace.csv"), traces[0])
+    stochastic = config.is_stochastic()
+    oracle_seeds = ([config.seed + r for r in range(config.repeats)]
+                    if stochastic else [])
+    # None is the exact oracle
+    oracles = [GradientOracle(config.oracle_mode, config.batch_size, seed,
+                              problem.m) for seed in oracle_seeds] or [None]
+    traces = [_measured_run(problem, saddle, schedule, reference,
+                            config.iterations, config, oracle)
+              for oracle in oracles]
+    final_gap = float(np.mean([t[-1].gap_ergodic for t in traces]))
+    if stochastic:
+        for r, records in enumerate(traces):
+            write_trace(os.path.join(output_dir, f"run_{r:03d}.csv"), records)
+        write_trace(os.path.join(output_dir, "mean_trace.csv"),
+                    _mean_records(traces))
+    else:
+        write_trace(os.path.join(output_dir, "trace.csv"), traces[0])
 
-        x0, mu0 = problem.initial_point()
-        meta = {
-            "version": __version__,
-            "config": asdict(config),
-            "resolved": {
-                "L_p": saddle.L_p,
-                "L_d": saddle.L_d,
-                "coupling_norm": problem.coupling_norm,
-                "lam": schedule.lam,
-                "nu": schedule.nu,
-                "oracle_mode": config.oracle_mode,
-                "batch_size": config.batch_size,
-                "oracle_seeds": oracle_seeds,
-                "measured_iterations": config.iterations,
-                "reference_iterations": ref_budget,
-                "reference_hash": reference.config_hash,
-                "ref_tol": reference.ref_tol,
-                "rate_constant": ergodic_rate_constant(
-                    saddle, schedule, reference.w_star, (x0, mu0)),
-                "final_ergodic_gap": final_gap,
-            },
-        }
-        with open(os.path.join(output_dir, "meta.json"), "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-        return 0
-    except Exception as exc:  # solver or I/O failure: report and signal
-        doc = _error_json(output_dir, type(exc).__name__, str(exc))
-        log(json.dumps(doc))
-        return 1
+    x0, mu0 = problem.initial_point()
+    meta = {
+        "version": __version__,
+        "config": asdict(config),
+        "resolved": {
+            "L_p": saddle.L_p,
+            "L_d": saddle.L_d,
+            "coupling_norm": problem.coupling_norm,
+            "lam": schedule.lam,
+            "nu": schedule.nu,
+            "oracle_mode": config.oracle_mode,
+            "batch_size": config.batch_size,
+            "oracle_seeds": oracle_seeds,
+            "measured_iterations": config.iterations,
+            "reference_iterations": ref_budget,
+            "reference_hash": reference.config_hash,
+            "ref_tol": reference.ref_tol,
+            "rate_constant": ergodic_rate_constant(
+                saddle, schedule, reference.w_star, (x0, mu0)),
+            "final_ergodic_gap": final_gap,
+        },
+    }
+    with open(os.path.join(output_dir, "meta.json"), "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+    return 0

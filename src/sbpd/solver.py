@@ -272,8 +272,7 @@ class ReferenceEvaluator:
         return _energy(self.problem, self.schedule, self.x_ref, self.mu_ref,
                        _as_point(x), np.asarray(mu, dtype=np.float64))
 
-    def certificate(self, w_k, w_next, gap, e_k=None, primal_delta=None,
-                    dual_delta=None):
+    def certificate(self, w_k, w_next, gap, e_k=None, primal_delta=None):
         """``(slack, scale, e_next)`` of the step from ``w_k`` to ``w_next``.
 
         ``gap`` is the gap of ``w_next``, as ``gap`` returns it. ``e_k``
@@ -287,9 +286,6 @@ class ReferenceEvaluator:
         if primal_delta is not None:
             x_n = _as_point(w_next[0]).coords
             noise += float(np.asarray(primal_delta) @ (self.x_ref - x_n))
-        if dual_delta is not None:
-            mu_n = np.asarray(w_next[1], dtype=np.float64)
-            noise += float(np.asarray(dual_delta) @ (self.mu_ref - mu_n))
         slack = e_k + noise - gap - e_next
         scale = 1.0 + max(abs(e_k), abs(e_next), abs(gap), abs(noise))
         return float(slack), float(scale), e_next
@@ -318,14 +314,14 @@ def ergodic_rate_constant(problem, schedule, w_ref, w0):
 
 
 def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
-                              k=0, primal_delta=None, dual_delta=None):
+                              k=0, primal_delta=None):
     """Slack and magnitude scale of the per-iteration energy inequality.
 
     The inequality bounds the one-step Lagrangian gap plus the next
     weighted-divergence energy by the current energy (plus the noise
-    pairing when gradient estimates were inexact):
+    pairing when the primal gradient estimate was inexact):
 
-        gap(w_{k+1}) + E_{k+1}(w_ref) <= E_k(w_ref) + <delta, w_ref - w_{k+1}>
+        gap(w_{k+1}) + E_{k+1}(w_ref) <= E_k(w_ref) + <delta, x_ref - x_{k+1}>
 
     where E_j(w) = D_p(x, x_j)/lam + D_d(mu, mu_j)/nu - <T(x - x_j),
     mu - mu_j>. Returns ``(slack, scale)`` with slack = RHS - LHS and scale
@@ -337,7 +333,7 @@ def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
     evaluator = ReferenceEvaluator(problem, schedule, w_ref)
     gap, _ = evaluator.gap(w_next, check=False)
     slack, scale, _ = evaluator.certificate(
-        w_k, w_next, gap, primal_delta=primal_delta, dual_delta=dual_delta)
+        w_k, w_next, gap, primal_delta=primal_delta)
     return slack, scale
 
 

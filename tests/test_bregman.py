@@ -100,6 +100,14 @@ def test_divergence_to_point_domain_errors(x, point):
         kl_divergence(x, point)
 
 
+@pytest.mark.parametrize("x", [[0.5], [0.2, 0.3, 0.5]])
+def test_divergence_to_point_rejects_length_mismatch(x):
+    # once broadcast: [0.5] against a 2-point returned 0.644
+    point = BregmanPoint.from_positive_coords([0.25, 0.75])
+    with pytest.raises(ShapeError):
+        kl_divergence(x, point)
+
+
 # -------------------------------------------------------------- three point
 
 def test_three_point_degenerate():

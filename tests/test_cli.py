@@ -116,8 +116,9 @@ def test_reference_subcommand(tmp_path, capsys):
     assert list((tmp_path / "cache").glob("reference_*.json"))
 
 
-def test_missing_config_reports_json_error(capsys):
-    assert main(["solve", "--config", "/nonexistent/c.json"]) == 2
+def test_missing_config_reports_json_error(tmp_path, capsys):
+    assert main(["solve", "--config", "/nonexistent/c.json",
+                 "--output-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     doc = json.loads(err)
     assert "error" in doc and "message" in doc
@@ -126,7 +127,7 @@ def test_missing_config_reports_json_error(capsys):
 def test_bad_config_key_reports_json_error(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"experiment": "simplex-tv", "turbo": True}))
-    assert main(["solve", "--config", str(config)]) == 2
+    assert main(["solve", "--config", str(config), "--output-dir", str(tmp_path)]) == 2
     doc = json.loads(capsys.readouterr().err)
     assert "turbo" in doc["message"]
 
@@ -143,7 +144,7 @@ def test_solve_rejects_non_string_output_dir(tmp_path, monkeypatch, capsys):
     # once a TypeError traceback from os.makedirs, also while writing error.json
     config = _config_with_numeric_output_dir(tmp_path, monkeypatch)
     assert main(["solve", "--config", str(config)]) == 2
-    doc = json.loads(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().err)
     assert doc["error"] == "invalid-config"
     assert "output_dir" in doc["message"]
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
@@ -162,11 +163,72 @@ def test_step_safety_is_rejected(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"experiment": "simplex-tv", "n": 8, "m": 9,
                                   "step_safety": 0.5}))
-    assert main(["solve", "--config", str(config)]) == 2
+    assert main(["solve", "--config", str(config), "--output-dir", str(tmp_path)]) == 2
     assert "step_safety" in json.loads(capsys.readouterr().err)["message"]
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "simplex-tv", "--step-safety", "0.5"])
     assert exc.value.code == 2
+
+
+UNUSABLE_CONFIGS = {
+    "number": "5",
+    "null": "null",
+    "list": "[1, 2]",
+    "string": '"abc"',
+    "truncated": '{"n": 8',
+    "unknown-key": '{"n": 8, "m": 9, "stepsize": 0.1}',
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "reference"])
+@pytest.mark.parametrize("case", sorted(UNUSABLE_CONFIGS))
+def test_unusable_config_fails_as_invalid_config(case, command, tmp_path,
+                                                 monkeypatch, capsys):
+    # once a TypeError traceback (number, null), or exit 2 without error.json
+    monkeypatch.delenv("SBPD_OUTPUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "c.json"
+    if UNUSABLE_CONFIGS[case] is not None:
+        config.write_text(UNUSABLE_CONFIGS[case])
+    assert main([command, "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "invalid-config"
+    assert json.loads((tmp_path / "runs" / "error.json").read_text()) == doc
+
+
+def test_unusable_config_error_json_follows_output_dir_precedence(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SBPD_OUTPUT_DIR", raising=False)
+    missing = str(tmp_path / "missing.json")
+    flag_dir, env_dir = tmp_path / "flag", tmp_path / "env"
+    assert main(["solve", "--config", missing, "--output-dir", str(flag_dir)]) == 2
+    assert (flag_dir / "error.json").exists()
+    monkeypatch.setenv("SBPD_OUTPUT_DIR", str(env_dir))
+    assert main(["reference", "--config", missing,
+                 "--output-dir", str(tmp_path / "other")]) == 2
+    assert (env_dir / "error.json").exists()
+    assert not (tmp_path / "other").exists()
+
+
+def test_reference_failure_exits_one_with_error_json(tmp_path, monkeypatch,
+                                                     capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("reference diverged")
+
+    monkeypatch.setattr("sbpd.cli.compute_reference", broken)
+    monkeypatch.delenv("SBPD_OUTPUT_DIR", raising=False)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"n": 8, "m": 9, "output_dir": str(tmp_path / "out")}))
+    assert main(["reference", "--config", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    doc = json.loads(err)
+    assert doc == {"error": "RuntimeError", "message": "reference diverged"}
+    assert json.loads((tmp_path / "out" / "error.json").read_text()) == doc
 
 
 def test_module_entry_point():
