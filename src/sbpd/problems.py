@@ -5,6 +5,17 @@ total-variation penalty over the probability simplex. The second recovers a
 measure from a blurred, noise-corrupted observation through an entropically
 regularized transport cost, dualized down to one potential so the smooth
 dual term is a weighted log-sum-exp.
+
+That term, the semidual h*(tau) = sum_j theta_j gamma log sum_i
+exp((tau_i - C_ij) / gamma), is evaluated in Gibbs-kernel form: with c the
+column minima of C, K = exp(-(C - c) / gamma) is built once per problem
+(every column has largest entry 1, so K is finite for every finite C), and
+with top = max tau and u = exp((tau - top) / gamma) each evaluation takes
+n exponentials and two matrix-vector products: s = u K, value
+theta . (top - c + gamma log s), gradient u * (K (theta / s)). When the
+spread (max tau - min tau) / gamma exceeds 300, the column sums could
+underflow, and the max-shifted log-domain form over the whole matrix
+(tau - C) / gamma takes over.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ __all__ = [
     "kl_fidelity_grad",
     "kl_rel_smooth_constant",
     "ot_semidual_value_grad",
+    "semidual_kernel",
     "SimplexTVProblem",
     "OTInverseProblem",
     "ReferenceSolution",
@@ -90,24 +102,60 @@ def kl_rel_smooth_constant(A):
 
 # ----------------------------------------------------------------- semidual
 
-def _semidual_exponentials(tau, theta, C, gamma):
-    # shared by the value and the gradient: the validated theta, the column
-    # maxima of Z = (tau - C) / gamma, E = exp(Z - max) and its column sums
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+# Largest spread (max tau - min tau) / gamma that the kernel form takes;
+# above it the log-domain form does.
+_KERNEL_SPREAD = 300.0
+
+
+def _check_gamma(gamma):
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+
+
+def semidual_kernel(C, gamma):
+    """Column-shifted Gibbs kernel ``(K, c)`` of the cost C at temperature gamma.
+
+    ``c`` holds the column minima of C and K = exp(-(C - c) / gamma), so
+    every column of K has largest entry 1 and K is finite for every finite C.
+    """
+    _check_gamma(gamma)
+    C = np.asarray(C, dtype=np.float64)
+    if C.ndim != 2:
+        raise ValueError(f"cost matrix must be 2-d, got shape {C.shape}")
+    if not np.all(np.isfinite(C)):
+        raise ValueError("cost matrix contains non-finite entries")
+    c = C.min(axis=0)
+    return np.exp(-(C - c) / gamma), c
+
+
+def _semidual(tau, theta, C, gamma, kernel, value=True, grad=True):
+    # (value or None, gradient or None) of h* at tau, through the kernel
+    # (K, c) = semidual_kernel(C, gamma) while the spread of tau over gamma
+    # stays within _KERNEL_SPREAD, in the log domain beyond it
     tau = as_vector(tau, name="tau")
     theta = as_vector(theta, name="theta")
-    C = np.asarray(C, dtype=np.float64)
-    if C.shape != (tau.shape[0], theta.shape[0]):
-        raise ValueError(f"cost matrix shape {C.shape} does not match "
+    K, c = kernel
+    if K.shape != (tau.shape[0], theta.shape[0]):
+        raise ValueError(f"cost matrix shape {K.shape} does not match "
                          f"({tau.shape[0]}, {theta.shape[0]})")
     if np.any(theta < 0) or abs(theta.sum() - 1.0) > 1e-9:
         raise DomainError("theta must lie on the simplex")
+    top = tau.max()
+    if (top - tau.min()) / gamma <= _KERNEL_SPREAD:
+        # u >= exp(-_KERNEL_SPREAD) and K is 1 at each column's cheapest row,
+        # so every column sum s is at least exp(-_KERNEL_SPREAD)
+        u = np.exp((tau - top) / gamma)
+        s = u @ K
+        return (float(theta @ (top - c + gamma * np.log(s))) if value else None,
+                u * (K @ (theta / s)) if grad else None)
+    # shift each column of Z = (tau - C) / gamma by its max so exp never
+    # overflows
     Z = (tau[:, None] - C) / gamma
-    # shift each column by its max so exp never overflows
     top = Z.max(axis=0)
     E = np.exp(Z - top)
-    return theta, top, E, E.sum(axis=0)
+    s = E.sum(axis=0)
+    return (float(gamma * (theta @ (top + np.log(s)))) if value else None,
+            E @ (theta / s) if grad else None)
 
 
 def ot_semidual_value_grad(tau, theta, C, gamma):
@@ -116,17 +164,10 @@ def ot_semidual_value_grad(tau, theta, C, gamma):
     h*(tau) = sum_j theta_j * lse_gamma(tau - C[:, j]), with the tempered
     log-sum-exp lse_gamma(t) = gamma * log sum_i exp(t_i / gamma); the
     gradient is the matching convex combination of tempered softmaxes, hence
-    a simplex vector for every tau.
+    a simplex vector for every tau. Builds the kernel of ``semidual_kernel``
+    on each call; gamma and C must be finite.
     """
-    theta, top, E, s = _semidual_exponentials(tau, theta, C, gamma)
-    value = float(gamma * (theta @ (top + np.log(s))))
-    return value, E @ (theta / s)
-
-
-def _semidual_grad(tau, theta, C, gamma):
-    # the gradient of ot_semidual_value_grad without log(s) and the value
-    theta, _, E, s = _semidual_exponentials(tau, theta, C, gamma)
-    return E @ (theta / s)
+    return _semidual(tau, theta, C, gamma, semidual_kernel(C, gamma))
 
 
 # ------------------------------------------------------------------ problems
@@ -273,17 +314,20 @@ class OTInverseProblem:
     def coupling_norm(self):
         return operator_norm(self.coupling)
 
+    @cached_property
+    def kernel(self):
+        return semidual_kernel(self.C, self.gamma)
+
     def split_dual(self, mu):
         return mu[:self.n], mu[self.n:]
 
     def h_star_value(self, mu):
-        value, _ = ot_semidual_value_grad(self.split_dual(mu)[0], self.theta,
-                                          self.C, self.gamma)
-        return value
+        return _semidual(self.split_dual(mu)[0], self.theta, self.C,
+                         self.gamma, self.kernel, grad=False)[0]
 
     def h_star_grad(self, mu):
-        grad = _semidual_grad(self.split_dual(mu)[0], self.theta, self.C,
-                              self.gamma)
+        grad = _semidual(self.split_dual(mu)[0], self.theta, self.C,
+                         self.gamma, self.kernel, value=False)[1]
         return np.concatenate([grad, np.zeros(self.n - 1)])
 
     def dual_prox(self, mu, v, nu):
@@ -323,6 +367,9 @@ class OTInverseProblem:
             "n": self.n,
             "gamma": self.gamma,
             "beta": self.beta,
+            # the kernel form moves iterates by roundoff against the
+            # log-domain form, so references of the two must not mix
+            "semidual": "shifted-kernel",
             "data": hashlib.sha256(
                 self.theta.tobytes() + self.F.tobytes()
                 + self.C.tobytes()).hexdigest(),
@@ -340,8 +387,7 @@ def build_ot_inverse(n, seed, gamma=1.0, beta=1.0, noise_level=0.1,
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     if not 0.0 <= noise_level <= 1.0:
         raise ValueError("noise_level must lie in [0, 1]")
     idx = np.arange(n, dtype=np.float64)

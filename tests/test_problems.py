@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from sbpd.problems import (
     kl_rel_smooth_constant,
     ot_semidual_value_grad,
     reference_config_hash,
+    semidual_kernel,
     simplex_tv_from_arrays,
 )
 
@@ -132,6 +134,113 @@ def test_semidual_rejects_off_simplex_theta():
     with pytest.raises(DomainError):
         ot_semidual_value_grad(np.zeros(3), np.array([0.5, 0.6, 0.1]),
                                np.zeros((3, 3)), 1.0)
+
+
+def _max_shift_semidual(tau, theta, C, gamma):
+    # independent reference: the log-domain form over the whole matrix
+    # Z = (tau - C) / gamma, each column shifted by its max
+    Z = (tau[:, None] - C) / gamma
+    top = Z.max(axis=0)
+    E = np.exp(Z - top)
+    s = E.sum(axis=0)
+    return float(gamma * (theta @ (top + np.log(s)))), E @ (theta / s)
+
+
+def _grid_cost(n):
+    idx = np.arange(n, dtype=float)
+    return 0.5 * (idx[:, None] - idx[None, :]) ** 2
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_semidual_matches_max_shift_form(gamma):
+    # tolerances: value 1e-13 relative (1e-13 absolute near 0), gradient
+    # 1e-14 absolute (a simplex vector); measured worst 2.2e-16 and 1.1e-16
+    p = build_ot_inverse(108, seed=0, gamma=gamma)
+    rng = np.random.default_rng(20)
+    for _ in range(30):
+        tau = rng.standard_normal(108) * rng.uniform(0.1, 20.0)
+        value, grad = ot_semidual_value_grad(tau, p.theta, p.C, gamma)
+        ref_value, ref_grad = _max_shift_semidual(tau, p.theta, p.C, gamma)
+        assert value == pytest.approx(ref_value, rel=1e-13, abs=1e-13)
+        assert np.abs(grad - ref_grad).max() <= 1e-14
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9], ids=["below", "above"])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_semidual_matches_max_shift_form_at_the_kernel_bound(gamma, side):
+    # (max tau - min tau) / gamma = 300 (1 -+ 1e-9): the kernel form just
+    # below the bound, the log-domain fallback just above it; tolerances as
+    # in test_semidual_matches_max_shift_form
+    C = _grid_cost(108)
+    theta = np.random.default_rng(21).dirichlet(np.ones(108))
+    tau = np.random.default_rng(22).uniform(0.0, 1.0, 108)
+    tau = (tau - tau.min()) / (tau.max() - tau.min()) * 300.0 * side * gamma
+    assert (tau.max() - tau.min()) / gamma == pytest.approx(300.0 * side, rel=1e-12)
+    value, grad = ot_semidual_value_grad(tau, theta, C, gamma)
+    ref_value, ref_grad = _max_shift_semidual(tau, theta, C, gamma)
+    assert value == pytest.approx(ref_value, rel=1e-13)
+    assert np.abs(grad - ref_grad).max() <= 1e-14
+    assert abs(grad.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_semidual_under_column_cost_offsets(gamma):
+    # adding offset_j to column j of C shifts the value by -theta . offset
+    # and leaves the gradient alone; tolerances: value 1e-11 absolute
+    # (about 6 ulps at the offsets' magnitude 1e4, measured 2.3e-13),
+    # gradient 1e-14 absolute
+    C = _grid_cost(108)
+    rng = np.random.default_rng(23)
+    theta = rng.dirichlet(np.ones(108))
+    offset = rng.uniform(-1e4, 1e4, 108)
+    with np.errstate(over="ignore"):
+        unshifted = np.exp(-(C + offset) / gamma)
+    # an unshifted kernel has all-zero columns and infinite entries
+    assert np.any(unshifted.max(axis=0) == 0.0)
+    assert not np.all(np.isfinite(unshifted))
+    for _ in range(10):
+        tau = rng.standard_normal(108) * 5.0
+        value, grad = ot_semidual_value_grad(tau, theta, C, gamma)
+        moved_value, moved_grad = ot_semidual_value_grad(tau, theta, C + offset,
+                                                         gamma)
+        assert abs(moved_value - (value - theta @ offset)) <= 1e-11
+        assert np.abs(moved_grad - grad).max() <= 1e-14
+
+
+def test_semidual_kernel_is_column_shifted():
+    C = _grid_cost(12) + np.arange(12.0)
+    K, c = semidual_kernel(C, 0.7)
+    assert np.array_equal(c, C.min(axis=0))
+    assert np.array_equal(K.max(axis=0), np.ones(12))
+    # zero column minima leave exp(-C / gamma) bitwise as it was
+    K0, c0 = semidual_kernel(_grid_cost(12), 0.7)
+    assert np.array_equal(c0, np.zeros(12))
+    assert np.array_equal(K0, np.exp(-_grid_cost(12) / 0.7))
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf"),
+                                   0.0, -1.0])
+def test_semidual_rejects_bad_gamma(gamma):
+    theta = np.full(3, 1.0 / 3.0)
+    with pytest.raises(ValueError, match="gamma"):
+        ot_semidual_value_grad(np.zeros(3), theta, np.zeros((3, 3)), gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        build_ot_inverse(10, seed=0, gamma=gamma)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_semidual_rejects_non_finite_cost(bad):
+    C = np.zeros((3, 3))
+    C[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ot_semidual_value_grad(np.zeros(3), np.full(3, 1.0 / 3.0), C, 1.0)
+    # the problem checks C once, when it first builds its kernel
+    p = build_ot_inverse(10, seed=0)
+    C = p.C.copy()
+    C[4, 7] = bad
+    broken = dataclasses.replace(p, C=C)
+    with pytest.raises(ValueError, match="non-finite"):
+        broken.h_star_grad(np.zeros(19))
 
 
 # ----------------------------------------------------------------- builders
@@ -256,6 +365,25 @@ def test_lagrangian_eval_is_bitwise_the_composition_of_its_parts(config):
             assert value == float(parts.Tx @ mu) - parts.h
 
 
+def test_h_star_value_is_bitwise_the_semidual_value():
+    p = build_ot_inverse(24, seed=3)
+    rng = np.random.default_rng(6)
+    for scale in (1.0, 50.0, 1e3):
+        mu = scale * rng.standard_normal(47)
+        value, _ = ot_semidual_value_grad(mu[:24], p.theta, p.C, p.gamma)
+        assert p.h_star_value(mu) == value
+
+
+def test_ot_kernel_is_built_at_the_first_semidual_call():
+    p = build_ot_inverse(24, seed=3)
+    p.saddle_problem()
+    p.default_schedule()
+    assert "kernel" not in p.__dict__
+    p.h_star_grad(np.zeros(47))
+    K, c = p.kernel
+    assert np.array_equal(K, semidual_kernel(p.C, p.gamma)[0])
+
+
 def test_h_star_grad_is_bitwise_the_semidual_gradient():
     p = build_ot_inverse(24, seed=3)
     rng = np.random.default_rng(5)
@@ -297,6 +425,31 @@ def test_reference_hash_covers_coupling_norm():
     assert other.descriptor() == problem.descriptor()
     assert (reference_config_hash(other, 1000, 13)
             != reference_config_hash(problem, 1000, 13))
+
+
+def _hash_with_descriptor(problem, descriptor, budget, seed):
+    doc = dict(descriptor, budget=budget, seed=seed,
+               coupling_norm=problem.coupling_norm)
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_reference_hash_sees_the_semidual_form_on_ot_inverse_only():
+    # simplex-tv keeps the descriptor it had before the kernel-form
+    # semidual, so its cached references still hit; ot-inverse references
+    # of the log-domain form must miss
+    tv = build_simplex_tv(6, 6, seed=13)
+    tv_before = {"kind": "simplex-tv", "n": 6, "m": 6, "beta": 1.0,
+                 "data": "0f2682608154fee23a3554c977ea437374214f0bb0d09d86"
+                         "9545b48fc5d10a5f"}
+    assert tv.descriptor() == tv_before
+    assert (reference_config_hash(tv, 1000, 13)
+            == _hash_with_descriptor(tv, tv_before, 1000, 13))
+    ot = build_ot_inverse(24, seed=3)
+    descriptor = ot.descriptor()
+    assert set(descriptor) == {"kind", "n", "gamma", "beta", "data", "semidual"}
+    ot_before = {k: v for k, v in descriptor.items() if k != "semidual"}
+    assert (reference_config_hash(ot, 1000, 3)
+            != _hash_with_descriptor(ot, ot_before, 1000, 3))
 
 
 def test_reference_cache_round_trip(tmp_path):
