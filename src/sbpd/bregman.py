@@ -25,6 +25,7 @@ __all__ = [
     "kl_prox_simplex",
     "linf_ball_prox",
     "pinsker_slack",
+    "simplex_violation",
 ]
 
 SIMPLEX_SUM_TOL = 1e-9
@@ -71,9 +72,10 @@ def kl_divergence(x, y):
     raises :class:`DomainError` instead of returning infinity, because the
     solver never legitimately produces one.
 
-    A :class:`BregmanPoint` ``y`` (a solver iterate) skips the vector
-    validation but the length check, and its log coordinates, when present, stand in for
-    ``log y``: the value stays finite even where coordinates underflow.
+    A :class:`BregmanPoint` ``y`` (a solver iterate) was checked when it was
+    built, so only the lengths of ``x`` and ``y`` are compared. Its log
+    coordinates, when present, stand in for ``log y``: the value stays
+    finite even where coordinates underflow.
     """
     log_y = None
     if isinstance(y, BregmanPoint):
@@ -138,6 +140,11 @@ def kl_prox_simplex(x, v, lam):
     with the log-sum-exp shifted by its largest term, so the output stays
     strictly interior for arbitrarily large drifts.
 
+    The step path calls this on every iteration, so ``v`` is not checked:
+    it must be a finite vector of the dimension of ``x``. A non-finite
+    drift leaves non-finite or ``-inf`` log coordinates, which ``run``
+    reports.
+
     Parameters
     ----------
     x : BregmanPoint
@@ -155,8 +162,7 @@ def kl_prox_simplex(x, v, lam):
         raise ValueError("step size must be positive")
     if x.log_coords is None:
         raise DomainError("kl_prox_simplex needs a point with log coordinates")
-    v = as_vector(v, x.dimension, "v")
-    z = x.log_coords - lam * v
+    z = x.log_coords - lam * np.asarray(v, dtype=np.float64)
     top = z.max()
     z = z - (top + np.log(np.exp(z - top).sum()))
     return BregmanPoint(np.exp(z), z)
@@ -167,21 +173,28 @@ def linf_ball_prox(mu, v, nu, beta):
 
     Returns the componentwise clamp of ``mu - nu v`` to ``[-beta, beta]``,
     the exact minimizer of ``<v, u> + ||u - mu||^2 / (2 nu)`` over the ball.
+    The step path calls this on every iteration, so ``mu`` and ``v`` are not
+    checked: they must be finite vectors of one length.
     """
     if nu <= 0:
         raise ValueError("step size must be positive")
     if beta < 0:
         raise ValueError("ball radius must be nonnegative")
-    mu = as_vector(mu, name="mu")
-    v = as_vector(v, mu.shape[0], "v")
-    return np.clip(mu - nu * v, -beta, beta)
+    mu = np.asarray(mu, dtype=np.float64)
+    return np.clip(mu - nu * np.asarray(v, dtype=np.float64), -beta, beta)
 
 
-def _check_simplex(x, name):
-    if np.any(x < 0):
-        raise DomainError(f"{name} has negative entries")
-    if abs(x.sum() - 1.0) > SIMPLEX_SUM_TOL:
-        raise DomainError(f"{name} does not sum to 1 (got {x.sum()!r})")
+def simplex_violation(x, name="x"):
+    """Why ``x`` is off the probability simplex, or ``None`` when it is on it.
+
+    On the simplex means every entry nonnegative (a NaN is not) and the sum
+    within ``SIMPLEX_SUM_TOL`` of 1.
+    """
+    if not np.all(x >= 0):
+        return f"{name} has negative entries"
+    if not abs(x.sum() - 1.0) <= SIMPLEX_SUM_TOL:
+        return f"{name} does not sum to 1 (got {x.sum()!r})"
+    return None
 
 
 def pinsker_slack(x, y):
@@ -191,8 +204,10 @@ def pinsker_slack(x, y):
     """
     x = as_vector(x, name="x")
     y = as_vector(y, x.shape[0], "y")
-    _check_simplex(x, "x")
-    _check_simplex(y, "y")
+    for v, name in ((x, "x"), (y, "y")):
+        violation = simplex_violation(v, name)
+        if violation is not None:
+            raise DomainError(violation)
     if np.any(y <= 0):
         raise DomainError("y must be strictly positive")
     l1 = float(np.abs(x - y).sum())

@@ -165,6 +165,12 @@ class ExperimentConfig:
             raise ConfigError("noise_level must lie in [0, 1]")
         if self.repeats < 1:
             raise ConfigError("repeats must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        # oracle r is keyed by seed + r, and a Philox key lies below 2**128
+        if self.is_stochastic() and self.seed + self.repeats - 1 >= 1 << 128:
+            raise ConfigError(f"seed + repeats - 1 must be below 2**128 on a "
+                              f"stochastic run, got {self.seed + self.repeats - 1}")
         if self.cert_every < 0:
             raise ConfigError("cert_every must be nonnegative")
         if self.reference_iterations is not None and self.reference_iterations < 1000:

@@ -1,10 +1,12 @@
 """Linear operators used by the solver and the problem builders.
 
 At the paper's sizes every coupling is a small dense matrix, so one class
-holds it: ``LinearMap`` applies a matrix and its transpose to validated
-vectors. The forward-difference and convolution builders return plain
-arrays, and ``operator_norm`` is the exact spectral norm of the matrix, so
-the step sizes rest on the true norm rather than an estimate.
+holds it: ``LinearMap`` applies a matrix and its transpose. Vectors are
+checked for shape and finiteness where they enter (``as_vector``), not on
+every apply, so the solver's step runs on plain arrays. The
+forward-difference and convolution builders return plain arrays, and
+``operator_norm`` is the exact spectral norm of the matrix, so the step
+sizes rest on the true norm rather than an estimate.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ def as_vector(x, dim=None, name="x"):
 class LinearMap:
     """Operator backed by a dense row-major matrix (rows are outputs).
 
-    ``apply`` and ``adjoint_apply`` validate shapes and finiteness so the
-    solver can assume clean data.
+    The matrix is checked once, at construction. ``apply`` and
+    ``adjoint_apply`` compare only the vector's shape: they run on every
+    step, and every vector they see is checked data or a step's output.
     """
 
     def __init__(self, matrix):
@@ -54,12 +57,18 @@ class LinearMap:
         self.output_dim, self.input_dim = mat.shape
 
     def apply(self, x):
-        """``M @ x`` for a finite vector ``x`` of length ``input_dim``."""
-        return self.matrix @ as_vector(x, self.input_dim, "x")
+        """``M @ x`` for a vector ``x`` of shape ``(input_dim,)``."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.input_dim,):
+            raise ShapeError(f"x has shape {x.shape}, expected ({self.input_dim},)")
+        return self.matrix @ x
 
     def adjoint_apply(self, y):
-        """``M.T @ y`` for a finite vector ``y`` of length ``output_dim``."""
-        return self.matrix.T @ as_vector(y, self.output_dim, "y")
+        """``M.T @ y`` for a vector ``y`` of shape ``(output_dim,)``."""
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (self.output_dim,):
+            raise ShapeError(f"y has shape {y.shape}, expected ({self.output_dim},)")
+        return self.matrix.T @ y
 
 
 def forward_difference_matrix(n):

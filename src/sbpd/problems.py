@@ -33,9 +33,11 @@ from .bregman import (
     DomainError,
     kl_prox_simplex,
     linf_ball_prox,
+    simplex_violation,
 )
 from .linalg import (
     LinearMap,
+    ShapeError,
     as_vector,
     convolution_matrix,
     forward_difference_matrix,
@@ -128,18 +130,24 @@ def semidual_kernel(C, gamma):
     return np.exp(-(C - c) / gamma), c
 
 
+def _check_theta(theta, C, tau_dim):
+    # theta as a checked simplex vector, C of shape (tau_dim, len(theta))
+    theta = as_vector(theta, name="theta")
+    if np.shape(C) != (tau_dim, theta.shape[0]):
+        raise ShapeError(f"cost matrix shape {np.shape(C)} does not match "
+                         f"({tau_dim}, {theta.shape[0]})")
+    if simplex_violation(theta) is not None:
+        raise DomainError("theta must lie on the simplex")
+    return theta
+
+
 def _semidual(tau, theta, C, gamma, kernel, value=True, grad=True):
     # (value or None, gradient or None) of h* at tau, through the kernel
     # (K, c) = semidual_kernel(C, gamma) while the spread of tau over gamma
-    # stays within _KERNEL_SPREAD, in the log domain beyond it
-    tau = as_vector(tau, name="tau")
-    theta = as_vector(theta, name="theta")
+    # stays within _KERNEL_SPREAD, in the log domain beyond it; the inputs
+    # are checked by the caller (ot_semidual_value_grad, or OTInverseProblem
+    # at construction)
     K, c = kernel
-    if K.shape != (tau.shape[0], theta.shape[0]):
-        raise ValueError(f"cost matrix shape {K.shape} does not match "
-                         f"({tau.shape[0]}, {theta.shape[0]})")
-    if np.any(theta < 0) or abs(theta.sum() - 1.0) > 1e-9:
-        raise DomainError("theta must lie on the simplex")
     top = tau.max()
     if (top - tau.min()) / gamma <= _KERNEL_SPREAD:
         # u >= exp(-_KERNEL_SPREAD) and K is 1 at each column's cheapest row,
@@ -167,13 +175,15 @@ def ot_semidual_value_grad(tau, theta, C, gamma):
     a simplex vector for every tau. Builds the kernel of ``semidual_kernel``
     on each call; gamma and C must be finite.
     """
-    return _semidual(tau, theta, C, gamma, semidual_kernel(C, gamma))
+    kernel = semidual_kernel(C, gamma)
+    tau = as_vector(tau, name="tau")
+    return _semidual(tau, _check_theta(theta, C, tau.shape[0]), C, gamma, kernel)
 
 
 # ------------------------------------------------------------------ problems
 
-def _simplex_feasible(x, tol=1e-9):
-    return bool(np.all(x >= 0) and abs(x.sum() - 1.0) <= tol)
+def _simplex_feasible(x):
+    return simplex_violation(x) is None
 
 
 @dataclass(frozen=True)
@@ -301,6 +311,12 @@ class OTInverseProblem:
     beta: float
     L_d: float
     rho_truth: np.ndarray
+
+    def __post_init__(self):
+        # checked once: h_star_value and h_star_grad run on plain arrays
+        if np.ndim(self.F) != 2 or self.F.shape[0] != self.F.shape[1]:
+            raise ShapeError(f"F must be a square matrix, got shape {np.shape(self.F)}")
+        _check_theta(self.theta, self.C, self.n)
 
     @property
     def n(self):

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .bregman import BregmanPoint, DomainError, euclidean_divergence, kl_divergence
-from .linalg import LinearMap
+from .linalg import LinearMap, as_vector
 
 __all__ = [
     "SaddleProblem",
@@ -161,8 +161,12 @@ class SolverState:
 
 
 def initial_state(x0, mu0):
-    """State at k = 0; ergodic means start at the (excluded) initial point."""
-    mu0 = np.asarray(mu0, dtype=np.float64)
+    """State at k = 0; ergodic means start at the (excluded) initial point.
+
+    ``x0`` is a checked ``BregmanPoint`` and ``mu0`` must be a finite
+    vector: the step path does not check its inputs again.
+    """
+    mu0 = as_vector(mu0, name="mu0")
     return SolverState(0, x0, mu0, x0.coords.copy(), mu0.copy())
 
 
@@ -199,13 +203,27 @@ def run(problem, schedule, state, iterations, oracle=None, callback=None):
     ``callback(prev_state, new_state)`` fires after every step and is where
     callers observe the run (residuals, trace rows, certificates); its
     return value, when truthy, stops the run early.
+
+    The steps do not check their vectors. A NaN or infinity that enters one
+    stays in the iterates or their ergodic means, so the returned state is
+    checked once: a non-finite entry raises :class:`DomainError`.
     """
     for _ in range(iterations):
         new = sbpd_step(problem, schedule, state, oracle)
-        if callback is not None and callback(state, new):
-            return new
+        stop = callback is not None and callback(state, new)
         state = new
+        if stop:
+            break
+    _check_finite(state)
     return state
+
+
+def _check_finite(state):
+    arrays = (("x", state.x.coords), ("log x", state.x.log_coords),
+              ("mu", state.mu), ("x_bar", state.x_bar), ("mu_bar", state.mu_bar))
+    for name, values in arrays:
+        if values is not None and not np.all(np.isfinite(values)):
+            raise DomainError(f"{name} has non-finite entries at k = {state.k}")
 
 
 def _as_point(x):

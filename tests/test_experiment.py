@@ -19,7 +19,7 @@ from sbpd.experiment import (
     write_trace,
 )
 from sbpd.oracle import GradientOracle
-from sbpd.problems import ReferenceSolution, compute_reference
+from sbpd.problems import ReferenceSolution, SimplexTVProblem, compute_reference
 from sbpd.solver import (
     estimate_inequality_terms,
     initial_state,
@@ -282,6 +282,54 @@ def test_non_finite_real_value_is_rejected(tmp_path, overrides):
     config = _tiny_config(tmp_path, iterations=20, **overrides)
     _assert_invalid_config(config, f"{key} must be finite")
     assert list((tmp_path / "out").glob("reference_*.json")) == []
+
+
+CUSTOM_DATA = {"experiment": "custom", "A": [[1.0, 0.2], [0.3, 1.4], [0.5, 0.6]],
+               "b": [0.4, 0.9, 0.5]}
+
+
+@pytest.mark.parametrize("overrides,match", [
+    ({"n": 8, "m": 9, "iterations": 20, "seed": 2**128 - 1,
+      "oracle_mode": "paper-partial", "batch_size": 3, "repeats": 2},
+     "seed + repeats - 1 must be below 2**128"),
+    (dict(CUSTOM_DATA, seed=-3, oracle_mode="paper-partial", batch_size=2),
+     "seed must be nonnegative"),
+], ids=["tv-seed-past-philox-keys", "custom-negative-seed"])
+def test_seed_outside_the_philox_key_range_is_rejected(tmp_path, overrides, match):
+    # each oracle is keyed by seed + repeat index: these once cached a
+    # reference and then failed with a ValueError from the generator
+    _assert_invalid_config(_tiny_config(tmp_path, **overrides), match)
+    assert list((tmp_path / "out").glob("reference_*.json")) == []
+
+
+def test_largest_philox_seed_runs(tmp_path):
+    config = _tiny_config(tmp_path, iterations=20, seed=2**128 - 2, repeats=2,
+                          oracle_mode="paper-partial", batch_size=3)
+    assert run_experiment(config, log=lambda s: None) == 0
+    assert (tmp_path / "out" / "mean_trace.csv").exists()
+
+
+@pytest.mark.parametrize("bad_step", [500, 1100], ids=["reference", "measured"])
+def test_non_finite_gradient_mid_run_fails_the_run(tmp_path, monkeypatch, bad_step):
+    # 1000 reference steps, then 300 measured ones; the reference phase
+    # logs nothing, so only run's final check sees the NaN there
+    calls = []
+    f_grad = SimplexTVProblem.f_grad
+
+    def nan_grad(self, x):
+        calls.append(1)
+        grad = f_grad(self, x)
+        return np.full_like(grad, np.nan) if len(calls) >= bad_step else grad
+
+    monkeypatch.setattr(SimplexTVProblem, "f_grad", nan_grad)
+    config = _tiny_config(tmp_path)
+    lines = []
+    assert run_experiment(config, log=lines.append) == 1
+    doc = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert doc["error"] == "DomainError" and json.loads(lines[0]) == doc
+    assert not (tmp_path / "out" / "trace.csv").exists()
+    cached = list((tmp_path / "out").glob("reference_*.json"))
+    assert len(cached) == (bad_step > 1000)
 
 
 def test_stochastic_oracle_on_ot_inverse_is_rejected(tmp_path):

@@ -117,8 +117,8 @@ def test_shape_errors():
         B.apply([1.0, 2.0])
     with pytest.raises(ShapeError):
         B.adjoint_apply([1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ValueError):
-        B.apply([1.0, np.nan, 2.0, 3.0])
+    # the step path does not scan for NaN: solver.run checks its final state
+    assert np.isnan(B.apply([1.0, np.nan, 2.0, 3.0])).any()
     with pytest.raises(ShapeError):
         LinearMap(np.zeros(3))
     with pytest.raises(ValueError, match="positive"):

@@ -7,6 +7,7 @@ import pytest
 
 from sbpd.bregman import DomainError
 from sbpd.experiment import ExperimentConfig
+from sbpd.linalg import ShapeError
 from sbpd.problems import (
     build_ot_inverse,
     build_simplex_tv,
@@ -20,6 +21,7 @@ from sbpd.problems import (
     semidual_kernel,
     simplex_tv_from_arrays,
 )
+from sbpd.solver import initial_state, run
 
 
 # ----------------------------------------------------------------- fidelity
@@ -322,6 +324,35 @@ def test_build_ot_inverse_determinism_and_validation():
         build_ot_inverse(10, seed=0, gamma=0.0)
     with pytest.raises(ValueError):
         build_ot_inverse(10, seed=0, noise_level=1.5)
+
+
+def test_ot_inverse_checks_its_data_at_construction():
+    p = build_ot_inverse(10, seed=0)
+    with pytest.raises(DomainError, match="theta"):
+        dataclasses.replace(p, theta=np.full(10, 0.11))
+    with pytest.raises(ShapeError, match="cost matrix"):
+        dataclasses.replace(p, C=np.zeros((10, 11)))
+    with pytest.raises(ShapeError, match="square"):
+        dataclasses.replace(p, F=np.zeros((9, 10)))
+
+
+def test_ot_inverse_run_rejects_a_non_finite_potential():
+    # NaN only in the tau block of h*'s gradient: dual_feasible sees only
+    # the zeta block, so the run's final check is what reports it
+    p = build_ot_inverse(10, seed=0)
+    calls = []
+
+    def h_star_grad(mu):
+        calls.append(1)
+        grad = p.h_star_grad(mu)
+        if len(calls) == 20:
+            grad[:p.n] = np.nan
+        return grad
+
+    saddle = dataclasses.replace(p.saddle_problem(), h_star_grad=h_star_grad)
+    state = initial_state(*p.initial_point())
+    with pytest.raises(DomainError, match="non-finite"):
+        run(saddle, p.default_schedule(), state, 40)
 
 
 def test_ot_coupling_adjoint_matches_blockwise_sum():

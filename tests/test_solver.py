@@ -7,7 +7,12 @@ from sbpd.bregman import (
     kl_prox_simplex,
     linf_ball_prox,
 )
-from sbpd.linalg import LinearMap, forward_difference_matrix, operator_norm
+from sbpd.linalg import (
+    LinearMap,
+    ShapeError,
+    forward_difference_matrix,
+    operator_norm,
+)
 from sbpd.oracle import GradientOracle
 from sbpd.solver import (
     ReferenceEvaluator,
@@ -152,6 +157,49 @@ def test_run_callback_early_stop():
                 callback=lambda prev, new: seen.append(new.k) or new.k >= 7)
     assert state.k == 7
     assert seen == list(range(1, 8))
+
+
+def _nan_from_call(fn, j):
+    # fn, except that calls j, j + 1, ... return NaN
+    calls = []
+
+    def wrapped(*args):
+        calls.append(1)
+        out = fn(*args)
+        return np.full_like(out, np.nan) if len(calls) >= j else out
+    return wrapped
+
+
+def test_run_rejects_a_non_finite_final_state():
+    problem, schedule, state = tv_problem(4, 5, seed=4)
+    problem.f_grad = _nan_from_call(problem.f_grad, 30)
+    with pytest.raises(DomainError, match="k = 50"):
+        run(problem, schedule, state, 50)
+
+
+def test_run_rejects_a_non_finite_state_at_an_early_stop():
+    problem, schedule, state = tv_problem(4, 5, seed=4)
+    problem.f_grad = _nan_from_call(problem.f_grad, 7)
+    seen = []
+    with pytest.raises(DomainError, match="k = 9"):
+        run(problem, schedule, state, 100,
+            callback=lambda prev, new: seen.append(new.k) or new.k >= 9)
+    assert seen == list(range(1, 10))
+    # stopped before the NaN entered, the run returns normally
+    problem, schedule, state = tv_problem(4, 5, seed=4)
+    problem.f_grad = _nan_from_call(problem.f_grad, 7)
+    assert run(problem, schedule, state, 100,
+               callback=lambda prev, new: new.k >= 6).k == 6
+
+
+@pytest.mark.parametrize("mu0,error", [
+    ([0.0, np.nan, 0.0], ValueError),
+    ([[0.0, 0.0, 0.0]], ShapeError),
+], ids=["nan", "two-dimensional"])
+def test_initial_state_rejects_bad_mu0(mu0, error):
+    x0 = BregmanPoint.from_positive_coords(np.full(4, 0.25))
+    with pytest.raises(error, match="mu0"):
+        initial_state(x0, mu0)
 
 
 def test_three_dim_run_matches_half_step_reference():
