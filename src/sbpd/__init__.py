@@ -17,6 +17,7 @@ from .solver import (
     SolverState,
     StepSchedule,
     asymptotic_residual,
+    certificate_holds,
     default_step_sizes,
     ergodic_rate_constant,
     estimate_inequality_terms,

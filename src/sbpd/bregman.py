@@ -77,32 +77,39 @@ def kl_divergence(x, y):
     coordinates, when present, stand in for ``log y``: the value stays
     finite even where coordinates underflow.
     """
-    log_y = None
     if isinstance(y, BregmanPoint):
         x = np.asarray(x, dtype=np.float64)
-        y, log_y = y.coords, y.log_coords
-        if x.shape != y.shape:
-            raise ShapeError(f"x and y must be vectors of one length, "
-                             f"got shapes {x.shape} and {y.shape}")
     else:
         x = as_vector(x, name="x")
-        y = as_vector(y, x.shape[0], "y")
-    if np.any(x < 0):
+        y = BregmanPoint(as_vector(y, x.shape[0], "y"))
+    if (x < 0).any():
         raise DomainError("x has negative entries")
+    return _kl_to_point(x, np.log(np.where(x > 0, x, 1.0)), x.sum(), y)
+
+
+def _kl_to_point(x, log_x, sum_x, point):
+    """D_KL(x, y), y from ``point``, given log x (0 log 0 = 0) and sum x.
+
+    x is taken as nonnegative. The lengths are compared, and without log
+    coordinates y must be strictly positive; the log coordinates are finite,
+    so a zero entry of x adds a zero term. The solver's certificates call
+    this with the terms of a fixed x computed once.
+    """
+    y, log_y = point.coords, point.log_coords
+    if x.shape != y.shape:
+        raise ShapeError(f"x and y must be vectors of one length, "
+                         f"got shapes {x.shape} and {y.shape}")
     if log_y is None:
-        if np.any(y <= 0):
+        if (y <= 0).any():
             raise DomainError("y has nonpositive entries and no log coordinates")
         log_y = np.log(y)
-    lx = np.log(np.where(x > 0, x, 1.0))
-    terms = np.where(x > 0, x * (lx - log_y), 0.0)
-    return float(terms.sum() - x.sum() + y.sum())
+    return float((x * (log_x - log_y)).sum() - sum_x + y.sum())
 
 
 def euclidean_divergence(x, y):
     """||x - y||^2 / 2, the Bregman divergence of the energy ||x||^2 / 2.
 
-    Only the shapes are checked: the energy has no domain to leave, and the
-    certificates call this on every certified step.
+    Only the shapes are checked: the energy has no domain to leave.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -190,7 +197,7 @@ def simplex_violation(x, name="x"):
     On the simplex means every entry nonnegative (a NaN is not) and the sum
     within ``SIMPLEX_SUM_TOL`` of 1.
     """
-    if not np.all(x >= 0):
+    if not (x >= 0).all():
         return f"{name} has negative entries"
     if not abs(x.sum() - 1.0) <= SIMPLEX_SUM_TOL:
         return f"{name} does not sum to 1 (got {x.sum()!r})"

@@ -30,6 +30,7 @@ from .problems import (
 from .solver import (  # noqa: F401  benchmarks/tracing.py patches the unused names
     ReferenceEvaluator,
     asymptotic_residual,
+    certificate_holds,
     ergodic_rate_constant,
     estimate_inequality_terms,
     initial_state,
@@ -313,14 +314,17 @@ def _mean_records(traces):
 
 def _measured_run(problem, saddle, schedule, reference, iterations, config,
                   oracle=None):
-    """One measured-phase run; returns the list of logged records.
+    """One measured-phase run; returns its logged records and certificates.
 
     Each logged row evaluates the Lagrangian parts of its two points once;
-    the row's gap is the certificate's gap term, and a certified row hands
-    its energy to the next row when that row certifies the following step.
+    the row's gap and T x are the certificate's gap term and cross term,
+    and a certified row hands its energy to the next row when that row
+    certifies the following step. The certificates are the ``(slack,
+    scale)`` pairs of the certified rows.
     """
     evaluator = ReferenceEvaluator(saddle, schedule, reference.w_star)
     records = []
+    certificates = []
     stop_count = 0
     carried = (None, None)  # (k, energy against the state at k)
     t0 = time.perf_counter_ns()
@@ -338,11 +342,12 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
                 _, delta = oracle.grad_estimate(
                     saddle.f_grad, saddle.f_partial_grad, prev.x.coords, prev.k)
             k_carried, e_carried = carried
-            slack, _, e_next = evaluator.certificate(
+            slack, scale, e_next = evaluator.certificate(
                 (prev.x, prev.mu), w, gap,
                 e_k=e_carried if k_carried == prev.k else None,
-                primal_delta=delta)
+                primal_delta=delta, parts=parts)
             carried = (state.k, e_next)
+            certificates.append((slack, scale))
         records.append(TraceRecord(
             k=state.k,
             gap_pointwise=gap,
@@ -360,7 +365,23 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
 
     run(saddle, schedule, initial_state(*problem.initial_point()), iterations,
         oracle, observe)
-    return records
+    return records, certificates
+
+
+def _certificate_summary(certificates):
+    """``meta.json``'s summary of the ``(slack, scale)`` certificates of a run.
+
+    A violation is a certificate that does not hold (``certificate_holds``);
+    the worst scaled slack is the least slack / scale (``None`` when nothing
+    was certified).
+    """
+    scaled = [slack / scale for slack, scale in certificates]
+    return {
+        "evaluated": len(scaled),
+        "worst_scaled_slack": min(scaled, default=None),
+        "violations": sum(not certificate_holds(slack, scale)
+                          for slack, scale in certificates),
+    }
 
 
 def _fail(log, status, kind, message, output_dir=None):
@@ -427,9 +448,10 @@ def run_phases(config, problem, output_dir):
     # None is the exact oracle
     oracles = [GradientOracle(config.oracle_mode, config.batch_size, seed,
                               problem.m) for seed in oracle_seeds] or [None]
-    traces = [_measured_run(problem, saddle, schedule, reference,
-                            config.iterations, config, oracle)
-              for oracle in oracles]
+    runs = [_measured_run(problem, saddle, schedule, reference,
+                          config.iterations, config, oracle)
+            for oracle in oracles]
+    traces = [records for records, _ in runs]
     final_gap = float(np.mean([t[-1].gap_ergodic for t in traces]))
     if stochastic:
         for r, records in enumerate(traces):
@@ -460,6 +482,8 @@ def run_phases(config, problem, output_dir):
                 saddle, schedule, reference.w_star, (x0, mu0)),
             "final_ergodic_gap": final_gap,
         },
+        "certificate": _certificate_summary(
+            [cert for _, certificates in runs for cert in certificates]),
     }
     with open(os.path.join(output_dir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

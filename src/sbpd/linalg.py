@@ -32,7 +32,7 @@ def as_vector(x, dim=None, name="x"):
         raise ShapeError(f"{name} must be 1-dimensional, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ShapeError(f"{name} has length {v.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 

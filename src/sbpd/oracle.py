@@ -6,7 +6,12 @@ That makes runs restartable and lets diagnostics recompute the noise term of
 any iteration after the fact. Since a batch depends on nothing but its key
 and counter, each oracle keeps one Philox generator and re-keys it per draw
 (the counter-based design of Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11).
+easy as 1, 2, 3", SC'11). Each oracle also remembers its latest draw,
+``(k, batch)``, so a certificate that asks for the noise of the step just
+taken reuses that step's batch instead of drawing it again; batches are
+returned read-only, since the same array goes to every caller of its k.
+The generator and the memo make an oracle unsafe to share across threads:
+give each thread its own.
 """
 
 from __future__ import annotations
@@ -58,31 +63,41 @@ class GradientOracle:
         if not 1 <= self.batch_size <= self.m:
             raise ValueError(
                 f"batch_size must lie in [1, {self.m}], got {self.batch_size}")
-        # one generator per oracle, re-keyed by sample_batch on every draw;
-        # not safe to share across threads, so give each thread its own oracle
+        # one generator per oracle, re-keyed by sample_batch on every draw,
+        # and the latest (k, batch); not safe to share across threads, so
+        # give each thread its own oracle
         bits = np.random.Philox(key=self.seed)
         object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_rng", np.random.Generator(bits))
         object.__setattr__(self, "_fresh_state", bits.state)
+        object.__setattr__(self, "_latest", (None, None))
 
     @property
     def is_exact(self):
         return self.mode == "exact" or self.batch_size == self.m
 
     def sample_batch(self, k):
-        """The q distinct uniform indices of iteration ``k`` (sorted).
+        """The q distinct uniform indices of iteration ``k`` (sorted, read-only).
 
         Draws from Philox with key ``seed`` and counter ``k << 64``, with an
-        empty output buffer, exactly as a freshly built generator would.
+        empty output buffer, exactly as a freshly built generator would. A
+        repeated ``k`` returns the latest draw again.
         """
-        counter = int(k) << 64
+        k = int(k)
+        latest_k, batch = self._latest
+        if k == latest_k:
+            return batch
+        counter = k << 64
         if not 0 <= counter < 1 << 256:
             raise ValueError(f"iteration index {k} out of range")
         state = self._fresh_state
         state["state"]["counter"][:] = [(counter >> s) & _WORD
                                         for s in (0, 64, 128, 192)]
         self._bits.state = state
-        return np.sort(self._rng.choice(self.m, size=self.batch_size, replace=False))
+        batch = np.sort(self._rng.choice(self.m, size=self.batch_size, replace=False))
+        batch.flags.writeable = False
+        object.__setattr__(self, "_latest", (k, batch))
+        return batch
 
     def estimate(self, full_grad_fn, partial_grad_fn, x, k):
         """Gradient estimate at ``x`` for iteration ``k`` (no noise report)."""
@@ -93,7 +108,7 @@ class GradientOracle:
             g = partial_grad_fn(batch, x)
             if self.mode == "scaled-unbiased":
                 g = (self.m / self.batch_size) * g
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise OracleError(f"non-finite gradient estimate at iteration {k}")
         return g
 
@@ -109,6 +124,6 @@ class GradientOracle:
         if self.is_exact:
             return est, np.zeros_like(est)
         full = full_grad_fn(x)
-        if not np.all(np.isfinite(full)):
+        if not np.isfinite(full).all():
             raise OracleError(f"non-finite full gradient at iteration {k}")
         return est, est - full

@@ -73,15 +73,15 @@ __all__ = [
 def kl_fidelity_value(A, b, x):
     """D_K(Ax, b) = sum_i (Ax)_i log((Ax)_i / b_i) - (Ax)_i + b_i."""
     u = A @ x
-    if np.any(u <= 0):
+    if (u <= 0).any():
         raise DomainError("Ax has nonpositive entries")
-    return float(np.sum(u * np.log(u / b) - u + b))
+    return float((u * np.log(u / b) - u + b).sum())
 
 
 def kl_fidelity_grad(A, b, x):
     """Gradient A^T log(Ax / b) of the fidelity above."""
     u = A @ x
-    if np.any(u <= 0):
+    if (u <= 0).any():
         raise DomainError("Ax has nonpositive entries")
     return A.T @ np.log(u / b)
 

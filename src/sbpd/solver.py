@@ -10,13 +10,14 @@ inequality is evaluated here verbatim as a runtime certificate.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bregman import BregmanPoint, DomainError, euclidean_divergence, kl_divergence
-from .linalg import LinearMap, as_vector
+from .bregman import BregmanPoint, DomainError, _kl_to_point
+from .linalg import LinearMap, ShapeError, as_vector
 
 __all__ = [
     "SaddleProblem",
@@ -30,10 +31,15 @@ __all__ = [
     "run",
     "ergodic_rate_constant",
     "estimate_inequality_terms",
+    "certificate_holds",
     "symmetrized_energy_slack",
     "lagrangian_gap",
     "asymptotic_residual",
 ]
+
+
+# the relative roundoff a certified step's slack may show (certificate_holds)
+CERT_TOL = 1e-8
 
 
 class LagrangianParts(NamedTuple):
@@ -222,7 +228,7 @@ def _check_finite(state):
     arrays = (("x", state.x.coords), ("log x", state.x.log_coords),
               ("mu", state.mu), ("x_bar", state.x_bar), ("mu_bar", state.mu_bar))
     for name, values in arrays:
-        if values is not None and not np.all(np.isfinite(values)):
+        if values is not None and not np.isfinite(values).all():
             raise DomainError(f"{name} has non-finite entries at k = {state.k}")
 
 
@@ -237,12 +243,40 @@ def _check_feasible(problem, x_coords, mu, label):
         raise DomainError(f"dual part of {label} violates its constraints")
 
 
-def _energy(problem, schedule, x_ref, mu_ref, point, mu):
-    # E(w_ref) = KL(x_ref, x)/lam + |mu_ref - mu|^2/(2 nu) - <T(x_ref - x), mu_ref - mu>
-    dp = kl_divergence(x_ref, point)
-    dd = euclidean_divergence(mu_ref, mu)
-    cross = float(problem.coupling.apply(x_ref - point.coords) @ (mu_ref - mu))
-    return dp / schedule.lam + dd / schedule.nu - cross
+class _EnergyReference(NamedTuple):
+    """The terms of the energy E(w_ref) that depend on ``w_ref`` only."""
+
+    x: np.ndarray
+    log_x: np.ndarray  # log x_ref, with 0 log 0 = 0
+    sum_x: float
+    mu: np.ndarray
+    Tx: np.ndarray
+
+
+def _energy_reference(x_ref, mu_ref, Tx_ref):
+    # x_ref >= 0, as bregman.kl_divergence asks of its first argument
+    if not (x_ref >= 0).all():
+        raise DomainError("x_ref has negative entries")
+    return _EnergyReference(x_ref, np.log(np.where(x_ref > 0, x_ref, 1.0)),
+                            x_ref.sum(), mu_ref, Tx_ref)
+
+
+def _energy(schedule, ref, point, mu, Tx):
+    """E(w_ref) against (x, mu), x from ``point`` and ``Tx`` = T x:
+
+        KL(x_ref, x)/lam + |mu_ref - mu|^2/(2 nu) - <T x_ref - T x, mu_ref - mu>.
+
+    The KL term is ``bregman.kl_divergence(x_ref, point)`` from the
+    reference terms of ``ref``: the log coordinates of ``point``, when
+    present, stand in for log x; otherwise x must be strictly positive.
+    """
+    if mu.ndim != 1 or mu.shape != ref.mu.shape:
+        raise ShapeError(f"mu_ref and mu must be vectors of one length, "
+                         f"got shapes {ref.mu.shape} and {mu.shape}")
+    dp = _kl_to_point(ref.x, ref.log_x, ref.sum_x, point)
+    d = ref.mu - mu
+    return (dp / schedule.lam + 0.5 * float(d @ d) / schedule.nu
+            - float((ref.Tx - Tx) @ d))
 
 
 class ReferenceEvaluator:
@@ -251,8 +285,10 @@ class ReferenceEvaluator:
     Built once per reference ``w_ref``: it checks that ``w_ref`` is feasible
     and evaluates the reference's parts f(x_ref), T x_ref and h*(mu_ref)
     once. ``gap`` evaluates a point's parts once and returns them with the
-    gap, so the point's own Lagrangian and the certificate's gap term reuse
-    them. ``schedule`` is needed only by ``certificate``.
+    gap, so the point's own Lagrangian and the certificate's gap term and
+    cross term reuse them. The reference side of the certificate's energy
+    (log x_ref and sum x_ref) is evaluated on the first certificate.
+    ``schedule`` is needed only by ``certificate``.
     """
 
     def __init__(self, problem, schedule, w_ref):
@@ -263,6 +299,10 @@ class ReferenceEvaluator:
         self.mu_ref = np.asarray(mu_ref, dtype=np.float64)
         _check_feasible(problem, self.x_ref, self.mu_ref, "w_ref")
         self.ref = problem.parts(self.x_ref, self.mu_ref)
+
+    @functools.cached_property
+    def _energy_ref(self):
+        return _energy_reference(self.x_ref, self.mu_ref, self.ref.Tx)
 
     def gap(self, w, check=True):
         """``(L(x, mu_ref) - L(x_ref, mu), parts of w)``.
@@ -285,21 +325,25 @@ class ReferenceEvaluator:
         """L(x, mu) at the point whose parts ``gap`` returned."""
         return _lagrangian(parts, parts)
 
-    def _energy(self, w):
+    def _energy(self, w, parts=None):
         x, mu = w
-        return _energy(self.problem, self.schedule, self.x_ref, self.mu_ref,
-                       _as_point(x), np.asarray(mu, dtype=np.float64))
+        point = _as_point(x)
+        Tx = self.problem.coupling.apply(point.coords) if parts is None else parts.Tx
+        return _energy(self.schedule, self._energy_ref, point,
+                       np.asarray(mu, dtype=np.float64), Tx)
 
-    def certificate(self, w_k, w_next, gap, e_k=None, primal_delta=None):
+    def certificate(self, w_k, w_next, gap, e_k=None, primal_delta=None,
+                    parts=None):
         """``(slack, scale, e_next)`` of the step from ``w_k`` to ``w_next``.
 
-        ``gap`` is the gap of ``w_next``, as ``gap`` returns it. ``e_k``
+        ``gap`` is the gap of ``w_next`` and ``parts`` its parts, as ``gap``
+        returns them; without ``parts``, T x_next is applied here. ``e_k``
         is the energy against ``w_k``: pass the ``e_next`` of the step that
         ended at ``w_k`` to reuse it, or ``None`` to evaluate it here.
         """
         if e_k is None:
             e_k = self._energy(w_k)
-        e_next = self._energy(w_next)
+        e_next = self._energy(w_next, parts)
         noise = 0.0
         if primal_delta is not None:
             x_n = _as_point(w_next[0]).coords
@@ -318,17 +362,25 @@ def lagrangian_gap(problem, w, w_ref):
     return ReferenceEvaluator(problem, None, w_ref).gap(w)[0]
 
 
+def _energy_between(problem, schedule, w_ref, w):
+    # E(w_ref) against w without an evaluator: of w_ref, only x_ref >= 0 is
+    # checked, as bregman.kl_divergence checks it
+    (x_ref, mu_ref), (x, mu) = w_ref, w
+    x_ref, point = _as_point(x_ref).coords, _as_point(x)
+    T = problem.coupling
+    ref = _energy_reference(x_ref, np.asarray(mu_ref, dtype=np.float64),
+                            T.apply(x_ref))
+    return _energy(schedule, ref, point, np.asarray(mu, dtype=np.float64),
+                   T.apply(point.coords))
+
+
 def ergodic_rate_constant(problem, schedule, w_ref, w0):
     """The constant C0 of the ergodic rate bound C0 / k.
 
     C0 = D_p(x_ref, x0)/lam + D_d(mu_ref, mu0)/nu - <T(x_ref - x0),
     mu_ref - mu0>.
     """
-    x_ref, mu_ref = w_ref
-    x0, mu0 = w0
-    return float(_energy(problem, schedule, _as_point(x_ref).coords,
-                         np.asarray(mu_ref, dtype=np.float64), _as_point(x0),
-                         np.asarray(mu0, dtype=np.float64)))
+    return float(_energy_between(problem, schedule, w_ref, w0))
 
 
 def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
@@ -349,10 +401,19 @@ def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
     ``ReferenceEvaluator``: only ``w_ref`` is checked for feasibility.
     """
     evaluator = ReferenceEvaluator(problem, schedule, w_ref)
-    gap, _ = evaluator.gap(w_next, check=False)
+    gap, parts = evaluator.gap(w_next, check=False)
     slack, scale, _ = evaluator.certificate(
-        w_k, w_next, gap, primal_delta=primal_delta)
+        w_k, w_next, gap, primal_delta=primal_delta, parts=parts)
     return slack, scale
+
+
+def certificate_holds(slack, scale):
+    """Whether a certified step holds: ``slack >= -1e-8 * scale``.
+
+    ``(slack, scale)`` as ``estimate_inequality_terms`` and
+    ``ReferenceEvaluator.certificate`` return them; a NaN slack does not hold.
+    """
+    return slack >= -CERT_TOL * scale
 
 
 def symmetrized_energy_slack(problem, schedule, w1, w2):
@@ -364,17 +425,13 @@ def symmetrized_energy_slack(problem, schedule, w1, w2):
     admissible points, which is what lets the noise pairing of inexact
     updates be controlled.
     """
-    x1, mu1 = w1
-    x2, mu2 = w2
-    p1, p2 = _as_point(x1), _as_point(x2)
-    mu1 = np.asarray(mu1, dtype=np.float64)
-    mu2 = np.asarray(mu2, dtype=np.float64)
-    return float(_energy(problem, schedule, p1.coords, mu1, p2, mu2)
-                 + _energy(problem, schedule, p2.coords, mu2, p1, mu1))
+    return float(_energy_between(problem, schedule, w1, w2)
+                 + _energy_between(problem, schedule, w2, w1))
 
 
 def asymptotic_residual(state_k, state_next):
     """||x_{k+1} - x_k||_1 + ||mu_{k+1} - mu_k||_2 between consecutive states."""
     dx = float(np.abs(state_next.x.coords - state_k.x.coords).sum())
-    dmu = float(np.linalg.norm(state_next.mu - state_k.mu))
+    d = state_next.mu - state_k.mu
+    dmu = math.sqrt(d @ d)  # bitwise np.linalg.norm(d), which takes this form
     return dx + dmu

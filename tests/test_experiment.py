@@ -538,3 +538,102 @@ def test_infeasible_reference_fails_before_any_step(tmp_path):
         experiment._measured_run(problem, saddle, problem.default_schedule(),
                                  reference, 10, config)
     assert steps == []
+
+
+def _slack_cells(out, names):
+    return sum(r.estimate_slack is not None
+               for name in names for r in read_trace(out / name))
+
+
+@pytest.mark.parametrize("overrides,names", [
+    ({}, ["trace.csv"]),
+    ({"oracle_mode": "paper-partial", "batch_size": 4, "repeats": 2,
+      "cert_every": 3}, ["run_000.csv", "run_001.csv"]),
+], ids=["exact", "stochastic-cert-every-3"])
+def test_meta_certificate_counts_the_certified_rows(tmp_path, overrides, names):
+    config = _tiny_config(tmp_path, **overrides)
+    assert run_experiment(config, log=lambda s: None) == 0
+    out = tmp_path / "out"
+    cert = json.loads((out / "meta.json").read_text())["certificate"]
+    assert cert["evaluated"] == _slack_cells(out, names) > 0
+    assert cert["violations"] == 0
+    assert cert["worst_scaled_slack"] >= -1e-8
+
+
+def test_meta_certificate_is_empty_without_certificates(tmp_path):
+    config = _tiny_config(tmp_path, cert_every=0)
+    assert run_experiment(config, log=lambda s: None) == 0
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    assert meta["certificate"] == {"evaluated": 0, "worst_scaled_slack": None,
+                                   "violations": 0}
+
+
+def test_meta_certificate_of_the_rerun_config(tmp_path):
+    # the acceptance 11 config: no violation, and a rerun writes the same
+    # meta.json apart from its output_dir
+    metas = []
+    for sub in ("a", "b"):
+        config = ExperimentConfig(experiment="simplex-tv", n=12, m=14, seed=9,
+                                  iterations=1200, oracle_mode="paper-partial",
+                                  batch_size=4, repeats=2,
+                                  output_dir=str(tmp_path / sub))
+        assert run_experiment(config, log=lambda s: None) == 0
+        meta = json.loads((tmp_path / sub / "meta.json").read_text())
+        assert meta["config"].pop("output_dir") == str(tmp_path / sub)
+        metas.append(meta)
+    assert metas[0] == metas[1]
+    cert = metas[0]["certificate"]
+    assert cert["violations"] == 0
+    assert cert["evaluated"] == _slack_cells(tmp_path / "a",
+                                             ["run_000.csv", "run_001.csv"])
+
+
+def test_meta_certificate_counts_a_violation_and_exits_0(tmp_path, monkeypatch):
+    certificate = experiment.ReferenceEvaluator.certificate
+    broken = []
+
+    def breaks_the_first_two(self, w_k, w_next, gap, **kwargs):
+        slack, scale, e_next = certificate(self, w_k, w_next, gap, **kwargs)
+        if len(broken) < 2:
+            broken.append(slack)
+            slack = -1e-6 * scale
+        return slack, scale, e_next
+
+    monkeypatch.setattr(experiment.ReferenceEvaluator, "certificate",
+                        breaks_the_first_two)
+    config = _tiny_config(tmp_path)
+    assert run_experiment(config, log=lambda s: None) == 0
+    cert = json.loads((tmp_path / "out" / "meta.json").read_text())["certificate"]
+    assert cert["violations"] == 2
+    assert cert["worst_scaled_slack"] == -1e-6
+    assert cert["evaluated"] == 300
+
+
+def _measured_run_applies(tmp_path, cert_every, iterations):
+    config = _tiny_config(tmp_path, cert_every=cert_every)
+    problem = config.build_problem()
+    saddle = problem.saddle_problem()
+    reference = compute_reference(problem, 1000, config.seed)
+    calls = []
+    apply = problem.B.apply
+
+    def counted(x):
+        calls.append(1)
+        return apply(x)
+
+    problem.B.apply = counted  # saddle.coupling is problem.B
+    records, _ = experiment._measured_run(problem, saddle,
+                                          problem.default_schedule(),
+                                          reference, iterations, config)
+    assert len(records) == iterations
+    return len(calls)
+
+
+def test_carried_certified_row_applies_the_coupling_twice(tmp_path):
+    # every step applies T once and the evaluator once for T x_ref; a
+    # logged row applies it to x and to x_bar; a certified row whose
+    # previous row carried its energy adds none, and the first adds T x_0
+    n = 12
+    plain = _measured_run_applies(tmp_path, 0, n)
+    assert plain == n + 1 + 2 * n
+    assert _measured_run_applies(tmp_path, 1, n) == plain + 1

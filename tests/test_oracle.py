@@ -52,6 +52,49 @@ def test_reused_generator_carries_no_state_between_draws():
     assert np.array_equal(again, first)
 
 
+def test_batches_are_read_only():
+    oracle = GradientOracle("paper-partial", 4, 3, 20)
+    for k in (2, 2, 7):
+        batch = oracle.sample_batch(k)
+        with pytest.raises(ValueError):
+            batch[0] = 0
+
+
+@pytest.mark.parametrize("ks", [(5, 5), (5, 3, 5), (3, 5, 3)])
+def test_repeated_draws_match_fresh_oracles(ks):
+    oracle = GradientOracle("paper-partial", 5, 26, 50)
+    for k in ks:
+        fresh = GradientOracle("paper-partial", 5, 26, 50).sample_batch(k)
+        assert np.array_equal(oracle.sample_batch(k), fresh)
+        assert np.array_equal(oracle.sample_batch(k),
+                              _fresh_generator_batch(26, 50, 5, k))
+
+
+def test_out_of_range_index_is_rejected_after_a_repeated_draw():
+    oracle = GradientOracle("paper-partial", 3, 0, 8)
+    oracle.sample_batch(4)
+    oracle.sample_batch(4)
+    with pytest.raises(ValueError):
+        oracle.sample_batch(-1)
+    with pytest.raises(ValueError):
+        oracle.sample_batch(1 << 192)
+    assert np.array_equal(oracle.sample_batch(4), _fresh_generator_batch(0, 8, 3, 4))
+
+
+@pytest.mark.parametrize("mode", ["paper-partial", "scaled-unbiased"])
+def test_grad_estimate_after_estimate_reuses_the_draw(mode):
+    _, _, full, partial = toy_instance()
+    x = np.random.default_rng(4).dirichlet(np.ones(6))
+    oracle = GradientOracle(mode, 3, 17, 8)
+    for k in (0, 1, 1, 9):
+        est = oracle.estimate(full, partial, x, k)
+        again, delta = oracle.grad_estimate(full, partial, x, k)
+        assert np.array_equal(est, again)
+        assert np.array_equal(delta, est - full(x))
+        fresh = GradientOracle(mode, 3, 17, 8).estimate(full, partial, x, k)
+        assert np.array_equal(est, fresh)
+
+
 def test_negative_iteration_index_is_rejected():
     with pytest.raises(ValueError):
         GradientOracle("paper-partial", 3, 0, 8).sample_batch(-1)

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sbpd.bregman import (
     BregmanPoint,
     DomainError,
+    euclidean_divergence,
+    kl_divergence,
     kl_prox_simplex,
     linf_ball_prox,
 )
@@ -19,6 +23,7 @@ from sbpd.solver import (
     SaddleProblem,
     StepSchedule,
     asymptotic_residual,
+    certificate_holds,
     default_step_sizes,
     ergodic_rate_constant,
     estimate_inequality_terms,
@@ -291,6 +296,112 @@ def test_reference_evaluator_shares_parts_and_carries_energy():
             assert evaluator.certificate(w_k, w_n, gap, e_k=prev_e) == fresh
         prev_e = fresh[2]
         state = new
+
+
+def _energy_of(evaluator, w):
+    # the energy against w is the e_next of a certificate that ends at w
+    return evaluator.certificate(w, w, 0.0, e_k=0.0)[2]
+
+
+def _energy_by_definition(problem, schedule, ref, point, mu):
+    x_ref, mu_ref = ref
+    dp = kl_divergence(x_ref, point)
+    dd = euclidean_divergence(mu_ref, mu)
+    cross = float(problem.coupling.apply(x_ref - point.coords) @ (mu_ref - mu))
+    terms = (dp / schedule.lam, dd / schedule.nu, cross)
+    return terms[0] + terms[1] - terms[2], 1.0 + max(abs(t) for t in terms)
+
+
+def _energy_cases(rng, n):
+    """(reference, point, mu) triples: references on the simplex, some with
+    exact zeros, and points with log coordinates (some underflowing to 0)
+    or plain arrays."""
+    refs = list(feasible_refs(rng, n, 1.0, 4))
+    zeros = rng.dirichlet(np.ones(n))
+    zeros[[0, n // 2]] = 0.0
+    refs.append((zeros / zeros.sum(), rng.uniform(-1.0, 1.0, n - 1)))
+    points = []
+    for _ in range(3):
+        logs = np.log(rng.dirichlet(np.ones(n)))
+        points.append(BregmanPoint(np.exp(logs), logs))
+    logs = rng.uniform(-3.0, 0.0, n)
+    logs[[1, n - 1]] = [-800.0, -760.0]  # exp underflows to exactly 0
+    logs -= np.log(np.exp(logs).sum())
+    points.append(BregmanPoint(np.exp(logs), logs))
+    points.append(rng.dirichlet(np.ones(n)))
+    for ref in refs:
+        for point in points:
+            yield ref, point, rng.uniform(-1.0, 1.0, n - 1)
+
+
+def test_evaluator_energy_matches_its_definition():
+    problem, schedule, _ = tv_problem(7, 9, seed=3)
+    rng = np.random.default_rng(5)
+    cases = list(_energy_cases(rng, 7))
+    assert any(np.any(p.coords == 0.0) for _, p, _ in cases
+               if isinstance(p, BregmanPoint))
+    for ref, point, mu in cases:
+        evaluator = ReferenceEvaluator(problem, schedule, ref)
+        bp = point if isinstance(point, BregmanPoint) else BregmanPoint(point)
+        expected, scale = _energy_by_definition(problem, schedule, ref, bp, mu)
+        assert abs(_energy_of(evaluator, (point, mu)) - expected) <= 1e-13 * scale
+
+
+def test_evaluator_energy_kl_term_is_kl_divergence_bitwise():
+    # with T = 0, mu = mu_ref and lam = 1 the energy is the KL term alone
+    problem, _, _ = tv_problem(7, 9, seed=3)
+    problem = dataclasses.replace(problem, coupling=LinearMap(np.zeros((6, 7))))
+    schedule = StepSchedule(1.0, 1.0)
+    rng = np.random.default_rng(6)
+    for ref, point, _ in _energy_cases(rng, 7):
+        evaluator = ReferenceEvaluator(problem, schedule, ref)
+        bp = point if isinstance(point, BregmanPoint) else BregmanPoint(point)
+        assert _energy_of(evaluator, (point, ref[1])) == kl_divergence(ref[0], bp)
+
+
+def test_evaluator_energy_rejects_bad_points():
+    problem, schedule, state = tv_problem(5, 5, seed=10)
+    evaluator = ReferenceEvaluator(problem, schedule, (state.x.coords, np.zeros(4)))
+    short = BregmanPoint.from_positive_coords(np.full(4, 0.25))
+    with pytest.raises(ShapeError):
+        _energy_of(evaluator, (short, np.zeros(4)))
+    with pytest.raises(ShapeError):
+        _energy_of(evaluator, (np.full(4, 0.25), np.zeros(4)))
+    with pytest.raises(ShapeError):
+        _energy_of(evaluator, (state.x, np.zeros(3)))
+    # a boundary point without log coordinates
+    with pytest.raises(DomainError):
+        _energy_of(evaluator, (np.array([0.0, 0.25, 0.25, 0.25, 0.25]), np.zeros(4)))
+
+
+def _count_applies(problem):
+    calls = []
+    apply = problem.coupling.apply
+
+    def counted(x):
+        calls.append(1)
+        return apply(x)
+
+    problem.coupling.apply = counted
+    return calls
+
+
+def test_certificate_applies_the_coupling_once_per_point():
+    problem, schedule, state = tv_problem(6, 8, seed=4)
+    ref = next(iter(feasible_refs(np.random.default_rng(2), 6, 1.0, 1)))
+    new = sbpd_step(problem, schedule, state)
+    calls = _count_applies(problem)
+    estimate_inequality_terms(problem, schedule, (state.x, state.mu),
+                              (new.x, new.mu), ref)
+    # T x_ref, T x_next (shared by the gap and the cross term), T x_k
+    assert len(calls) == 3
+
+
+def test_certificate_holds_up_to_the_relative_tolerance():
+    assert certificate_holds(0.0, 1.0)
+    assert certificate_holds(-1e-8 * 3.0, 3.0)
+    assert not certificate_holds(-1.01e-8 * 3.0, 3.0)
+    assert not certificate_holds(float("nan"), 1.0)
 
 
 def test_ergodic_rate_constant_nonnegative_and_hand_value():
