@@ -165,7 +165,7 @@ def kl_prox_simplex(x, v, lam):
     -------
     BregmanPoint
     """
-    if lam <= 0:
+    if not lam > 0:  # not lam <= 0, which a NaN passes
         raise ValueError("step size must be positive")
     if x.log_coords is None:
         raise DomainError("kl_prox_simplex needs a point with log coordinates")
@@ -183,9 +183,9 @@ def linf_ball_prox(mu, v, nu, beta):
     The step path calls this on every iteration, so ``mu`` and ``v`` are not
     checked: they must be finite vectors of one length.
     """
-    if nu <= 0:
+    if not nu > 0:  # not nu <= 0 and beta < 0, which a NaN passes
         raise ValueError("step size must be positive")
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("ball radius must be nonnegative")
     mu = np.asarray(mu, dtype=np.float64)
     return np.clip(mu - nu * np.asarray(v, dtype=np.float64), -beta, beta)

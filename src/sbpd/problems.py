@@ -514,10 +514,10 @@ def compute_reference(problem, budget, seed, cache_dir=None):
 
     schedule = problem.default_schedule()
     state = initial_state(x0, mu0)
-    last = {"residual": np.inf}
+    last = []
 
     def track(prev, new):
-        last["residual"] = asymptotic_residual(prev, new)
+        last[:] = prev, new
         return False
 
     state = run(saddle, schedule, state, budget, callback=track)
@@ -525,7 +525,7 @@ def compute_reference(problem, budget, seed, cache_dir=None):
     ref = ReferenceSolution(
         x_star=state.x.coords.copy(),
         mu_star=state.mu.copy(),
-        ref_tol=float(last["residual"] * scale),
+        ref_tol=float(asymptotic_residual(*last) * scale),
         config_hash=config_hash,
         iterations=int(budget),
     )

@@ -383,6 +383,27 @@ def ergodic_rate_constant(problem, schedule, w_ref, w0):
     return float(_energy_between(problem, schedule, w_ref, w0))
 
 
+# (problem, schedule, reference key, evaluator) of the last
+# estimate_inequality_terms call; at module level, because an evaluator kept
+# on the problem would form a reference cycle through it
+_last_evaluator = (None, None, None, None)
+
+
+def _memo_evaluator(problem, schedule, w_ref):
+    global _last_evaluator
+    x_ref, mu_ref = w_ref
+    x_ref = np.asarray(x_ref.coords if isinstance(x_ref, BregmanPoint) else x_ref,
+                       dtype=np.float64)
+    mu_ref = np.asarray(mu_ref, dtype=np.float64)
+    key = (x_ref.shape, x_ref.tobytes(), mu_ref.shape, mu_ref.tobytes())
+    last_problem, last_schedule, last_key, evaluator = _last_evaluator
+    if last_problem is problem and last_schedule == schedule and last_key == key:
+        return evaluator
+    evaluator = ReferenceEvaluator(problem, schedule, (x_ref.copy(), mu_ref.copy()))
+    _last_evaluator = (problem, schedule, key, evaluator)
+    return evaluator
+
+
 def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
                               k=0, primal_delta=None):
     """Slack and magnitude scale of the per-iteration energy inequality.
@@ -397,10 +418,19 @@ def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
     mu - mu_j>. Returns ``(slack, scale)`` with slack = RHS - LHS and scale
     = 1 + the largest term magnitude; nonnegative slack up to roundoff is
     the certified behavior. ``k`` is the index of ``w_k``; with constant
-    steps the inequality does not depend on it. A one-shot
-    ``ReferenceEvaluator``: only ``w_ref`` is checked for feasibility.
+    steps the inequality does not depend on it. Only ``w_ref`` is checked
+    for feasibility.
+
+    Callers certify many steps against one reference, so the
+    ``ReferenceEvaluator`` of the last call is kept in a one-entry memo,
+    keyed by the problem's identity, the schedule's value and the float64
+    bytes and shapes of ``x_ref`` and ``mu_ref``. A miss builds it, with
+    every check, from private copies of the reference, so a reference
+    changed in place misses and is checked again. Threads share the memo:
+    that is safe, but threads that certify against different references
+    evict each other's entry.
     """
-    evaluator = ReferenceEvaluator(problem, schedule, w_ref)
+    evaluator = _memo_evaluator(problem, schedule, w_ref)
     gap, parts = evaluator.gap(w_next, check=False)
     slack, scale, _ = evaluator.certificate(
         w_k, w_next, gap, primal_delta=primal_delta, parts=parts)

@@ -206,6 +206,13 @@ def test_kl_prox_parameter_errors():
         kl_prox_simplex(BregmanPoint.from_coords([0.5, 0.5]), [0.0, 0.0], 1.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, -np.inf])
+def test_kl_prox_rejects_a_nan_or_infinite_step_size(lam):
+    x = BregmanPoint.from_positive_coords([0.5, 0.5])
+    with pytest.raises(ValueError, match="step size must be positive"):
+        kl_prox_simplex(x, [0.0, 0.0], lam)
+
+
 # ------------------------------------------------------------- ball prox
 
 def test_ball_prox_interior_identity():
@@ -240,6 +247,16 @@ def test_ball_prox_parameter_errors():
         linf_ball_prox([0.0], [0.0], -1.0, 1.0)
     with pytest.raises(ValueError):
         linf_ball_prox([0.0], [0.0], 1.0, -0.5)
+
+
+@pytest.mark.parametrize("nu, beta, message", [
+    (np.nan, 1.0, "step size must be positive"),
+    (1.0, np.nan, "ball radius must be nonnegative"),
+    (np.nan, np.nan, "step size must be positive"),
+])
+def test_ball_prox_rejects_nan_parameters(nu, beta, message):
+    with pytest.raises(ValueError, match=message):
+        linf_ball_prox([0.0], [0.0], nu, beta)
 
 
 # ---------------------------------------------------------------- pinsker

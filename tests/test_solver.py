@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from sbpd.linalg import (
     operator_norm,
 )
 from sbpd.oracle import GradientOracle
+from sbpd.problems import build_ot_inverse
 from sbpd.solver import (
     ReferenceEvaluator,
     SaddleProblem,
@@ -395,6 +398,101 @@ def test_certificate_applies_the_coupling_once_per_point():
                               (new.x, new.mu), ref)
     # T x_ref, T x_next (shared by the gap and the cross term), T x_k
     assert len(calls) == 3
+
+
+def _memo_case(name):
+    """(problem, schedule, state, reference, oracle) of one memo test case."""
+    if name == "ot-inverse":
+        ot = build_ot_inverse(12, seed=3)
+        x0, mu0 = ot.initial_point()
+        rng = np.random.default_rng(4)
+        mu_ref = np.concatenate([rng.uniform(-1.0, 1.0, 12),
+                                 rng.uniform(-ot.beta, ot.beta, 11)])
+        return (ot.saddle_problem(), ot.default_schedule(),
+                initial_state(x0, mu0), (rng.dirichlet(np.ones(12)), mu_ref), None)
+    problem, schedule, state = tv_problem(6, 8, seed=7)
+    ref = next(iter(feasible_refs(np.random.default_rng(1), 6, 1.0, 1)))
+    oracle = GradientOracle("paper-partial", 3, 11, 8) if name == "tv-delta" else None
+    return problem, schedule, state, ref, oracle
+
+
+@pytest.mark.parametrize("name", ["tv-exact", "tv-delta", "ot-inverse"])
+def test_estimate_inequality_memo_hit_matches_a_fresh_evaluator(name):
+    problem, schedule, state, ref, oracle = _memo_case(name)
+    calls = _count_applies(problem)
+    for step in range(30):
+        delta = None
+        if oracle is not None:
+            _, delta = oracle.grad_estimate(
+                problem.f_grad, problem.f_partial_grad, state.x.coords, state.k)
+        new = sbpd_step(problem, schedule, state, oracle)
+        w_k, w_n = (state.x, state.mu), (new.x, new.mu)
+        del calls[:]
+        terms = estimate_inequality_terms(problem, schedule, w_k, w_n, ref,
+                                          primal_delta=delta)
+        # the first call builds the evaluator (T x_ref); later calls hit
+        assert len(calls) == (3 if step == 0 else 2)
+        fresh = ReferenceEvaluator(problem, schedule, ref)
+        gap, parts = fresh.gap(w_n, check=False)
+        expected = fresh.certificate(w_k, w_n, gap, primal_delta=delta,
+                                     parts=parts)[:2]
+        assert terms == expected
+        assert certificate_holds(*terms)
+        state = new
+
+
+def test_estimate_inequality_memo_rechecks_a_reference_changed_in_place():
+    problem, schedule, state = tv_problem(5, 5, seed=8)
+    new = sbpd_step(problem, schedule, state)
+    x_ref, mu_ref = state.x.coords.copy(), np.zeros(4)
+    args = (problem, schedule, (state.x, state.mu), (new.x, new.mu))
+    first = estimate_inequality_terms(*args, (x_ref, mu_ref))
+    x_ref[:] = 0.3  # off the simplex
+    with pytest.raises(DomainError, match="primal part of w_ref"):
+        estimate_inequality_terms(*args, (x_ref, mu_ref))
+    # the memo kept its own copy of the reference it checked
+    assert estimate_inequality_terms(
+        *args, (state.x.coords.copy(), np.zeros(4))) == first
+    x_ref[:] = state.x.coords
+    mu_ref[0] = 5.0  # outside the dual ball
+    with pytest.raises(DomainError, match="dual part of w_ref"):
+        estimate_inequality_terms(*args, (x_ref, mu_ref))
+
+
+def test_estimate_inequality_memo_misses_on_another_problem_or_schedule():
+    problem, schedule, state = tv_problem(6, 8, seed=4)
+    ref = next(iter(feasible_refs(np.random.default_rng(2), 6, 1.0, 1)))
+    new = sbpd_step(problem, schedule, state)
+    w_k, w_n = (state.x, state.mu), (new.x, new.mu)
+    calls = _count_applies(problem)
+    first = estimate_inequality_terms(problem, schedule, w_k, w_n, ref)
+    # an equal schedule and a copy of the reference hit
+    estimate_inequality_terms(problem, StepSchedule(schedule.lam, schedule.nu),
+                              w_k, w_n, (ref[0].copy(), ref[1].copy()))
+    assert len(calls) == 3 + 2
+    twin = dataclasses.replace(problem)
+    assert estimate_inequality_terms(twin, schedule, w_k, w_n, ref) == first
+    assert len(calls) == 5 + 3
+    halved = StepSchedule(schedule.lam / 2, schedule.nu)
+    terms = estimate_inequality_terms(twin, halved, w_k, w_n, ref)
+    assert len(calls) == 8 + 3
+    fresh = ReferenceEvaluator(twin, halved, ref)
+    assert terms == fresh.certificate(w_k, w_n, fresh.gap(w_n)[0])[:2] != first
+
+
+def test_estimate_inequality_memo_keeps_at_most_one_problem_alive():
+    problem, schedule, state = tv_problem(5, 5, seed=9)
+    ref = (state.x.coords, np.zeros(4))
+    w = (state.x, state.mu)
+    estimate_inequality_terms(problem, schedule, w, w, ref)
+    old = weakref.ref(problem)
+    del problem
+    gc.collect()
+    assert old() is not None  # the memo holds the last problem
+    other, _, _ = tv_problem(5, 5, seed=10)
+    estimate_inequality_terms(other, schedule, w, w, ref)
+    gc.collect()
+    assert old() is None
 
 
 def test_certificate_holds_up_to_the_relative_tolerance():
