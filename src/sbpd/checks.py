@@ -359,15 +359,14 @@ def _check_estimate_inequality(level):
         x_ref = rng.dirichlet(np.ones(8))
         mu_ref = rng.uniform(-1.0, 1.0, 7) * problem.beta
         refs.append((x_ref, mu_ref))
-    terms = []
-
-    def certify(prev, new):
-        terms.extend(estimate_inequality_terms(
-            saddle, schedule, (prev.x, prev.mu), (new.x, new.mu), ref)
-            for ref in refs)
-
+    pairs = []
     run(saddle, schedule, initial_state(*problem.initial_point()), iters,
-        callback=certify)
+        callback=lambda prev, new: pairs.append(
+            ((prev.x, prev.mu), (new.x, new.mu))))
+    # references outermost, so the evaluator memo of estimate_inequality_terms
+    # builds one evaluator per reference
+    terms = [estimate_inequality_terms(saddle, schedule, w_k, w_next, ref)
+             for ref in refs for w_k, w_next in pairs]
     return len(terms), sum(1 for slack, scale in terms
                            if not certificate_holds(slack, scale))
 

@@ -484,6 +484,7 @@ def run_phases(config, problem, output_dir):
         },
         "certificate": _certificate_summary(
             [cert for _, certificates in runs for cert in certificates]),
+        "reference_cache": "hit" if reference.from_cache else "miss",
     }
     with open(os.path.join(output_dir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -7,6 +7,7 @@ from sbpd.checks import (
     adjoint_consistency_failures,
     run_check_suite,
 )
+from sbpd import solver
 from sbpd.linalg import LinearMap
 
 
@@ -14,6 +15,22 @@ from sbpd.linalg import LinearMap
 def test_suite_passes_at_full_volume(name):
     result = CheckResult(name, *SUITES[name]("full"))
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("level,references", [("fast", 3), ("full", 5)])
+def test_estimate_inequality_suite_builds_one_evaluator_per_reference(
+        monkeypatch, level, references):
+    init = solver.ReferenceEvaluator.__init__
+    builds = []
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver.ReferenceEvaluator, "__init__", counting_init)
+    samples, failures = SUITES["estimate-inequality"](level)
+    assert (samples, failures) == ({"fast": 30, "full": 500}[level], 0)
+    assert len(builds) <= references
 
 
 def test_fast_battery_passes():

@@ -588,6 +588,23 @@ def test_meta_certificate_of_the_rerun_config(tmp_path):
                                              ["run_000.csv", "run_001.csv"])
 
 
+def test_meta_reference_cache_reads_miss_then_hit(tmp_path):
+    # the rerun in the same directory reads the checked reference file; a
+    # file that fails its checks is recomputed, and reads as a miss
+    config = _tiny_config(tmp_path)
+    out = tmp_path / "out"
+    metas = []
+    for _ in range(2):
+        assert run_experiment(config, log=lambda s: None) == 0
+        metas.append(json.loads((out / "meta.json").read_text()))
+    assert [m.pop("reference_cache") for m in metas] == ["miss", "hit"]
+    assert metas[0] == metas[1]
+    (ref_file,) = out.glob("reference_*.json")
+    ref_file.write_text("{}")
+    assert run_experiment(config, log=lambda s: None) == 0
+    assert json.loads((out / "meta.json").read_text())["reference_cache"] == "miss"
+
+
 def test_meta_certificate_counts_a_violation_and_exits_0(tmp_path, monkeypatch):
     certificate = experiment.ReferenceEvaluator.certificate
     broken = []

@@ -220,6 +220,90 @@ def test_semidual_kernel_is_column_shifted():
     assert np.array_equal(K0, np.exp(-_grid_cost(12) / 0.7))
 
 
+_TINY = np.finfo(np.float64).tiny
+
+
+def _exact_kernel(C, gamma):
+    c = C.min(axis=0)
+    return np.exp(-(C - c) / gamma), c
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 2.0])
+def test_semidual_kernel_drops_the_entries_below_tiny_e300(gamma):
+    C = build_ot_inverse(108, seed=5, gamma=gamma).C
+    K, c = semidual_kernel(C, gamma)
+    exact, exact_c = _exact_kernel(C, gamma)
+    assert np.array_equal(c, exact_c)
+    assert not np.any((K > 0) & (K < _TINY * np.exp(300.0)))
+    assert np.array_equal(K[K > 0], exact[K > 0])
+    assert np.all(exact[K == 0] < 2.0 * _TINY * np.exp(300.0))
+    assert np.array_equal(K.max(axis=0), np.ones(108))
+    # the exact kernel of the benchmark size has a subnormal tail
+    if gamma == 1.0:
+        assert np.count_nonzero((exact > 0) & (exact < _TINY)) == 140
+
+
+def _tau_with_spread(rng, n, spread, gamma):
+    tau = rng.uniform(0.0, 1.0, n)
+    return (tau - tau.min()) / (tau.max() - tau.min()) * spread * gamma
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_semidual_is_bitwise_that_of_the_exact_kernel(gamma):
+    flushed = build_ot_inverse(108, seed=5, gamma=gamma)
+    exact = build_ot_inverse(108, seed=5, gamma=gamma)
+    exact.__dict__["kernel"] = _exact_kernel(exact.C, gamma)
+    assert not np.array_equal(flushed.kernel[0], exact.kernel[0])
+    rng = np.random.default_rng(24)
+    for spread in (1.0, 20.0, 100.0, 299.0):
+        for _ in range(5):
+            tau = _tau_with_spread(rng, 108, spread, gamma)
+            mu = np.concatenate([tau, np.zeros(107)])
+            assert flushed.h_star_value(mu) == exact.h_star_value(mu)
+            assert np.array_equal(flushed.h_star_grad(mu), exact.h_star_grad(mu))
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_kernel_products_are_normal_at_the_kernel_bound(gamma):
+    # the products u_i K_ij of s = u K, at a spread just under 300
+    C = _grid_cost(108)
+    K, _ = semidual_kernel(C, gamma)
+    tau = _tau_with_spread(np.random.default_rng(25), 108,
+                           300.0 * (1.0 - 1e-9), gamma)
+    u = np.exp((tau - tau.max()) / gamma)
+    products = np.outer(u, K)
+    assert products[products > 0].min() >= _TINY
+
+
+def test_ot_inverse_iterates_are_bitwise_those_of_the_exact_kernel():
+    states = []
+    for flush in (True, False):
+        p = build_ot_inverse(108, seed=5)
+        if not flush:
+            p.__dict__["kernel"] = _exact_kernel(p.C, p.gamma)
+        state = run(p.saddle_problem(), p.default_schedule(),
+                    initial_state(*p.initial_point()), 500)
+        states.append([state.x.coords, state.mu, state.x_bar, state.mu_bar])
+    for flushed, exact in zip(*states):
+        assert flushed.tobytes() == exact.tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_ot_dual_prox_is_bitwise_the_clipped_step(beta):
+    n = 8
+    p = build_ot_inverse(n, seed=2, beta=beta)
+    special = [np.nan, -np.nan, 0.0, -0.0, 0.5, -0.5, np.inf, -np.inf,
+               1.5, -1.5, 5e-324, -5e-324]
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        mu = rng.choice(special + list(rng.standard_normal(6)), 2 * n - 1)
+        v = rng.choice([0.0, -0.0, 1.0, -2.0], 2 * n - 1)
+        nu = float(rng.choice([0.5, 1.0]))
+        old = mu - nu * v
+        old[n:] = np.clip(old[n:], -beta, beta)
+        assert p.dual_prox(mu, v, nu).tobytes() == old.tobytes()
+
+
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf"),
                                    0.0, -1.0])
 def test_semidual_rejects_bad_gamma(gamma):
@@ -496,6 +580,7 @@ def test_reference_cache_round_trip(tmp_path):
     assert np.array_equal(ref1.x_star, ref2.x_star)
     assert np.array_equal(ref1.mu_star, ref2.mu_star)
     assert ref1.ref_tol == ref2.ref_tol
+    assert (ref1.from_cache, ref2.from_cache) == (False, True)
 
 
 def test_reference_feasible_and_converged(tmp_path):
