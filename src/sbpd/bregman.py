@@ -60,10 +60,6 @@ class BregmanPoint:
             raise DomainError("log coordinates need strictly positive entries")
         return BregmanPoint(x, np.log(x))
 
-    @property
-    def dimension(self):
-        return self.coords.shape[0]
-
 
 def kl_divergence(x, y):
     """D_KL(x, y) = sum x log(x/y) - x + y, with 0 log 0 = 0.
@@ -187,8 +183,16 @@ def linf_ball_prox(mu, v, nu, beta):
         raise ValueError("step size must be positive")
     if not beta >= 0:
         raise ValueError("ball radius must be nonnegative")
-    mu = np.asarray(mu, dtype=np.float64)
-    return np.clip(mu - nu * np.asarray(v, dtype=np.float64), -beta, beta)
+    return _clamp(mu - nu * np.asarray(v, dtype=np.float64), beta)
+
+
+def _clamp(v, beta):
+    # np.clip(v, -beta, beta) in place and bitwise: the bound goes first, as
+    # np.maximum and np.minimum return their first argument on a tie (+0
+    # against -0) and np.clip the bound
+    np.maximum(-beta, v, out=v)
+    np.minimum(beta, v, out=v)
+    return v
 
 
 def simplex_violation(x, name="x"):

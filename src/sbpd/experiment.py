@@ -317,20 +317,15 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
     """One measured-phase run; returns its logged records and certificates.
 
     Each logged row evaluates the Lagrangian parts of its two points once;
-    the row's gap and T x are the certificate's gap term and cross term,
-    and a certified row hands its energy to the next row when that row
-    certifies the following step. The certificates are the ``(slack,
-    scale)`` pairs of the certified rows.
+    the row's gap and T x are the certificate's gap term and cross term.
+    The certificates are the ``(slack, scale)`` pairs of the certified rows.
     """
     evaluator = ReferenceEvaluator(saddle, schedule, reference.w_star)
     records = []
     certificates = []
-    stop_count = 0
-    carried = (None, None)  # (k, energy against the state at k)
     t0 = time.perf_counter_ns()
 
     def observe(prev, state):
-        nonlocal stop_count, carried
         if not should_log(state.k, final=iterations):
             return False
         w = (state.x, state.mu)
@@ -341,12 +336,8 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
             if oracle is not None and not oracle.is_exact:
                 _, delta = oracle.grad_estimate(
                     saddle.f_grad, saddle.f_partial_grad, prev.x.coords, prev.k)
-            k_carried, e_carried = carried
-            slack, scale, e_next = evaluator.certificate(
-                (prev.x, prev.mu), w, gap,
-                e_k=e_carried if k_carried == prev.k else None,
-                primal_delta=delta, parts=parts)
-            carried = (state.k, e_next)
+            slack, scale = evaluator.certificate(
+                (prev.x, prev.mu), w, gap, primal_delta=delta, parts=parts)
             certificates.append((slack, scale))
         records.append(TraceRecord(
             k=state.k,
@@ -360,8 +351,8 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
         ))
         if config.stop_gap is None:
             return False
-        stop_count = stop_count + 1 if records[-1].gap_pointwise < config.stop_gap else 0
-        return stop_count >= 100
+        tail = records[-100:]
+        return len(tail) == 100 and all(r.gap_pointwise < config.stop_gap for r in tail)
 
     run(saddle, schedule, initial_state(*problem.initial_point()), iterations,
         oracle, observe)

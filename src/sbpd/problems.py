@@ -42,6 +42,7 @@ import numpy as np
 from .bregman import (
     BregmanPoint,
     DomainError,
+    _clamp,
     kl_prox_simplex,
     linf_ball_prox,
     simplex_violation,
@@ -353,27 +354,19 @@ class OTInverseProblem:
     def kernel(self):
         return semidual_kernel(self.C, self.gamma)
 
-    def split_dual(self, mu):
-        return mu[:self.n], mu[self.n:]
-
     def h_star_value(self, mu):
-        return _semidual(self.split_dual(mu)[0], self.theta, self.C,
+        return _semidual(mu[:self.n], self.theta, self.C,
                          self.gamma, self.kernel, grad=False)[0]
 
     def h_star_grad(self, mu):
-        grad = _semidual(self.split_dual(mu)[0], self.theta, self.C,
+        grad = _semidual(mu[:self.n], self.theta, self.C,
                          self.gamma, self.kernel, value=False)[1]
         return np.concatenate([grad, np.zeros(self.n - 1)])
 
     def dual_prox(self, mu, v, nu):
-        # plain gradient step on tau, clipped step on the ball-constrained
-        # zeta, in place; the bound goes first because np.maximum and
-        # np.minimum return their first argument on a tie (+0 against -0),
-        # and np.clip the bound, so the result is bitwise np.clip's
+        # plain gradient step on tau, clamped step on the ball-constrained zeta
         out = mu - nu * v
-        zeta = out[self.n:]
-        np.maximum(-self.beta, zeta, out=zeta)
-        np.minimum(self.beta, zeta, out=zeta)
+        _clamp(out[self.n:], self.beta)
         return out
 
     def saddle_problem(self):

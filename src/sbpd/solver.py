@@ -236,6 +236,17 @@ def _as_point(x):
     return x if isinstance(x, BregmanPoint) else BregmanPoint.from_coords(x)
 
 
+def _state_key(x, mu):
+    log_x = None
+    if isinstance(x, BregmanPoint):
+        x, log_x = x.coords, x.log_coords
+    key = []
+    for a in (x, log_x, mu):
+        a = None if a is None else np.asarray(a, np.float64)
+        key.append(None if a is None else (a.shape, a.tobytes()))
+    return tuple(key)
+
+
 def _check_feasible(problem, x_coords, mu, label):
     if not problem.primal_feasible(x_coords):
         raise DomainError(f"primal part of {label} violates its constraints")
@@ -282,23 +293,24 @@ def _energy(schedule, ref, point, mu, Tx):
 class ReferenceEvaluator:
     """Lagrangian gaps and energy-inequality certificates against one reference.
 
-    Built once per reference ``w_ref``: it checks that ``w_ref`` is feasible
-    and evaluates the reference's parts f(x_ref), T x_ref and h*(mu_ref)
-    once. ``gap`` evaluates a point's parts once and returns them with the
-    gap, so the point's own Lagrangian and the certificate's gap term and
-    cross term reuse them. The reference side of the certificate's energy
-    (log x_ref and sum x_ref) is evaluated on the first certificate.
-    ``schedule`` is needed only by ``certificate``.
+    Built once per reference ``w_ref``, from private copies: it checks that
+    ``w_ref`` is feasible and evaluates the reference's parts f(x_ref),
+    T x_ref and h*(mu_ref) once. ``gap`` evaluates a point's parts once and
+    returns them with the gap, so the point's own Lagrangian and the
+    certificate's gap term and cross term reuse them. The reference side of
+    the certificate's energy (log x_ref and sum x_ref) is evaluated on the
+    first certificate. ``schedule`` is needed only by ``certificate``.
     """
 
     def __init__(self, problem, schedule, w_ref):
         x_ref, mu_ref = w_ref
         self.problem = problem
         self.schedule = schedule
-        self.x_ref = _as_point(x_ref).coords
-        self.mu_ref = np.asarray(mu_ref, dtype=np.float64)
+        self.x_ref = np.array(_as_point(x_ref).coords)
+        self.mu_ref = np.array(mu_ref, dtype=np.float64)
         _check_feasible(problem, self.x_ref, self.mu_ref, "w_ref")
         self.ref = problem.parts(self.x_ref, self.mu_ref)
+        self._carry = (None, None)  # (key of the last w_next, its energy)
 
     @functools.cached_property
     def _energy_ref(self):
@@ -332,25 +344,29 @@ class ReferenceEvaluator:
         return _energy(self.schedule, self._energy_ref, point,
                        np.asarray(mu, dtype=np.float64), Tx)
 
-    def certificate(self, w_k, w_next, gap, e_k=None, primal_delta=None,
-                    parts=None):
-        """``(slack, scale, e_next)`` of the step from ``w_k`` to ``w_next``.
+    def certificate(self, w_k, w_next, gap, primal_delta=None, parts=None):
+        """``(slack, scale)`` of the step from ``w_k`` to ``w_next``.
 
         ``gap`` is the gap of ``w_next`` and ``parts`` its parts, as ``gap``
-        returns them; without ``parts``, T x_next is applied here. ``e_k``
-        is the energy against ``w_k``: pass the ``e_next`` of the step that
-        ended at ``w_k`` to reuse it, or ``None`` to evaluate it here.
+        returns them; without ``parts``, T x_next is applied here. E_{k+1}
+        is kept for the next step under the key of ``w_next``, the shapes and
+        float64 bytes of x, of log x (``None`` without) and of mu. A ``w_k``
+        with another key has E_k evaluated, so no result depends on the call
+        order. Threads may share the carry: each reads a consistent (key,
+        energy) pair, and threads on different states only lose the reuse.
         """
-        if e_k is None:
+        carried_key, e_k = self._carry
+        if _state_key(*w_k) != carried_key:
             e_k = self._energy(w_k)
         e_next = self._energy(w_next, parts)
+        self._carry = (_state_key(*w_next), e_next)
         noise = 0.0
         if primal_delta is not None:
             x_n = _as_point(w_next[0]).coords
             noise += float(np.asarray(primal_delta) @ (self.x_ref - x_n))
         slack = e_k + noise - gap - e_next
         scale = 1.0 + max(abs(e_k), abs(e_next), abs(gap), abs(noise))
-        return float(slack), float(scale), e_next
+        return float(slack), float(scale)
 
 
 def lagrangian_gap(problem, w, w_ref):
@@ -391,15 +407,11 @@ _last_evaluator = (None, None, None, None)
 
 def _memo_evaluator(problem, schedule, w_ref):
     global _last_evaluator
-    x_ref, mu_ref = w_ref
-    x_ref = np.asarray(x_ref.coords if isinstance(x_ref, BregmanPoint) else x_ref,
-                       dtype=np.float64)
-    mu_ref = np.asarray(mu_ref, dtype=np.float64)
-    key = (x_ref.shape, x_ref.tobytes(), mu_ref.shape, mu_ref.tobytes())
+    key = _state_key(*w_ref)
     last_problem, last_schedule, last_key, evaluator = _last_evaluator
     if last_problem is problem and last_schedule == schedule and last_key == key:
         return evaluator
-    evaluator = ReferenceEvaluator(problem, schedule, (x_ref.copy(), mu_ref.copy()))
+    evaluator = ReferenceEvaluator(problem, schedule, w_ref)
     _last_evaluator = (problem, schedule, key, evaluator)
     return evaluator
 
@@ -423,18 +435,18 @@ def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
 
     Callers certify many steps against one reference, so the
     ``ReferenceEvaluator`` of the last call is kept in a one-entry memo,
-    keyed by the problem's identity, the schedule's value and the float64
-    bytes and shapes of ``x_ref`` and ``mu_ref``. A miss builds it, with
-    every check, from private copies of the reference, so a reference
-    changed in place misses and is checked again. Threads share the memo:
-    that is safe, but threads that certify against different references
-    evict each other's entry.
+    keyed by the problem's identity, the schedule's value and the shapes and
+    float64 bytes of ``w_ref``. A miss builds it, with every check, from
+    private copies of the reference, so a reference changed in place misses
+    and is checked again. The evaluator carries E_{k+1} into the next call
+    under the key of ``w_next`` (``ReferenceEvaluator.certificate``). Threads
+    share the memo and the carry safely, but threads on different references
+    evict each other's entry, and threads on different states lose the reuse.
     """
     evaluator = _memo_evaluator(problem, schedule, w_ref)
     gap, parts = evaluator.gap(w_next, check=False)
-    slack, scale, _ = evaluator.certificate(
-        w_k, w_next, gap, primal_delta=primal_delta, parts=parts)
-    return slack, scale
+    return evaluator.certificate(w_k, w_next, gap, primal_delta=primal_delta,
+                                 parts=parts)
 
 
 def certificate_holds(slack, scale):

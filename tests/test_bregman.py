@@ -242,6 +242,20 @@ def test_ball_prox_against_1d_grid():
         assert np.abs(out).max() <= beta
 
 
+@pytest.mark.parametrize("beta", [0.0, -0.0, 0.5, 1.0, np.inf])
+def test_ball_prox_is_bitwise_the_clipped_step(beta):
+    # the in-place clamp keeps np.clip's NaNs and its sign of zero on ties
+    special = [np.nan, -np.nan, 0.0, -0.0, 0.5, -0.5, np.inf, -np.inf,
+               1.5, -1.5, 5e-324, -5e-324]
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        mu = rng.choice(special + list(rng.standard_normal(6)), 15)
+        v = rng.choice([0.0, -0.0, 1.0, -2.0], 15)
+        nu = float(rng.choice([0.5, 1.0]))
+        expected = np.clip(mu - nu * v, -beta, beta)
+        assert linf_ball_prox(mu, v, nu, beta).tobytes() == expected.tobytes()
+
+
 def test_ball_prox_parameter_errors():
     with pytest.raises(ValueError):
         linf_ball_prox([0.0], [0.0], -1.0, 1.0)

@@ -610,11 +610,11 @@ def test_meta_certificate_counts_a_violation_and_exits_0(tmp_path, monkeypatch):
     broken = []
 
     def breaks_the_first_two(self, w_k, w_next, gap, **kwargs):
-        slack, scale, e_next = certificate(self, w_k, w_next, gap, **kwargs)
+        slack, scale = certificate(self, w_k, w_next, gap, **kwargs)
         if len(broken) < 2:
             broken.append(slack)
             slack = -1e-6 * scale
-        return slack, scale, e_next
+        return slack, scale
 
     monkeypatch.setattr(experiment.ReferenceEvaluator, "certificate",
                         breaks_the_first_two)

@@ -284,7 +284,6 @@ def test_reference_evaluator_shares_parts_and_carries_energy():
     rng = np.random.default_rng(2)
     ref = next(iter(feasible_refs(rng, 6, 1.0, 1)))
     evaluator = ReferenceEvaluator(problem, schedule, ref)
-    prev_e = None
     for _ in range(20):
         new = sbpd_step(problem, schedule, state)
         w_k, w_n = (state.x, state.mu), (new.x, new.mu)
@@ -293,17 +292,77 @@ def test_reference_evaluator_shares_parts_and_carries_energy():
         assert evaluator.lagrangian(parts) == problem.lagrangian_eval(
             new.x.coords, new.mu)
         expected = estimate_inequality_terms(problem, schedule, w_k, w_n, ref)
-        fresh = evaluator.certificate(w_k, w_n, gap)
-        assert fresh[:2] == expected
-        if prev_e is not None:
-            assert evaluator.certificate(w_k, w_n, gap, e_k=prev_e) == fresh
-        prev_e = fresh[2]
+        fresh = ReferenceEvaluator(problem, schedule, ref)
+        # consecutive certificates carry the energy, a fresh evaluator
+        # evaluates it
+        assert evaluator.certificate(w_k, w_n, gap, parts=parts) == expected
+        assert fresh.certificate(w_k, w_n, gap) == expected
         state = new
 
 
+def _carry_case():
+    """(problem, schedule, reference, five consecutive states (x, mu))."""
+    problem, schedule, state = tv_problem(6, 8, seed=4)
+    ref = next(iter(feasible_refs(np.random.default_rng(2), 6, 1.0, 1)))
+    ws = [(state.x, state.mu)]
+    for _ in range(4):
+        state = sbpd_step(problem, schedule, state)
+        ws.append((state.x, state.mu))
+    return problem, schedule, ref, ws
+
+
+def _certify(evaluator, w_k, w_next):
+    return evaluator.certificate(w_k, w_next, evaluator.gap(w_next, check=False)[0])
+
+
+def _fresh_certificate(problem, schedule, ref, w_k, w_next):
+    return _certify(ReferenceEvaluator(problem, schedule, ref), w_k, w_next)
+
+
+def test_certificate_carries_the_energy_to_the_next_step_only():
+    problem, schedule, ref, ws = _carry_case()
+    evaluator = ReferenceEvaluator(problem, schedule, ref)
+    calls = _count_applies(problem)
+    # step 1 follows step 0; step 3 skips step 2; step 1 comes out of order
+    for k, carried in ((0, False), (1, True), (3, False), (1, False)):
+        expected = _fresh_certificate(problem, schedule, ref, ws[k], ws[k + 1])
+        del calls[:]
+        assert _certify(evaluator, ws[k], ws[k + 1]) == expected
+        # T x_next for the gap and for E_{k+1}, and T x_k unless carried
+        assert len(calls) == (2 if carried else 3)
+
+
+@pytest.mark.parametrize("changed", ["log x", "mu"])
+def test_certificate_recomputes_a_state_changed_in_place(changed):
+    problem, schedule, ref, ws = _carry_case()
+    evaluator = ReferenceEvaluator(problem, schedule, ref)
+    x, mu = ws[1]
+    w1 = (BregmanPoint(x.coords.copy(), x.log_coords.copy()), mu.copy())
+    _certify(evaluator, ws[0], w1)
+    before = evaluator._energy(w1)
+    if changed == "mu":
+        w1[1][0] += 0.25
+    else:
+        w1[0].log_coords[0] -= 0.25
+    assert evaluator._energy(w1) != before
+    expected = _fresh_certificate(problem, schedule, ref, w1, ws[2])
+    assert _certify(evaluator, w1, ws[2]) == expected
+
+
+def test_certificate_recomputes_a_state_without_log_coordinates():
+    problem, schedule, ref, ws = _carry_case()
+    evaluator = ReferenceEvaluator(problem, schedule, ref)
+    _certify(evaluator, ws[0], ws[1])
+    x, mu = ws[1]
+    plain = (x.coords.copy(), mu.copy())
+    expected = _fresh_certificate(problem, schedule, ref, plain, ws[2])
+    calls = _count_applies(problem)
+    assert _certify(evaluator, plain, ws[2]) == expected
+    assert len(calls) == 3
+
+
 def _energy_of(evaluator, w):
-    # the energy against w is the e_next of a certificate that ends at w
-    return evaluator.certificate(w, w, 0.0, e_k=0.0)[2]
+    return evaluator._energy(w)
 
 
 def _energy_by_definition(problem, schedule, ref, point, mu):
@@ -430,12 +489,13 @@ def test_estimate_inequality_memo_hit_matches_a_fresh_evaluator(name):
         del calls[:]
         terms = estimate_inequality_terms(problem, schedule, w_k, w_n, ref,
                                           primal_delta=delta)
-        # the first call builds the evaluator (T x_ref); later calls hit
-        assert len(calls) == (3 if step == 0 else 2)
+        # the first call builds the evaluator (T x_ref) and evaluates E_k
+        # (T x_k); later calls hit and carry E_k from the previous call
+        assert len(calls) == (3 if step == 0 else 1)
         fresh = ReferenceEvaluator(problem, schedule, ref)
         gap, parts = fresh.gap(w_n, check=False)
         expected = fresh.certificate(w_k, w_n, gap, primal_delta=delta,
-                                     parts=parts)[:2]
+                                     parts=parts)
         assert terms == expected
         assert certificate_holds(*terms)
         state = new
@@ -477,7 +537,7 @@ def test_estimate_inequality_memo_misses_on_another_problem_or_schedule():
     terms = estimate_inequality_terms(twin, halved, w_k, w_n, ref)
     assert len(calls) == 8 + 3
     fresh = ReferenceEvaluator(twin, halved, ref)
-    assert terms == fresh.certificate(w_k, w_n, fresh.gap(w_n)[0])[:2] != first
+    assert terms == fresh.certificate(w_k, w_n, fresh.gap(w_n)[0]) != first
 
 
 def test_estimate_inequality_memo_keeps_at_most_one_problem_alive():
