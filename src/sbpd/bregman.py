@@ -144,7 +144,10 @@ def kl_prox_simplex(x, v, lam):
     strictly interior for arbitrarily large drifts.
 
     The step path calls this on every iteration, so ``v`` is not checked:
-    it must be a finite vector of the dimension of ``x``. A non-finite
+    it must be a finite vector of the dimension of ``x``. A stack of points
+    (coordinates of shape (R, n)) takes a stack of drifts and steps each row
+    on its own: the max and the log-sum-exp reduce along the last axis,
+    which gives each row bitwise the result of its vector. A non-finite
     drift leaves non-finite or ``-inf`` log coordinates, which ``run``
     reports.
 
@@ -166,8 +169,12 @@ def kl_prox_simplex(x, v, lam):
     if x.log_coords is None:
         raise DomainError("kl_prox_simplex needs a point with log coordinates")
     z = x.log_coords - lam * np.asarray(v, dtype=np.float64)
-    top = z.max()
-    z = z - (top + np.log(np.exp(z - top).sum()))
+    # a stack keeps the reduced axis to broadcast it; a vector's max and
+    # log-sum-exp stay scalars, whose arithmetic costs less than that of
+    # one-entry arrays
+    keep = z.ndim > 1
+    top = z.max(axis=-1, keepdims=keep)
+    z = z - (top + np.log(np.exp(z - top).sum(axis=-1, keepdims=keep)))
     return BregmanPoint(np.exp(z), z)
 
 

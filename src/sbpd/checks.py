@@ -105,15 +105,24 @@ def _operator_zoo(rng):
 
 
 def adjoint_consistency_failures(op, pairs, seed=0, tol=1e-10):
-    """Count pairs where <op x, y> and <x, op* y> disagree beyond roundoff."""
+    """Count pairs where <op x, y> and <x, op* y> disagree beyond roundoff.
+
+    The pairs go through ``apply`` and ``adjoint_apply`` as one stack of x's
+    and one of y's; a pair also fails when its rows of the stacked products
+    are not bitwise the 1-d products of its x and y.
+    """
     rng = np.random.default_rng(seed)
+    draws = [(rng.standard_normal(op.input_dim), rng.standard_normal(op.output_dim))
+             for _ in range(pairs)]
+    xs = np.array([x for x, _ in draws])
+    ys = np.array([y for _, y in draws])
     failures = 0
-    for _ in range(pairs):
-        x = rng.standard_normal(op.input_dim)
-        y = rng.standard_normal(op.output_dim)
-        lhs = float(op.apply(x) @ y)
-        rhs = float(x @ op.adjoint_apply(y))
-        if abs(lhs - rhs) > tol * (1.0 + abs(lhs)):
+    for x, y, tx, ty in zip(xs, ys, op.apply(xs), op.adjoint_apply(ys)):
+        lhs = float(tx @ y)
+        rhs = float(x @ ty)
+        if (abs(lhs - rhs) > tol * (1.0 + abs(lhs))
+                or tx.tobytes() != op.apply(x).tobytes()
+                or ty.tobytes() != op.adjoint_apply(y).tobytes()):
             failures += 1
     return failures
 
@@ -139,9 +148,14 @@ def _check_linearity(level):
             x = rng.standard_normal(op.input_dim)
             y = rng.standard_normal(op.input_dim)
             a, b = rng.standard_normal(2)
-            lhs = op.apply(a * x + b * y)
-            rhs = a * op.apply(x) + b * op.apply(y)
-            if np.abs(lhs - rhs).max() > 1e-12 * (1.0 + np.abs(rhs).max()):
+            # one stacked apply, each row bitwise its vector's own apply
+            points = np.array([a * x + b * y, x, y])
+            images = op.apply(points)
+            lhs, tx, ty = images
+            rhs = a * tx + b * ty
+            if (np.abs(lhs - rhs).max() > 1e-12 * (1.0 + np.abs(rhs).max())
+                    or any(image.tobytes() != op.apply(point).tobytes()
+                           for point, image in zip(points, images))):
                 failures += 1
             total += 1
     return total, failures

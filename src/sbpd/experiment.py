@@ -2,10 +2,11 @@
 
 A run has two phases. First a long deterministic reference run produces an
 approximate saddle point (cached under its config hash). Then the measured
-phase reruns the solver for 80% of the reference budget by default, once per
-oracle: once with the exact oracle (replaying the first steps of the
-reference trajectory) or ``repeats`` times with derived seeds (stochastic),
-logging Lagrangian gaps against the reference into CSV traces.
+phase reruns the solver for 80% of the reference budget by default: once
+with the exact oracle (replaying the first steps of the reference
+trajectory), or ``repeats`` times with derived seeds (stochastic), stepped
+as one stacked state whose rows are bitwise the repeats' own runs, logging
+Lagrangian gaps against the reference into CSV traces.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .bregman import BregmanPoint
 from .oracle import ORACLE_MODES, GradientOracle
 from .problems import (
     build_ot_inverse,
@@ -29,6 +31,7 @@ from .problems import (
 )
 from .solver import (  # noqa: F401  benchmarks/tracing.py patches the unused names
     ReferenceEvaluator,
+    SolverState,
     asymptotic_residual,
     certificate_holds,
     ergodic_rate_constant,
@@ -290,73 +293,103 @@ def read_trace(path):
 
 
 def _mean_records(traces):
-    # all runs share the logging grid, so aggregation is columnwise
-    out = []
-    for rows in zip(*traces):
-        ks = {r.k for r in rows}
-        if len(ks) != 1:
-            raise RuntimeError("runs disagree on the logging grid")
-        slacks = [r.estimate_slack for r in rows]
-        walls = [r.wall_nanos for r in rows]
-        out.append(TraceRecord(
-            k=rows[0].k,
-            gap_pointwise=float(np.mean([r.gap_pointwise for r in rows])),
-            gap_ergodic=float(np.mean([r.gap_ergodic for r in rows])),
-            lagrangian=float(np.mean([r.lagrangian for r in rows])),
-            residual=float(np.mean([r.residual for r in rows])),
-            estimate_slack=(None if any(s is None for s in slacks)
-                            else float(np.mean(slacks))),
-            wall_nanos=(None if any(w is None for w in walls)
-                        else int(np.mean(walls))),
-        ))
-    return out
+    # all runs share the logging grid, so aggregation is columnwise: each
+    # column is one (rows, R) array and one mean(axis=1), which sums every
+    # row as np.mean sums a list of R values (mean(axis=0) of the transpose
+    # sums in another order)
+    rows = list(zip(*traces))
+    if any(len({r.k for r in row}) != 1 for row in rows):
+        raise RuntimeError("runs disagree on the logging grid")
+    if not rows:
+        return []
+
+    def means(column):
+        cells = [[getattr(r, column) for r in row] for row in rows]
+        values = np.array([[0 if c is None else c for c in row] for row in cells],
+                          dtype=np.float64)
+        return [None if None in row else mean
+                for row, mean in zip(cells, values.mean(axis=1).tolist())]
+
+    slacks, walls = means("estimate_slack"), means("wall_nanos")
+    return [TraceRecord(k=row[0].k, gap_pointwise=gap_p, gap_ergodic=gap_e,
+                        lagrangian=lag, residual=res, estimate_slack=slack,
+                        wall_nanos=None if wall is None else int(wall))
+            for row, gap_p, gap_e, lag, res, slack, wall in zip(
+                rows, means("gap_pointwise"), means("gap_ergodic"),
+                means("lagrangian"), means("residual"), slacks, walls)]
+
+
+def _row(state, r):
+    # row r of a stacked state, as a 1-d state of views
+    x = state.x
+    point = BregmanPoint(x.coords[r],
+                         None if x.log_coords is None else x.log_coords[r])
+    return SolverState(state.k, point, state.mu[r], state.x_bar[r],
+                       state.mu_bar[r])
 
 
 def _measured_run(problem, saddle, schedule, reference, iterations, config,
                   oracle=None):
-    """One measured-phase run; returns its logged records and certificates.
+    """The measured phase; one ``(records, certificates)`` pair per run.
 
-    Each logged row evaluates the Lagrangian parts of its two points once;
-    the row's gap and T x are the certificate's gap term and cross term.
-    The certificates are the ``(slack, scale)`` pairs of the certified rows.
+    An oracle over R seeds steps R runs as one stacked state, and each
+    logged row is then evaluated on the row views of the stacked states,
+    with one evaluator per run: every run's records and certificates are
+    those of its 1-d run. Each logged row evaluates the Lagrangian parts of
+    its two points once; the row's gap and T x are the certificate's gap
+    term and cross term. The certificates are the ``(slack, scale)`` pairs
+    of the certified rows.
     """
-    evaluator = ReferenceEvaluator(saddle, schedule, reference.w_star)
-    records = []
-    certificates = []
+    stacked = oracle is not None and isinstance(oracle.seed, tuple)
+    repeats = len(oracle.seed) if stacked else 1
+    evaluators = [ReferenceEvaluator(saddle, schedule, reference.w_star)
+                  for _ in range(repeats)]
+    runs = [([], []) for _ in range(repeats)]
+    noisy = oracle is not None and not oracle.is_exact
     t0 = time.perf_counter_ns()
 
     def observe(prev, state):
         if not should_log(state.k, final=iterations):
             return False
-        w = (state.x, state.mu)
-        gap, parts = evaluator.gap(w)
-        slack = None
-        if config.cert_every and state.k % config.cert_every == 0:
-            delta = None
-            if oracle is not None and not oracle.is_exact:
-                _, delta = oracle.grad_estimate(
-                    saddle.f_grad, saddle.f_partial_grad, prev.x.coords, prev.k)
-            slack, scale = evaluator.certificate(
-                (prev.x, prev.mu), w, gap, primal_delta=delta, parts=parts)
-            certificates.append((slack, scale))
-        records.append(TraceRecord(
-            k=state.k,
-            gap_pointwise=gap,
-            gap_ergodic=evaluator.gap((state.x_bar, state.mu_bar))[0],
-            lagrangian=evaluator.lagrangian(parts),
-            residual=asymptotic_residual(prev, state),
-            estimate_slack=slack,
-            wall_nanos=(time.perf_counter_ns() - t0 if config.record_timing
-                        else None),
-        ))
+        certify = bool(config.cert_every) and state.k % config.cert_every == 0
+        delta = None
+        if certify and noisy:
+            _, delta = oracle.grad_estimate(
+                saddle.f_grad, saddle.f_partial_grad, prev.x.coords, prev.k)
+        steps = [(prev, state, delta)]
+        if stacked:
+            steps = [(_row(prev, r), _row(state, r),
+                      None if delta is None else delta[r])
+                     for r in range(repeats)]
+        for (prev, state, delta), evaluator, (records, certificates) in zip(
+                steps, evaluators, runs):
+            w = (state.x, state.mu)
+            gap, parts = evaluator.gap(w)
+            slack = None
+            if certify:
+                slack, scale = evaluator.certificate(
+                    (prev.x, prev.mu), w, gap, primal_delta=delta, parts=parts)
+                certificates.append((slack, scale))
+            records.append(TraceRecord(
+                k=state.k,
+                gap_pointwise=gap,
+                gap_ergodic=evaluator.gap((state.x_bar, state.mu_bar))[0],
+                lagrangian=evaluator.lagrangian(parts),
+                residual=asymptotic_residual(prev, state),
+                estimate_slack=slack,
+                wall_nanos=(time.perf_counter_ns() - t0 if config.record_timing
+                            else None),
+            ))
         if config.stop_gap is None:
             return False
-        tail = records[-100:]
-        return len(tail) == 100 and all(r.gap_pointwise < config.stop_gap for r in tail)
+        return all(len(records) >= 100
+                   and all(r.gap_pointwise < config.stop_gap for r in records[-100:])
+                   for records, _ in runs)
 
-    run(saddle, schedule, initial_state(*problem.initial_point()), iterations,
-        oracle, observe)
-    return records, certificates
+    run(saddle, schedule,
+        initial_state(*problem.initial_point(), rows=repeats if stacked else None),
+        iterations, oracle, observe)
+    return runs
 
 
 def _certificate_summary(certificates):
@@ -436,12 +469,15 @@ def run_phases(config, problem, output_dir):
     stochastic = config.is_stochastic()
     oracle_seeds = ([config.seed + r for r in range(config.repeats)]
                     if stochastic else [])
-    # None is the exact oracle
-    oracles = [GradientOracle(config.oracle_mode, config.batch_size, seed,
-                              problem.m) for seed in oracle_seeds] or [None]
-    runs = [_measured_run(problem, saddle, schedule, reference,
-                          config.iterations, config, oracle)
-            for oracle in oracles]
+    # None is the exact oracle; repeats step as one stacked state, over an
+    # oracle of all their seeds
+    oracle = None
+    if stochastic:
+        seed = oracle_seeds[0] if config.repeats == 1 else tuple(oracle_seeds)
+        oracle = GradientOracle(config.oracle_mode, config.batch_size, seed,
+                                problem.m)
+    runs = _measured_run(problem, saddle, schedule, reference,
+                         config.iterations, config, oracle)
     traces = [records for records, _ in runs]
     final_gap = float(np.mean([t[-1].gap_ergodic for t in traces]))
     if stochastic:

@@ -1,7 +1,8 @@
 """Linear operators used by the solver and the problem builders.
 
 At the paper's sizes every coupling is a small dense matrix, so one class
-holds it: ``LinearMap`` applies a matrix and its transpose. Vectors are
+holds it: ``LinearMap`` applies a matrix and its transpose, to a vector or
+row by row to a stack of vectors (``matvec``). Vectors are
 checked for shape and finiteness where they enter (``as_vector``), not on
 every apply, so the solver's step runs on plain arrays. The
 forward-difference and convolution builders return plain arrays, and
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["ShapeError", "LinearMap", "as_vector", "convolution_matrix",
-           "forward_difference_matrix", "operator_norm"]
+           "forward_difference_matrix", "matvec", "operator_norm"]
 
 
 class ShapeError(ValueError):
@@ -37,12 +38,27 @@ def as_vector(x, dim=None, name="x"):
     return v
 
 
+def matvec(M, x):
+    """``M @ x`` for a vector ``x``, and row by row for a stack ``x`` of them.
+
+    A stack of shape (R, d) goes through one ``np.matmul`` of ``M`` against
+    ``x[..., None]``, which runs the vector's gemv on every row, so row r is
+    bitwise ``M @ x[r]``; ``M`` may be one matrix or a stack of R. (One gemm,
+    ``x @ M.T``, rounds differently from the gemv.)
+    """
+    if x.ndim == 1:
+        return M @ x
+    return np.matmul(M, x[..., None])[..., 0]
+
+
 class LinearMap:
     """Operator backed by a dense row-major matrix (rows are outputs).
 
     The matrix is checked once, at construction. ``apply`` and
     ``adjoint_apply`` compare only the vector's shape: they run on every
-    step, and every vector they see is checked data or a step's output.
+    step, and every vector they see is checked data or a step's output. They
+    take a vector or a stack of R vectors (shape (R, d)), whose rows are
+    bitwise the vectors' own products (``matvec``).
     """
 
     def __init__(self, matrix):
@@ -57,18 +73,26 @@ class LinearMap:
         self.output_dim, self.input_dim = mat.shape
 
     def apply(self, x):
-        """``M @ x`` for a vector ``x`` of shape ``(input_dim,)``."""
+        """``M @ x`` for ``x`` of shape ``(input_dim,)`` or ``(R, input_dim)``."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.input_dim,):
-            raise ShapeError(f"x has shape {x.shape}, expected ({self.input_dim},)")
+            return matvec(self.matrix, _stack_of(x, self.input_dim, "x"))
         return self.matrix @ x
 
     def adjoint_apply(self, y):
-        """``M.T @ y`` for a vector ``y`` of shape ``(output_dim,)``."""
+        """``M.T @ y`` for ``y`` of shape ``(output_dim,)`` or ``(R, output_dim)``."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.output_dim,):
-            raise ShapeError(f"y has shape {y.shape}, expected ({self.output_dim},)")
+            return matvec(self.matrix.T, _stack_of(y, self.output_dim, "y"))
         return self.matrix.T @ y
+
+
+def _stack_of(x, dim, name):
+    # x unless it is not a stack of vectors of length dim
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ShapeError(f"{name} has shape {x.shape}, expected ({dim},) "
+                         f"or (R, {dim})")
+    return x
 
 
 def forward_difference_matrix(n):

@@ -12,6 +12,11 @@ taken reuses that step's batch instead of drawing it again; batches are
 returned read-only, since the same array goes to every caller of its k.
 The generator and the memo make an oracle unsafe to share across threads:
 give each thread its own.
+
+An oracle over a tuple of R seeds serves R runs stepped as one stacked state
+(``solver.run`` on states of R rows): row r draws from the oracle of seed r,
+with its own generator and memo, so each row sees the batch stream of its
+own 1-d run, and the oracle keeps the latest stack of batches.
 """
 
 from __future__ import annotations
@@ -44,15 +49,17 @@ class GradientOracle:
     batch_size : int
         Number q of summands per draw, 1 <= q <= m. With q = m every mode
         collapses to the exact gradient.
-    seed : int
+    seed : int or tuple of int
         Base seed; together with the iteration index it determines the batch.
+        A tuple of R seeds makes an oracle for R stacked rows: a batch is
+        then an (R, q) array whose row r is the batch of seed ``seed[r]``.
     m : int
         Total number of summands.
     """
 
     mode: str
     batch_size: int
-    seed: int
+    seed: int | tuple
     m: int
 
     def __post_init__(self):
@@ -63,13 +70,21 @@ class GradientOracle:
         if not 1 <= self.batch_size <= self.m:
             raise ValueError(
                 f"batch_size must lie in [1, {self.m}], got {self.batch_size}")
-        # one generator per oracle, re-keyed by sample_batch on every draw,
-        # and the latest (k, batch); not safe to share across threads, so
-        # give each thread its own oracle
-        bits = np.random.Philox(key=self.seed)
-        object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_rng", np.random.Generator(bits))
-        object.__setattr__(self, "_fresh_state", bits.state)
+        # one generator per oracle (per row over a tuple of seeds), re-keyed
+        # by sample_batch on every draw, and the latest (k, batch); not safe
+        # to share across threads, so give each thread its own oracle
+        if isinstance(self.seed, tuple):
+            if not self.seed:
+                raise ValueError("a tuple of seeds must not be empty")
+            rows = tuple(GradientOracle(self.mode, self.batch_size, seed, self.m)
+                         for seed in self.seed)
+            object.__setattr__(self, "_rows", rows)
+        else:
+            bits = np.random.Philox(key=self.seed)
+            object.__setattr__(self, "_rows", None)
+            object.__setattr__(self, "_bits", bits)
+            object.__setattr__(self, "_rng", np.random.Generator(bits))
+            object.__setattr__(self, "_fresh_state", bits.state)
         object.__setattr__(self, "_latest", (None, None))
 
     @property
@@ -81,26 +96,36 @@ class GradientOracle:
 
         Draws from Philox with key ``seed`` and counter ``k << 64``, with an
         empty output buffer, exactly as a freshly built generator would. A
-        repeated ``k`` returns the latest draw again.
+        repeated ``k`` returns the latest draw again. Over a tuple of seeds,
+        row r of the (R, q) result is the batch of seed ``seed[r]``.
         """
         k = int(k)
         latest_k, batch = self._latest
         if k == latest_k:
             return batch
-        counter = k << 64
-        if not 0 <= counter < 1 << 256:
-            raise ValueError(f"iteration index {k} out of range")
-        state = self._fresh_state
-        state["state"]["counter"][:] = [(counter >> s) & _WORD
-                                        for s in (0, 64, 128, 192)]
-        self._bits.state = state
-        batch = np.sort(self._rng.choice(self.m, size=self.batch_size, replace=False))
+        if self._rows is not None:
+            batch = np.stack([row.sample_batch(k) for row in self._rows])
+        else:
+            counter = k << 64
+            if not 0 <= counter < 1 << 256:
+                raise ValueError(f"iteration index {k} out of range")
+            state = self._fresh_state
+            state["state"]["counter"][:] = [(counter >> s) & _WORD
+                                            for s in (0, 64, 128, 192)]
+            self._bits.state = state
+            batch = np.sort(self._rng.choice(self.m, size=self.batch_size,
+                                             replace=False))
         batch.flags.writeable = False
         object.__setattr__(self, "_latest", (k, batch))
         return batch
 
     def estimate(self, full_grad_fn, partial_grad_fn, x, k):
-        """Gradient estimate at ``x`` for iteration ``k`` (no noise report)."""
+        """Gradient estimate at ``x`` for iteration ``k`` (no noise report).
+
+        Over a tuple of R seeds, ``x`` is a stack of R points and the
+        estimate a stack of R gradients; ``partial_grad_fn`` then takes the
+        (R, q) batch and the stack.
+        """
         if self.is_exact:
             g = full_grad_fn(x)
         else:

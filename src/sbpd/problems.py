@@ -53,6 +53,7 @@ from .linalg import (
     as_vector,
     convolution_matrix,
     forward_difference_matrix,
+    matvec,
     operator_norm,
 )
 from .solver import (
@@ -91,11 +92,15 @@ def kl_fidelity_value(A, b, x):
 
 
 def kl_fidelity_grad(A, b, x):
-    """Gradient A^T log(Ax / b) of the fidelity above."""
-    u = A @ x
+    """Gradient A^T log(Ax / b) of the fidelity above.
+
+    A stack ``x`` of shape (R, n) gives the R gradients, each row bitwise
+    its vector's (``linalg.matvec``).
+    """
+    u = matvec(A, x)
     if (u <= 0).any():
         raise DomainError("Ax has nonpositive entries")
-    return A.T @ np.log(u / b)
+    return matvec(A.T, np.log(u / b))
 
 
 def kl_rel_smooth_constant(A):
@@ -235,8 +240,10 @@ class SimplexTVProblem:
         return kl_fidelity_grad(self.A, self.b, x)
 
     def f_partial_grad(self, batch, x):
+        # a stack of R batches (R, q) and of R points (R, n) gathers the rows
+        # of A as (R, q, n) and takes each point's products through matvec
         sub = self.A[batch]
-        return sub.T @ np.log(sub @ x / self.b[batch])
+        return matvec(sub.swapaxes(-1, -2), np.log(matvec(sub, x) / self.b[batch]))
 
     def saddle_problem(self):
         beta = self.beta

@@ -156,7 +156,10 @@ class SolverState:
     """Iterate pair plus running ergodic means after ``k`` steps.
 
     Reproducibility needs no generator state here: batches are pure
-    functions of the oracle seed and the iteration counter.
+    functions of the oracle seed and the iteration counter. A stacked state
+    holds R runs as the rows of its arrays (x and log x of shape (R, n), the
+    rest alike); the step's products and reductions act row by row, so row
+    r is bitwise the state of the 1-d run it started as.
     """
 
     k: int
@@ -166,13 +169,19 @@ class SolverState:
     mu_bar: np.ndarray
 
 
-def initial_state(x0, mu0):
+def initial_state(x0, mu0, rows=None):
     """State at k = 0; ergodic means start at the (excluded) initial point.
 
     ``x0`` is a checked ``BregmanPoint`` and ``mu0`` must be a finite
-    vector: the step path does not check its inputs again.
+    vector: the step path does not check its inputs again. With ``rows`` = R
+    the state stacks R copies of the point, for ``run`` to step R runs
+    (with an oracle over R seeds) as one.
     """
     mu0 = as_vector(mu0, name="mu0")
+    if rows is not None:
+        x0 = BregmanPoint(*(None if a is None else np.tile(a, (rows, 1))
+                            for a in (x0.coords, x0.log_coords)))
+        mu0 = np.tile(mu0, (rows, 1))
     return SolverState(0, x0, mu0, x0.coords.copy(), mu0.copy())
 
 
@@ -182,7 +191,8 @@ def sbpd_step(problem, schedule, state, oracle=None):
     The primal update moves against the gradient estimate plus the coupling
     pullback of the current dual point; the dual update sees the
     extrapolated point 2 x_{k+1} - x_k. Ergodic means are updated
-    incrementally and exclude the initial point.
+    incrementally and exclude the initial point. A stacked state steps
+    every row at once, each bitwise as its own 1-d step.
     """
     k = state.k
     if oracle is None or oracle.is_exact:

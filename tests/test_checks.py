@@ -7,7 +7,7 @@ from sbpd.checks import (
     adjoint_consistency_failures,
     run_check_suite,
 )
-from sbpd import solver
+from sbpd import checks, solver
 from sbpd.linalg import LinearMap
 
 
@@ -66,6 +66,28 @@ def test_sign_flipped_adjoint_is_caught():
     bad = _SignFlippedAdjoint(rng.standard_normal((6, 4)))
     assert adjoint_consistency_failures(good, pairs=50) == 0
     assert adjoint_consistency_failures(bad, pairs=50) > 0
+
+
+class _GemmStack(LinearMap):
+    # a stack through one gemm: right in exact arithmetic, not bitwise the
+    # rows' own products
+    def apply(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        return super().apply(x) if x.ndim == 1 else x @ self.matrix.T
+
+    def adjoint_apply(self, y):
+        y = np.asarray(y, dtype=np.float64)
+        return super().adjoint_apply(y) if y.ndim == 1 else y @ self.matrix
+
+
+@pytest.mark.parametrize("name", ["adjoint-consistency", "operator-linearity"])
+def test_operator_suites_catch_a_gemm_stack(monkeypatch, name):
+    zoo = checks._operator_zoo
+    monkeypatch.setattr(checks, "_operator_zoo", lambda rng: [
+        (label, _GemmStack(op.matrix)) for label, op in zoo(rng)])
+    samples, failures = SUITES[name]("full")
+    assert failures > 0
+    assert samples == {"adjoint-consistency": 600, "operator-linearity": 240}[name]
 
 
 def test_unknown_level_rejected():

@@ -164,6 +164,59 @@ def test_stochastic_run_artifacts(tmp_path):
     assert runs[0][-1].gap_pointwise != runs[1][-1].gap_pointwise
 
 
+def _per_row_mean_records(traces):
+    # the per-row np.mean form that _mean_records must reproduce bitwise
+    out = []
+    for rows in zip(*traces):
+        slacks = [r.estimate_slack for r in rows]
+        walls = [r.wall_nanos for r in rows]
+        out.append(TraceRecord(
+            k=rows[0].k,
+            gap_pointwise=float(np.mean([r.gap_pointwise for r in rows])),
+            gap_ergodic=float(np.mean([r.gap_ergodic for r in rows])),
+            lagrangian=float(np.mean([r.lagrangian for r in rows])),
+            residual=float(np.mean([r.residual for r in rows])),
+            estimate_slack=(None if any(s is None for s in slacks)
+                            else float(np.mean(slacks))),
+            wall_nanos=(None if any(w is None for w in walls)
+                        else int(np.mean(walls))),
+        ))
+    return out
+
+
+@pytest.mark.parametrize("repeats", [2, 3, 8, 20])
+@pytest.mark.parametrize("missing", [False, True], ids=["full", "none-cells"])
+def test_mean_trace_bytes_match_the_per_row_mean(tmp_path, repeats, missing):
+    rng = np.random.default_rng(repeats)
+    rows = 300
+    traces = []
+    for r in range(repeats):
+        values = rng.standard_normal((5, rows)) * 10.0 ** rng.integers(-12, 3, (5, rows))
+        walls = rng.integers(0, 10**12, rows)
+        traces.append([TraceRecord(
+            k=k, gap_pointwise=float(values[0, k]), gap_ergodic=float(values[1, k]),
+            lagrangian=float(values[2, k]), residual=abs(float(values[3, k])),
+            # None slack cells in one repeat, or in every repeat
+            estimate_slack=(None if missing and (k % 3 == 0 or r == 1 and k % 7 == 0)
+                            else float(values[4, k])),
+            wall_nanos=None if missing and k % 5 == 0 else int(walls[k]))
+            for k in range(rows)])
+    write_trace(tmp_path / "vectorized.csv", experiment._mean_records(traces))
+    write_trace(tmp_path / "per_row.csv", _per_row_mean_records(traces))
+    assert ((tmp_path / "vectorized.csv").read_bytes()
+            == (tmp_path / "per_row.csv").read_bytes())
+    if missing:
+        assert read_trace(tmp_path / "vectorized.csv")[7].estimate_slack is None
+
+
+def test_mean_records_rejects_runs_off_one_grid():
+    a = [TraceRecord(k=1, gap_pointwise=0.0, gap_ergodic=0.0, lagrangian=0.0,
+                     residual=0.0)]
+    b = [dataclasses.replace(a[0], k=2)]
+    with pytest.raises(RuntimeError, match="logging grid"):
+        experiment._mean_records([a, b])
+
+
 def test_rerun_is_byte_identical(tmp_path):
     for sub in ("a", "b"):
         config = _tiny_config(tmp_path, output_dir=str(tmp_path / sub),
@@ -639,9 +692,9 @@ def _measured_run_applies(tmp_path, cert_every, iterations):
         return apply(x)
 
     problem.B.apply = counted  # saddle.coupling is problem.B
-    records, _ = experiment._measured_run(problem, saddle,
-                                          problem.default_schedule(),
-                                          reference, iterations, config)
+    [(records, _)] = experiment._measured_run(problem, saddle,
+                                              problem.default_schedule(),
+                                              reference, iterations, config)
     assert len(records) == iterations
     return len(calls)
 

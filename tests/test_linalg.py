@@ -117,6 +117,14 @@ def test_shape_errors():
         B.apply([1.0, 2.0])
     with pytest.raises(ShapeError):
         B.adjoint_apply([1.0, 2.0, 3.0, 4.0])
+    # a stack is (R, d): no other rank, and rows of the operator's length
+    with pytest.raises(ShapeError):
+        B.apply(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        B.apply(np.zeros((2, 2, 4)))
+    with pytest.raises(ShapeError):
+        B.adjoint_apply(1.0)
+    assert B.apply(np.zeros((0, 4))).shape == (0, 3)
     # the step path does not scan for NaN: solver.run checks its final state
     assert np.isnan(B.apply([1.0, np.nan, 2.0, 3.0])).any()
     with pytest.raises(ShapeError):

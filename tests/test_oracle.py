@@ -95,6 +95,22 @@ def test_grad_estimate_after_estimate_reuses_the_draw(mode):
         assert np.array_equal(est, fresh)
 
 
+def test_oracle_over_seeds_draws_each_row_as_its_seed():
+    seeds = (26, 3, 26, 1234)
+    oracle = GradientOracle("paper-partial", 5, seeds, 50)
+    for k in (0, 7, 7, 3, 2**40):
+        batches = oracle.sample_batch(k)
+        assert batches.shape == (4, 5) and not batches.flags.writeable
+        for row, seed in zip(batches, seeds):
+            assert np.array_equal(row, _fresh_generator_batch(seed, 50, 5, k))
+    with pytest.raises(ValueError):
+        oracle.sample_batch(-1)
+    with pytest.raises(ValueError, match="empty"):
+        GradientOracle("paper-partial", 5, (), 50)
+    with pytest.raises(ValueError):
+        GradientOracle("paper-partial", 5, (1, -1), 50)
+
+
 def test_negative_iteration_index_is_rejected():
     with pytest.raises(ValueError):
         GradientOracle("paper-partial", 3, 0, 8).sample_batch(-1)
