@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bregman import BregmanPoint
-from .oracle import ORACLE_MODES, GradientOracle
+from .oracle import ORACLE_MODES, GradientOracle, OracleStack
 from .problems import (
     build_ot_inverse,
     build_simplex_tv,
@@ -329,10 +329,11 @@ def _row(state, r):
 
 
 def _measured_run(problem, saddle, schedule, reference, iterations, config,
-                  oracle=None):
-    """The measured phase; one ``(records, certificates)`` pair per run.
+                  oracles=(None,)):
+    """The measured phase, one run per oracle (``None`` is the exact one).
 
-    An oracle over R seeds steps R runs as one stacked state, and each
+    Returns one ``(records, certificates)`` pair per run. R > 1 oracles step
+    their R runs as one stacked state over an ``OracleStack``, and each
     logged row is then evaluated on the row views of the stacked states,
     with one evaluator per run: every run's records and certificates are
     those of its 1-d run. Each logged row evaluates the Lagrangian parts of
@@ -340,8 +341,9 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
     term and cross term. The certificates are the ``(slack, scale)`` pairs
     of the certified rows.
     """
-    stacked = oracle is not None and isinstance(oracle.seed, tuple)
-    repeats = len(oracle.seed) if stacked else 1
+    repeats = len(oracles)
+    stacked = repeats > 1
+    oracle = OracleStack(oracles) if stacked else oracles[0]
     evaluators = [ReferenceEvaluator(saddle, schedule, reference.w_star)
                   for _ in range(repeats)]
     runs = [([], []) for _ in range(repeats)]
@@ -382,9 +384,9 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
             ))
         if config.stop_gap is None:
             return False
-        return all(len(records) >= 100
-                   and all(r.gap_pointwise < config.stop_gap for r in records[-100:])
-                   for records, _ in runs)
+        # stop_gap comes with one run (ExperimentConfig rejects it with repeats)
+        tail = runs[0][0][-100:]
+        return len(tail) == 100 and all(r.gap_pointwise < config.stop_gap for r in tail)
 
     run(saddle, schedule,
         initial_state(*problem.initial_point(), rows=repeats if stacked else None),
@@ -469,15 +471,11 @@ def run_phases(config, problem, output_dir):
     stochastic = config.is_stochastic()
     oracle_seeds = ([config.seed + r for r in range(config.repeats)]
                     if stochastic else [])
-    # None is the exact oracle; repeats step as one stacked state, over an
-    # oracle of all their seeds
-    oracle = None
-    if stochastic:
-        seed = oracle_seeds[0] if config.repeats == 1 else tuple(oracle_seeds)
-        oracle = GradientOracle(config.oracle_mode, config.batch_size, seed,
-                                problem.m)
+    # None is the exact oracle; repeats step as one stacked state
+    oracles = tuple(GradientOracle(config.oracle_mode, config.batch_size, seed,
+                                   problem.m) for seed in oracle_seeds) or (None,)
     runs = _measured_run(problem, saddle, schedule, reference,
-                         config.iterations, config, oracle)
+                         config.iterations, config, oracles)
     traces = [records for records, _ in runs]
     final_gap = float(np.mean([t[-1].gap_ergodic for t in traces]))
     if stochastic:

@@ -13,10 +13,10 @@ returned read-only, since the same array goes to every caller of its k.
 The generator and the memo make an oracle unsafe to share across threads:
 give each thread its own.
 
-An oracle over a tuple of R seeds serves R runs stepped as one stacked state
-(``solver.run`` on states of R rows): row r draws from the oracle of seed r,
-with its own generator and memo, so each row sees the batch stream of its
-own 1-d run, and the oracle keeps the latest stack of batches.
+An ``OracleStack`` of R oracles serves R runs stepped as one stacked state
+(``solver.run`` on states of R rows): row r draws from oracle r, with its
+own generator and memo, so each row sees the batch stream of its own 1-d
+run.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OracleError", "GradientOracle", "ORACLE_MODES"]
+__all__ = ["OracleError", "GradientOracle", "OracleStack", "ORACLE_MODES"]
 
 ORACLE_MODES = ("exact", "paper-partial", "scaled-unbiased")
 _WORD = (1 << 64) - 1
@@ -49,17 +49,15 @@ class GradientOracle:
     batch_size : int
         Number q of summands per draw, 1 <= q <= m. With q = m every mode
         collapses to the exact gradient.
-    seed : int or tuple of int
+    seed : int
         Base seed; together with the iteration index it determines the batch.
-        A tuple of R seeds makes an oracle for R stacked rows: a batch is
-        then an (R, q) array whose row r is the batch of seed ``seed[r]``.
     m : int
         Total number of summands.
     """
 
     mode: str
     batch_size: int
-    seed: int | tuple
+    seed: int
     m: int
 
     def __post_init__(self):
@@ -70,21 +68,13 @@ class GradientOracle:
         if not 1 <= self.batch_size <= self.m:
             raise ValueError(
                 f"batch_size must lie in [1, {self.m}], got {self.batch_size}")
-        # one generator per oracle (per row over a tuple of seeds), re-keyed
-        # by sample_batch on every draw, and the latest (k, batch); not safe
-        # to share across threads, so give each thread its own oracle
-        if isinstance(self.seed, tuple):
-            if not self.seed:
-                raise ValueError("a tuple of seeds must not be empty")
-            rows = tuple(GradientOracle(self.mode, self.batch_size, seed, self.m)
-                         for seed in self.seed)
-            object.__setattr__(self, "_rows", rows)
-        else:
-            bits = np.random.Philox(key=self.seed)
-            object.__setattr__(self, "_rows", None)
-            object.__setattr__(self, "_bits", bits)
-            object.__setattr__(self, "_rng", np.random.Generator(bits))
-            object.__setattr__(self, "_fresh_state", bits.state)
+        # one generator per oracle, re-keyed by sample_batch on every draw,
+        # and the latest (k, batch); not safe to share across threads, so
+        # give each thread its own oracle
+        bits = np.random.Philox(key=self.seed)
+        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_rng", np.random.Generator(bits))
+        object.__setattr__(self, "_fresh_state", bits.state)
         object.__setattr__(self, "_latest", (None, None))
 
     @property
@@ -96,36 +86,26 @@ class GradientOracle:
 
         Draws from Philox with key ``seed`` and counter ``k << 64``, with an
         empty output buffer, exactly as a freshly built generator would. A
-        repeated ``k`` returns the latest draw again. Over a tuple of seeds,
-        row r of the (R, q) result is the batch of seed ``seed[r]``.
+        repeated ``k`` returns the latest draw again.
         """
         k = int(k)
         latest_k, batch = self._latest
         if k == latest_k:
             return batch
-        if self._rows is not None:
-            batch = np.stack([row.sample_batch(k) for row in self._rows])
-        else:
-            counter = k << 64
-            if not 0 <= counter < 1 << 256:
-                raise ValueError(f"iteration index {k} out of range")
-            state = self._fresh_state
-            state["state"]["counter"][:] = [(counter >> s) & _WORD
-                                            for s in (0, 64, 128, 192)]
-            self._bits.state = state
-            batch = np.sort(self._rng.choice(self.m, size=self.batch_size,
-                                             replace=False))
+        counter = k << 64
+        if not 0 <= counter < 1 << 256:
+            raise ValueError(f"iteration index {k} out of range")
+        state = self._fresh_state
+        state["state"]["counter"][:] = [(counter >> s) & _WORD
+                                        for s in (0, 64, 128, 192)]
+        self._bits.state = state
+        batch = np.sort(self._rng.choice(self.m, size=self.batch_size, replace=False))
         batch.flags.writeable = False
         object.__setattr__(self, "_latest", (k, batch))
         return batch
 
     def estimate(self, full_grad_fn, partial_grad_fn, x, k):
-        """Gradient estimate at ``x`` for iteration ``k`` (no noise report).
-
-        Over a tuple of R seeds, ``x`` is a stack of R points and the
-        estimate a stack of R gradients; ``partial_grad_fn`` then takes the
-        (R, q) batch and the stack.
-        """
+        """Gradient estimate at ``x`` for iteration ``k`` (no noise report)."""
         if self.is_exact:
             g = full_grad_fn(x)
         else:
@@ -152,3 +132,36 @@ class GradientOracle:
         if not np.isfinite(full).all():
             raise OracleError(f"non-finite full gradient at iteration {k}")
         return est, est - full
+
+
+class OracleStack:
+    """R oracles of one mode, batch size and m, for a stacked state of R rows.
+
+    ``sample_batch(k)`` stacks the R oracles' own batches of iteration k
+    into an (R, q) array, so row r keeps the batch stream and the memo of
+    oracle r. The estimates are those of ``GradientOracle``, taken on that
+    array and on an (R, n) stack of points, whose partial gradient gives
+    each row the gradient of its own batch.
+    """
+
+    def __init__(self, oracles):
+        self.oracles = tuple(oracles)
+        kinds = {(o.mode, o.batch_size, o.m) for o in self.oracles}
+        if len(kinds) != 1:
+            raise ValueError("an oracle stack needs oracles of one mode, "
+                             "batch size and m")
+        [(self.mode, self.batch_size, self.m)] = kinds
+
+    is_exact = GradientOracle.is_exact
+
+    def sample_batch(self, k):
+        return np.stack([oracle.sample_batch(k) for oracle in self.oracles])
+
+    # GradientOracle's estimates, looked up on every call, so a wrapper
+    # patched onto that class (benchmarks/tracing.py) sees these calls too
+    def estimate(self, full_grad_fn, partial_grad_fn, x, k):
+        return GradientOracle.estimate(self, full_grad_fn, partial_grad_fn, x, k)
+
+    def grad_estimate(self, full_grad_fn, partial_grad_fn, x, k):
+        return GradientOracle.grad_estimate(self, full_grad_fn, partial_grad_fn,
+                                            x, k)

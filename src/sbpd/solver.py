@@ -175,7 +175,7 @@ def initial_state(x0, mu0, rows=None):
     ``x0`` is a checked ``BregmanPoint`` and ``mu0`` must be a finite
     vector: the step path does not check its inputs again. With ``rows`` = R
     the state stacks R copies of the point, for ``run`` to step R runs
-    (with an oracle over R seeds) as one.
+    (with an ``OracleStack`` of R oracles) as one.
     """
     mu0 = as_vector(mu0, name="mu0")
     if rows is not None:

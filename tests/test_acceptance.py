@@ -19,7 +19,7 @@ from sbpd.bregman import (
 )
 from sbpd.experiment import ExperimentConfig, run_experiment, should_log
 from sbpd.linalg import LinearMap
-from sbpd.oracle import GradientOracle
+from sbpd.oracle import GradientOracle, OracleStack
 from sbpd.problems import (
     build_simplex_tv,
     compute_reference,
@@ -139,10 +139,11 @@ def test_03_batch_size_monotonicity(desk_problem, cache_dir, capsys):
     means = {}
     for q in (5, 25, 45):
         # the 20 repeats (seeds 7 + rep) step as one stacked state
-        seeds = tuple(7 + rep for rep in range(20))
+        oracles = OracleStack(GradientOracle("paper-partial", q, 7 + rep, 50)
+                              for rep in range(20))
         state = run(saddle, schedule,
                     initial_state(*desk_problem.initial_point(), rows=20),
-                    iterations, GradientOracle("paper-partial", q, seeds, 50))
+                    iterations, oracles)
         finals = [lagrangian_gap(saddle, (state.x_bar[r], state.mu_bar[r]), w_star)
                   for r in range(20)]
         means[q] = float(np.mean(finals))

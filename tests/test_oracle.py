@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sbpd.oracle import GradientOracle, OracleError
+from sbpd.oracle import GradientOracle, OracleError, OracleStack
 
 
 def toy_instance(seed=7, n=6, m=8):
@@ -95,20 +95,35 @@ def test_grad_estimate_after_estimate_reuses_the_draw(mode):
         assert np.array_equal(est, fresh)
 
 
-def test_oracle_over_seeds_draws_each_row_as_its_seed():
+def test_oracle_stack_draws_each_row_from_its_own_oracle():
     seeds = (26, 3, 26, 1234)
-    oracle = GradientOracle("paper-partial", 5, seeds, 50)
+    oracles = [GradientOracle("paper-partial", 5, seed, 50) for seed in seeds]
+    stack = OracleStack(oracles)
+    assert not stack.is_exact
     for k in (0, 7, 7, 3, 2**40):
-        batches = oracle.sample_batch(k)
-        assert batches.shape == (4, 5) and not batches.flags.writeable
-        for row, seed in zip(batches, seeds):
+        batches = stack.sample_batch(k)
+        assert batches.shape == (4, 5)
+        for row, seed, oracle in zip(batches, seeds, oracles):
             assert np.array_equal(row, _fresh_generator_batch(seed, 50, 5, k))
+            # the draw is the row oracle's own, kept in its memo
+            assert oracle.sample_batch(k) is oracle.sample_batch(k)
+            assert np.array_equal(oracle.sample_batch(k), row)
     with pytest.raises(ValueError):
-        oracle.sample_batch(-1)
-    with pytest.raises(ValueError, match="empty"):
-        GradientOracle("paper-partial", 5, (), 50)
-    with pytest.raises(ValueError):
-        GradientOracle("paper-partial", 5, (1, -1), 50)
+        stack.sample_batch(-1)
+    assert OracleStack([GradientOracle("paper-partial", 9, s, 9)
+                        for s in (1, 2)]).is_exact
+
+
+@pytest.mark.parametrize("oracles", [
+    [],
+    [GradientOracle("paper-partial", 5, 1, 50),
+     GradientOracle("scaled-unbiased", 5, 2, 50)],
+    [GradientOracle("paper-partial", 5, 1, 50),
+     GradientOracle("paper-partial", 4, 2, 50)],
+], ids=["empty", "modes", "batch-sizes"])
+def test_oracle_stack_needs_oracles_of_one_kind(oracles):
+    with pytest.raises(ValueError, match="one mode"):
+        OracleStack(oracles)
 
 
 def test_negative_iteration_index_is_rejected():
