@@ -64,32 +64,35 @@ class BregmanPoint:
 def kl_divergence(x, y):
     """D_KL(x, y) = sum x log(x/y) - x + y, with 0 log 0 = 0.
 
-    ``x`` must be nonnegative and ``y`` strictly positive; a boundary ``y``
-    raises :class:`DomainError` instead of returning infinity, because the
-    solver never legitimately produces one.
+    ``x`` must be a finite nonnegative vector and ``y`` strictly positive; a
+    boundary ``y`` raises :class:`DomainError` instead of returning
+    infinity, because the solver never legitimately produces one.
 
     A :class:`BregmanPoint` ``y`` (a solver iterate) was checked when it was
-    built, so only the lengths of ``x`` and ``y`` are compared. Its log
-    coordinates, when present, stand in for ``log y``: the value stays
-    finite even where coordinates underflow.
+    built, so of ``y`` only its length is compared. Its log coordinates,
+    when present, stand in for ``log y``: the value stays finite even where
+    coordinates underflow.
     """
-    if isinstance(y, BregmanPoint):
-        x = np.asarray(x, dtype=np.float64)
-    else:
-        x = as_vector(x, name="x")
+    x = as_vector(x, name="x")
+    if not isinstance(y, BregmanPoint):
         y = BregmanPoint(as_vector(y, x.shape[0], "y"))
-    if (x < 0).any():
+    return _kl_to_point(x, *_kl_terms(x), y)
+
+
+def _kl_terms(x):
+    """log x (0 log 0 = 0) and sum x of a nonnegative x (a NaN is not)."""
+    if not (x >= 0).all():
         raise DomainError("x has negative entries")
-    return _kl_to_point(x, np.log(np.where(x > 0, x, 1.0)), x.sum(), y)
+    return np.log(np.where(x > 0, x, 1.0)), x.sum()
 
 
 def _kl_to_point(x, log_x, sum_x, point):
-    """D_KL(x, y), y from ``point``, given log x (0 log 0 = 0) and sum x.
+    """D_KL(x, y), y from ``point``, given ``_kl_terms(x)``.
 
-    x is taken as nonnegative. The lengths are compared, and without log
-    coordinates y must be strictly positive; the log coordinates are finite,
-    so a zero entry of x adds a zero term. The solver's certificates call
-    this with the terms of a fixed x computed once.
+    The lengths are compared, and without log coordinates y must be
+    strictly positive; the log coordinates are finite, so a zero entry of x
+    adds a zero term. The solver's energy calls this with the terms of a
+    fixed x computed once.
     """
     y, log_y = point.coords, point.log_coords
     if x.shape != y.shape:

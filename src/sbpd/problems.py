@@ -292,7 +292,7 @@ def simplex_tv_from_arrays(A, b, beta):
         raise ValueError("A must have strictly positive entries")
     if np.any(b <= 0):
         raise ValueError("b must be strictly positive")
-    if beta < 0:
+    if not beta >= 0:  # not beta < 0, which a NaN passes
         raise ValueError("beta must be nonnegative")
     return SimplexTVProblem(
         A=A,
@@ -428,6 +428,8 @@ def build_ot_inverse(n, seed, gamma=1.0, beta=1.0, noise_level=0.1,
     if n < 4:
         raise ValueError("need n >= 4")
     _check_gamma(gamma)
+    if not beta >= 0:
+        raise ValueError("beta must be nonnegative")
     if not 0.0 <= noise_level <= 1.0:
         raise ValueError("noise_level must lie in [0, 1]")
     idx = np.arange(n, dtype=np.float64)

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bregman import BregmanPoint, DomainError, _kl_to_point
+from .bregman import BregmanPoint, DomainError, _kl_terms, _kl_to_point
 from .linalg import LinearMap, ShapeError, as_vector
 
 __all__ = [
@@ -264,42 +264,6 @@ def _check_feasible(problem, x_coords, mu, label):
         raise DomainError(f"dual part of {label} violates its constraints")
 
 
-class _EnergyReference(NamedTuple):
-    """The terms of the energy E(w_ref) that depend on ``w_ref`` only."""
-
-    x: np.ndarray
-    log_x: np.ndarray  # log x_ref, with 0 log 0 = 0
-    sum_x: float
-    mu: np.ndarray
-    Tx: np.ndarray
-
-
-def _energy_reference(x_ref, mu_ref, Tx_ref):
-    # x_ref >= 0, as bregman.kl_divergence asks of its first argument
-    if not (x_ref >= 0).all():
-        raise DomainError("x_ref has negative entries")
-    return _EnergyReference(x_ref, np.log(np.where(x_ref > 0, x_ref, 1.0)),
-                            x_ref.sum(), mu_ref, Tx_ref)
-
-
-def _energy(schedule, ref, point, mu, Tx):
-    """E(w_ref) against (x, mu), x from ``point`` and ``Tx`` = T x:
-
-        KL(x_ref, x)/lam + |mu_ref - mu|^2/(2 nu) - <T x_ref - T x, mu_ref - mu>.
-
-    The KL term is ``bregman.kl_divergence(x_ref, point)`` from the
-    reference terms of ``ref``: the log coordinates of ``point``, when
-    present, stand in for log x; otherwise x must be strictly positive.
-    """
-    if mu.ndim != 1 or mu.shape != ref.mu.shape:
-        raise ShapeError(f"mu_ref and mu must be vectors of one length, "
-                         f"got shapes {ref.mu.shape} and {mu.shape}")
-    dp = _kl_to_point(ref.x, ref.log_x, ref.sum_x, point)
-    d = ref.mu - mu
-    return (dp / schedule.lam + 0.5 * float(d @ d) / schedule.nu
-            - float((ref.Tx - Tx) @ d))
-
-
 class ReferenceEvaluator:
     """Lagrangian gaps and energy-inequality certificates against one reference.
 
@@ -308,8 +272,8 @@ class ReferenceEvaluator:
     T x_ref and h*(mu_ref) once. ``gap`` evaluates a point's parts once and
     returns them with the gap, so the point's own Lagrangian and the
     certificate's gap term and cross term reuse them. The reference side of
-    the certificate's energy (log x_ref and sum x_ref) is evaluated on the
-    first certificate. ``schedule`` is needed only by ``certificate``.
+    the energy (log x_ref and sum x_ref) is evaluated on the first energy.
+    ``schedule`` is needed only by the energy and ``certificate``.
     """
 
     def __init__(self, problem, schedule, w_ref):
@@ -323,8 +287,8 @@ class ReferenceEvaluator:
         self._carry = (None, None)  # (key of the last w_next, its energy)
 
     @functools.cached_property
-    def _energy_ref(self):
-        return _energy_reference(self.x_ref, self.mu_ref, self.ref.Tx)
+    def _kl_ref(self):
+        return _kl_terms(self.x_ref)
 
     def gap(self, w, check=True):
         """``(L(x, mu_ref) - L(x_ref, mu), parts of w)``.
@@ -348,11 +312,25 @@ class ReferenceEvaluator:
         return _lagrangian(parts, parts)
 
     def _energy(self, w, parts=None):
+        """E(w_ref) against w = (x, mu), with T x from ``parts`` when given:
+
+            KL(x_ref, x)/lam + |mu_ref - mu|^2/(2 nu) - <T x_ref - T x, mu_ref - mu>.
+
+        The KL term is ``bregman.kl_divergence(x_ref, x)``: the log
+        coordinates of x, when present, stand in for log x; otherwise x must
+        be strictly positive.
+        """
         x, mu = w
         point = _as_point(x)
+        mu = np.asarray(mu, dtype=np.float64)
+        if mu.ndim != 1 or mu.shape != self.mu_ref.shape:
+            raise ShapeError(f"mu_ref and mu must be vectors of one length, "
+                             f"got shapes {self.mu_ref.shape} and {mu.shape}")
         Tx = self.problem.coupling.apply(point.coords) if parts is None else parts.Tx
-        return _energy(self.schedule, self._energy_ref, point,
-                       np.asarray(mu, dtype=np.float64), Tx)
+        dp = _kl_to_point(self.x_ref, *self._kl_ref, point)
+        d = self.mu_ref - mu
+        return (dp / self.schedule.lam + 0.5 * float(d @ d) / self.schedule.nu
+                - float((self.ref.Tx - Tx) @ d))
 
     def certificate(self, w_k, w_next, gap, primal_delta=None, parts=None):
         """``(slack, scale)`` of the step from ``w_k`` to ``w_next``.
@@ -388,25 +366,13 @@ def lagrangian_gap(problem, w, w_ref):
     return ReferenceEvaluator(problem, None, w_ref).gap(w)[0]
 
 
-def _energy_between(problem, schedule, w_ref, w):
-    # E(w_ref) against w without an evaluator: of w_ref, only x_ref >= 0 is
-    # checked, as bregman.kl_divergence checks it
-    (x_ref, mu_ref), (x, mu) = w_ref, w
-    x_ref, point = _as_point(x_ref).coords, _as_point(x)
-    T = problem.coupling
-    ref = _energy_reference(x_ref, np.asarray(mu_ref, dtype=np.float64),
-                            T.apply(x_ref))
-    return _energy(schedule, ref, point, np.asarray(mu, dtype=np.float64),
-                   T.apply(point.coords))
-
-
 def ergodic_rate_constant(problem, schedule, w_ref, w0):
     """The constant C0 of the ergodic rate bound C0 / k.
 
     C0 = D_p(x_ref, x0)/lam + D_d(mu_ref, mu0)/nu - <T(x_ref - x0),
-    mu_ref - mu0>.
+    mu_ref - mu0>, the energy E_0(w_ref). ``w_ref`` must be feasible.
     """
-    return float(_energy_between(problem, schedule, w_ref, w0))
+    return float(ReferenceEvaluator(problem, schedule, w_ref)._energy(w0))
 
 
 # (problem, schedule, reference key, evaluator) of the last
@@ -475,10 +441,10 @@ def symmetrized_energy_slack(problem, schedule, w1, w2):
     energy of w2 against w1 plus that of w1 against w2, since the cross term
     is symmetric. Valid step sizes make this nonnegative for every pair of
     admissible points, which is what lets the noise pairing of inexact
-    updates be controlled.
+    updates be controlled. Both points must be feasible.
     """
-    return float(_energy_between(problem, schedule, w1, w2)
-                 + _energy_between(problem, schedule, w2, w1))
+    return float(ReferenceEvaluator(problem, schedule, w1)._energy(w2)
+                 + ReferenceEvaluator(problem, schedule, w2)._energy(w1))
 
 
 def asymptotic_residual(state_k, state_next):

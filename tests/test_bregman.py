@@ -100,6 +100,15 @@ def test_divergence_to_point_domain_errors(x, point):
         kl_divergence(x, point)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_divergence_rejects_non_finite_x_on_both_paths(bad):
+    # x is checked against a BregmanPoint as against an array
+    y = [0.25, 0.75]
+    for target in (y, BregmanPoint.from_positive_coords(y)):
+        with pytest.raises(ValueError, match="non-finite"):
+            kl_divergence([bad, 0.5], target)
+
+
 @pytest.mark.parametrize("x", [[0.5], [0.2, 0.3, 0.5]])
 def test_divergence_to_point_rejects_length_mismatch(x):
     # once broadcast: [0.5] against a 2-point returned 0.644

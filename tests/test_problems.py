@@ -314,6 +314,15 @@ def test_semidual_rejects_bad_gamma(gamma):
         build_ot_inverse(10, seed=0, gamma=gamma)
 
 
+@pytest.mark.parametrize("beta", [float("nan"), -1.0, -float("inf")])
+def test_builders_reject_bad_beta(beta):
+    # NaN compares false with every bound, so a beta < 0 check lets it pass
+    with pytest.raises(ValueError, match="beta"):
+        build_simplex_tv(5, 5, 0, beta=beta)
+    with pytest.raises(ValueError, match="beta"):
+        build_ot_inverse(8, 0, beta=beta)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_semidual_rejects_non_finite_cost(bad):
     C = np.zeros((3, 3))

@@ -34,6 +34,7 @@ from sbpd.solver import (
     lagrangian_gap,
     run,
     sbpd_step,
+    symmetrized_energy_slack,
 )
 
 
@@ -262,6 +263,14 @@ def test_lagrangian_gap_identity_and_feasibility():
         lagrangian_gap(problem, (np.full(5, 0.3), np.zeros(4)), w)
     with pytest.raises(DomainError):
         lagrangian_gap(problem, w, (state.x.coords, np.full(4, 5.0)))
+    # C0 and the cross-term slack check their references as certificates
+    # do: off the simplex, outside the ball
+    for bad in ((np.full(5, 0.3), np.zeros(4)), (state.x.coords, np.full(4, 5.0))):
+        with pytest.raises(DomainError, match="w_ref"):
+            ergodic_rate_constant(problem, schedule, bad, w)
+        for pair in ((bad, w), (w, bad)):
+            with pytest.raises(DomainError, match="w_ref"):
+                symmetrized_energy_slack(problem, schedule, *pair)
 
 
 def test_reference_evaluator_failure_paths():
