@@ -16,7 +16,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -66,7 +66,6 @@ UNREAD_KEYS = {
 INTEGER_KEYS = ("n", "m", "seed", "iterations", "repeats", "cert_every",
                 "reference_iterations")
 REAL_KEYS = ("gamma", "beta", "noise_level", "stop_gap")
-CSV_HEADER = "k,gap_pointwise,gap_ergodic,lagrangian,residual,estimate_slack,wall_nanos"
 ENV_OUTPUT_DIR = "SBPD_OUTPUT_DIR"
 
 
@@ -231,6 +230,8 @@ def _differs(value, default):
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One logged row of a trace: its fields, in order, are the CSV columns."""
+
     k: int
     gap_pointwise: float
     gap_ergodic: float
@@ -238,6 +239,18 @@ class TraceRecord:
     residual: float
     estimate_slack: Optional[float] = None
     wall_nanos: Optional[int] = None
+
+
+def _column(name, hint):
+    # Optional[T] is Union[T, None]; only its column reads "" as None
+    kinds = get_args(hint) or (hint,)
+    return name, kinds[0], type(None) in kinds
+
+
+# annotations, like fields, come in declaration order
+_COLUMNS = tuple(_column(name, hint)
+                 for name, hint in get_type_hints(TraceRecord).items())
+CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
 
 
 def should_log(k, final=None):
@@ -249,46 +262,31 @@ def should_log(k, final=None):
     return k % math.ceil(k / 1000.0) == 0
 
 
-def _cell(value):
-    return "" if value is None else repr(value)
-
-
 def write_trace(path, records):
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(",".join([
-            repr(r.k), repr(r.gap_pointwise), repr(r.gap_ergodic),
-            repr(r.lagrangian), repr(r.residual),
-            _cell(r.estimate_slack), _cell(r.wall_nanos),
-        ]))
+        values = [getattr(r, name) for name, _, _ in _COLUMNS]
+        lines.append(",".join("" if v is None else repr(v) for v in values))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_cell(text):
-    if text == "":
-        return None
-    return int(text) if ("." not in text and "e" not in text and "E" not in text
-                         and "n" not in text) else float(text)
-
-
 def read_trace(path):
+    """Parse each cell with its column's type; a foreign header, a row whose
+    cell count is not the header's or a cell that does not parse raises."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path} does not carry the expected trace header")
     records = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        records.append(TraceRecord(
-            k=int(cells[0]),
-            gap_pointwise=float(cells[1]),
-            gap_ergodic=float(cells[2]),
-            lagrangian=float(cells[3]),
-            residual=float(cells[4]),
-            estimate_slack=_parse_cell(cells[5]),
-            wall_nanos=_parse_cell(cells[6]),
-        ))
+        if len(cells) != len(_COLUMNS):
+            raise ValueError(f"{path} line {number}: {len(cells)} cells, "
+                             f"the header has {len(_COLUMNS)}")
+        values = [None if cell == "" and optional else kind(cell)
+                  for cell, (_, kind, optional) in zip(cells, _COLUMNS)]
+        records.append(TraceRecord(*values))
     return records
 
 
@@ -298,25 +296,24 @@ def _mean_records(traces):
     # row as np.mean sums a list of R values (mean(axis=0) of the transpose
     # sums in another order)
     rows = list(zip(*traces))
-    if any(len({r.k for r in row}) != 1 for row in rows):
+    # zip stops at the shortest run, so the lengths are compared apart
+    if (len({len(t) for t in traces}) > 1
+            or any(len({r.k for r in row}) != 1 for row in rows)):
         raise RuntimeError("runs disagree on the logging grid")
     if not rows:
         return []
 
-    def means(column):
-        cells = [[getattr(r, column) for r in row] for row in rows]
+    def means(name, kind):
+        # the float mean of each row, cast back to the column's type
+        cells = [[getattr(r, name) for r in row] for row in rows]
         values = np.array([[0 if c is None else c for c in row] for row in cells],
                           dtype=np.float64)
-        return [None if None in row else mean
+        return [None if None in row else kind(mean)
                 for row, mean in zip(cells, values.mean(axis=1).tolist())]
 
-    slacks, walls = means("estimate_slack"), means("wall_nanos")
-    return [TraceRecord(k=row[0].k, gap_pointwise=gap_p, gap_ergodic=gap_e,
-                        lagrangian=lag, residual=res, estimate_slack=slack,
-                        wall_nanos=None if wall is None else int(wall))
-            for row, gap_p, gap_e, lag, res, slack, wall in zip(
-                rows, means("gap_pointwise"), means("gap_ergodic"),
-                means("lagrangian"), means("residual"), slacks, walls)]
+    columns = [means(name, kind) for name, kind, _ in _COLUMNS[1:]]
+    return [TraceRecord(row[0].k, *values)
+            for row, values in zip(rows, zip(*columns))]
 
 
 def _row(state, r):

@@ -95,19 +95,40 @@ def test_trace_round_trip(tmp_path):
         TraceRecord(1, 0.5, 0.5, -1.25, 2.0, 1e-300, 12345),
         TraceRecord(1000, 6.02e23, -0.0, 3.14159, 1e-17, None, None),
         TraceRecord(2002, 1.0 / 3.0, 2.0 / 7.0, -1e-9, 0.0, -4.2e-8, 999),
+        TraceRecord(2004, 1.0, 2.0, 3.0, 4.0, float("inf"), 2**63),
+        TraceRecord(2006, 1.0, 2.0, 3.0, 4.0, 5e-324, 0),
+        TraceRecord(2008, 1.0, 2.0, 3.0, 4.0, float("nan"), 7),
     ]
     path = tmp_path / "t.csv"
     write_trace(path, records)
     text = path.read_text().splitlines()
     assert text[0] == CSV_HEADER
     assert text[2].endswith(",,")        # missing optionals are empty cells
-    assert read_trace(path) == records
+    back = read_trace(path)
+    # a NaN cell reads back as another NaN object, which compares unequal
+    assert back[:-1] == records[:-1] and np.isnan(back[-1].estimate_slack)
+    for r in back:
+        assert type(r.k) is int
+        assert all(type(v) is float for v in dataclasses.astuple(r)[1:5])
+        assert r.estimate_slack is None or type(r.estimate_slack) is float
+        assert r.wall_nanos is None or type(r.wall_nanos) is int
+    write_trace(tmp_path / "again.csv", back)
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_trace_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("row", ["1,0.5,0.5,-1.25,2.0,,,7", "1,0.5,0.5"],
+                         ids=["eighth-cell", "three-cells"])
+def test_trace_rejects_a_row_off_the_header_length(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\n2,0.5,0.5,-1.25,2.0,,\n{row}\n")
+    with pytest.raises(ValueError, match=r"bad\.csv line 3: \d cells, the header has 7"):
         read_trace(path)
 
 
@@ -210,11 +231,13 @@ def test_mean_trace_bytes_match_the_per_row_mean(tmp_path, repeats, missing):
 
 
 def test_mean_records_rejects_runs_off_one_grid():
-    a = [TraceRecord(k=1, gap_pointwise=0.0, gap_ergodic=0.0, lagrangian=0.0,
-                     residual=0.0)]
-    b = [dataclasses.replace(a[0], k=2)]
-    with pytest.raises(RuntimeError, match="logging grid"):
-        experiment._mean_records([a, b])
+    a = [TraceRecord(k=k, gap_pointwise=0.0, gap_ergodic=0.0, lagrangian=0.0,
+                     residual=0.0) for k in (1, 2, 3)]
+    shifted = [dataclasses.replace(r, k=r.k + 1) for r in a]
+    # rows at different k, or a run that stops early
+    for traces in ([a, shifted], [a, a[:2]], [a[:2], a]):
+        with pytest.raises(RuntimeError, match="logging grid"):
+            experiment._mean_records(traces)
 
 
 def test_rerun_is_byte_identical(tmp_path):
