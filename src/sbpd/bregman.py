@@ -71,7 +71,7 @@ def kl_divergence(x, y):
     A :class:`BregmanPoint` ``y`` (a solver iterate) was checked when it was
     built, so of ``y`` only its length is compared. Its log coordinates,
     when present, stand in for ``log y``: the value stays finite even where
-    coordinates underflow.
+    coordinates underflow. A stacked point (R, n) gives the R divergences.
     """
     x = as_vector(x, name="x")
     if not isinstance(y, BregmanPoint):
@@ -92,17 +92,19 @@ def _kl_to_point(x, log_x, sum_x, point):
     The lengths are compared, and without log coordinates y must be
     strictly positive; the log coordinates are finite, so a zero entry of x
     adds a zero term. The solver's energy calls this with the terms of a
-    fixed x computed once.
+    fixed x computed once. A stack y of shape (R, n) gives the R divergences
+    as an array, each bitwise its row's (the sums reduce along the last axis).
     """
     y, log_y = point.coords, point.log_coords
-    if x.shape != y.shape:
-        raise ShapeError(f"x and y must be vectors of one length, "
-                         f"got shapes {x.shape} and {y.shape}")
+    if x.shape != y.shape[-1:] or y.ndim > 2:
+        raise ShapeError(f"y must be a vector of the length of x or a stack "
+                         f"of them, got shapes {x.shape} and {y.shape}")
     if log_y is None:
         if (y <= 0).any():
             raise DomainError("y has nonpositive entries and no log coordinates")
         log_y = np.log(y)
-    return float((x * (log_x - log_y)).sum() - sum_x + y.sum())
+    value = (x * (log_x - log_y)).sum(axis=-1) - sum_x + y.sum(axis=-1)
+    return float(value) if y.ndim == 1 else value
 
 
 def euclidean_divergence(x, y):
@@ -209,12 +211,17 @@ def simplex_violation(x, name="x"):
     """Why ``x`` is off the probability simplex, or ``None`` when it is on it.
 
     On the simplex means every entry nonnegative (a NaN is not) and the sum
-    within ``SIMPLEX_SUM_TOL`` of 1.
+    within ``SIMPLEX_SUM_TOL`` of 1. A stack (R, n) is on it when every row
+    is; the message then shows the sum of the first row that is not.
     """
     if not (x >= 0).all():
         return f"{name} has negative entries"
-    if not abs(x.sum() - 1.0) <= SIMPLEX_SUM_TOL:
-        return f"{name} does not sum to 1 (got {x.sum()!r})"
+    total = x.sum(axis=-1)
+    if x.ndim > 1:  # a stack: the sum of its first row off the simplex, if any
+        total = next((s for s in total if not abs(s - 1.0) <= SIMPLEX_SUM_TOL),
+                     total[0])
+    if not abs(total - 1.0) <= SIMPLEX_SUM_TOL:
+        return f"{name} does not sum to 1 (got {total!r})"
     return None
 
 

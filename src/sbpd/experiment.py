@@ -6,7 +6,8 @@ phase reruns the solver for 80% of the reference budget by default: once
 with the exact oracle (replaying the first steps of the reference
 trajectory), or ``repeats`` times with derived seeds (stochastic), stepped
 as one stacked state whose rows are bitwise the repeats' own runs, logging
-Lagrangian gaps against the reference into CSV traces.
+Lagrangian gaps against the reference into CSV traces. Each logged k is
+evaluated once, on the stacked state, and gives one trace row per repeat.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .bregman import BregmanPoint
 from .oracle import ORACLE_MODES, GradientOracle, OracleStack
 from .problems import (
     build_ot_inverse,
@@ -31,7 +31,6 @@ from .problems import (
 )
 from .solver import (  # noqa: F401  benchmarks/tracing.py patches the unused names
     ReferenceEvaluator,
-    SolverState,
     asymptotic_residual,
     certificate_holds,
     ergodic_rate_constant,
@@ -316,33 +315,24 @@ def _mean_records(traces):
             for row, values in zip(rows, zip(*columns))]
 
 
-def _row(state, r):
-    # row r of a stacked state, as a 1-d state of views
-    x = state.x
-    point = BregmanPoint(x.coords[r],
-                         None if x.log_coords is None else x.log_coords[r])
-    return SolverState(state.k, point, state.mu[r], state.x_bar[r],
-                       state.mu_bar[r])
-
-
 def _measured_run(problem, saddle, schedule, reference, iterations, config,
                   oracles=(None,)):
     """The measured phase, one run per oracle (``None`` is the exact one).
 
     Returns one ``(records, certificates)`` pair per run. R > 1 oracles step
     their R runs as one stacked state over an ``OracleStack``, and each
-    logged row is then evaluated on the row views of the stacked states,
-    with one evaluator per run: every run's records and certificates are
-    those of its 1-d run. Each logged row evaluates the Lagrangian parts of
-    its two points once; the row's gap and T x are the certificate's gap
-    term and cross term. The certificates are the ``(slack, scale)`` pairs
-    of the certified rows.
+    logged k is evaluated once, on the stacked states: one evaluator gives
+    the R gaps, Lagrangians and certificates and ``asymptotic_residual`` the
+    R residuals, as arrays whose rows are bitwise the 1-d runs' values, and
+    the R records of the k are built from their columns. Each logged k evaluates the Lagrangian parts of its two points
+    once; the gap and T x of the iterate are the certificate's gap term and
+    cross term, and the energy of a certified k is carried to the next one.
+    The certificates are the ``(slack, scale)`` pairs of the certified rows.
     """
     repeats = len(oracles)
     stacked = repeats > 1
     oracle = OracleStack(oracles) if stacked else oracles[0]
-    evaluators = [ReferenceEvaluator(saddle, schedule, reference.w_star)
-                  for _ in range(repeats)]
+    evaluator = ReferenceEvaluator(saddle, schedule, reference.w_star)
     runs = [([], []) for _ in range(repeats)]
     noisy = oracle is not None and not oracle.is_exact
     t0 = time.perf_counter_ns()
@@ -355,30 +345,24 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
         if certify and noisy:
             _, delta = oracle.grad_estimate(
                 saddle.f_grad, saddle.f_partial_grad, prev.x.coords, prev.k)
-        steps = [(prev, state, delta)]
-        if stacked:
-            steps = [(_row(prev, r), _row(state, r),
-                      None if delta is None else delta[r])
-                     for r in range(repeats)]
-        for (prev, state, delta), evaluator, (records, certificates) in zip(
-                steps, evaluators, runs):
-            w = (state.x, state.mu)
-            gap, parts = evaluator.gap(w)
-            slack = None
+        w = (state.x, state.mu)
+        gap, parts = evaluator.gap(w)
+        slack = scale = None
+        if certify:
+            slack, scale = evaluator.certificate(
+                (prev.x, prev.mu), w, gap, primal_delta=delta, parts=parts)
+        columns = (gap, evaluator.gap((state.x_bar, state.mu_bar))[0],
+                   evaluator.lagrangian(parts), asymptotic_residual(prev, state),
+                   slack, scale)
+        rows = (columns,)
+        if stacked:  # each column holds R values: one row per run
+            rows = zip(*([None] * repeats if c is None else c.tolist()
+                         for c in columns))
+        wall = time.perf_counter_ns() - t0 if config.record_timing else None
+        for (records, certificates), row in zip(runs, rows):
+            records.append(TraceRecord(state.k, *row[:-1], wall_nanos=wall))
             if certify:
-                slack, scale = evaluator.certificate(
-                    (prev.x, prev.mu), w, gap, primal_delta=delta, parts=parts)
-                certificates.append((slack, scale))
-            records.append(TraceRecord(
-                k=state.k,
-                gap_pointwise=gap,
-                gap_ergodic=evaluator.gap((state.x_bar, state.mu_bar))[0],
-                lagrangian=evaluator.lagrangian(parts),
-                residual=asymptotic_residual(prev, state),
-                estimate_slack=slack,
-                wall_nanos=(time.perf_counter_ns() - t0 if config.record_timing
-                            else None),
-            ))
+                certificates.append(row[-2:])  # (slack, scale)
         if config.stop_gap is None:
             return False
         # stop_gap comes with one run (ExperimentConfig rejects it with repeats)

@@ -84,11 +84,16 @@ __all__ = [
 # ------------------------------------------------------------------ fidelity
 
 def kl_fidelity_value(A, b, x):
-    """D_K(Ax, b) = sum_i (Ax)_i log((Ax)_i / b_i) - (Ax)_i + b_i."""
-    u = A @ x
+    """D_K(Ax, b) = sum_i (Ax)_i log((Ax)_i / b_i) - (Ax)_i + b_i.
+
+    A stack ``x`` of shape (R, n) gives the R values as an array, each
+    bitwise its vector's (``linalg.matvec``, sums along the last axis).
+    """
+    u = A @ x if x.ndim == 1 else matvec(A, x)
     if (u <= 0).any():
         raise DomainError("Ax has nonpositive entries")
-    return float((u * np.log(u / b) - u + b).sum())
+    value = (u * np.log(u / b) - u + b).sum(axis=-1)
+    return float(value) if x.ndim == 1 else value
 
 
 def kl_fidelity_grad(A, b, x):

@@ -54,13 +54,25 @@ class LagrangianParts(NamedTuple):
     mu: np.ndarray
 
 
+def _dot(a, b):
+    """<a, b> as a float for two vectors; when either is a stack (R, d), the
+    R dot products as an array, each bitwise its row's ``@`` (``np.vecdot``;
+    a gemv ``X @ v`` rounds differently)."""
+    if a.ndim == b.ndim == 1:
+        return float(a @ b)
+    return np.vecdot(a, b)
+
+
 def _lagrangian(primal, dual):
     """L(x, mu) = f(x) + <Tx, mu> - h*(mu), x from ``primal``, mu from ``dual``.
 
     Parts that are identically zero are left out of the sum, so each problem
-    family keeps its own float expression (signed zeros included).
+    family keeps its own float expression (signed zeros included). Parts of
+    a stacked point give one value per row.
     """
-    value = float(primal.Tx @ dual.mu)
+    Tx, mu = primal.Tx, dual.mu
+    # _dot's two forms, inlined: each logged row makes five of these calls
+    value = float(Tx @ mu) if Tx.ndim == mu.ndim == 1 else np.vecdot(Tx, mu)
     if primal.f is not None:
         value = primal.f + value
     if dual.h is not None:
@@ -242,8 +254,21 @@ def _check_finite(state):
             raise DomainError(f"{name} has non-finite entries at k = {state.k}")
 
 
-def _as_point(x):
-    return x if isinstance(x, BregmanPoint) else BregmanPoint.from_coords(x)
+def _point_and_mu(w):
+    # (x as a BregmanPoint, mu as float64) of w = (x, mu): two vectors, or two
+    # stacks (R, .) of one row count, which must not broadcast. A BregmanPoint
+    # was checked when it was built; stacked coordinates are checked through
+    # their flat view, so their errors are a vector's.
+    x, mu = w
+    if not isinstance(x, BregmanPoint):
+        x = np.asarray(x, dtype=np.float64)
+        as_vector(x.reshape(-1) if x.ndim == 2 else x, name="coords")
+        x = BregmanPoint(x)
+    mu = np.asarray(mu, dtype=np.float64)
+    if mu.shape[:-1] != x.coords.shape[:-1]:
+        raise ShapeError(f"x and mu must be two vectors or two stacks of one "
+                         f"row count, got shapes {x.coords.shape} and {mu.shape}")
+    return x, mu
 
 
 def _state_key(x, mu):
@@ -274,13 +299,20 @@ class ReferenceEvaluator:
     certificate's gap term and cross term reuse them. The reference side of
     the energy (log x_ref and sum x_ref) is evaluated on the first energy.
     ``schedule`` is needed only by the energy and ``certificate``.
+
+    A stacked w (x, log x and mu of shape (R, .)) is evaluated in one pass:
+    ``gap``, ``lagrangian``, the energy and ``certificate`` then return one
+    value per row as arrays, each bitwise the value of its row's vectors,
+    and every check applies to every row.
     """
 
     def __init__(self, problem, schedule, w_ref):
         x_ref, mu_ref = w_ref
         self.problem = problem
         self.schedule = schedule
-        self.x_ref = np.array(_as_point(x_ref).coords)
+        if not isinstance(x_ref, BregmanPoint):
+            x_ref = BregmanPoint.from_coords(x_ref)
+        self.x_ref = np.array(x_ref.coords)
         self.mu_ref = np.array(mu_ref, dtype=np.float64)
         _check_feasible(problem, self.x_ref, self.mu_ref, "w_ref")
         self.ref = problem.parts(self.x_ref, self.mu_ref)
@@ -297,9 +329,8 @@ class ReferenceEvaluator:
         feasible; with ``check`` an indicator violation raises rather than
         propagating infinities.
         """
-        x, mu = w
-        x = _as_point(x).coords
-        mu = np.asarray(mu, dtype=np.float64)
+        point, mu = _point_and_mu(w)
+        x = point.coords
         if check:
             _check_feasible(self.problem, x, mu, "w")
         parts = self.problem.parts(x, mu)
@@ -320,17 +351,15 @@ class ReferenceEvaluator:
         coordinates of x, when present, stand in for log x; otherwise x must
         be strictly positive.
         """
-        x, mu = w
-        point = _as_point(x)
-        mu = np.asarray(mu, dtype=np.float64)
-        if mu.ndim != 1 or mu.shape != self.mu_ref.shape:
-            raise ShapeError(f"mu_ref and mu must be vectors of one length, "
-                             f"got shapes {self.mu_ref.shape} and {mu.shape}")
+        point, mu = _point_and_mu(w)
+        if mu.shape[-1:] != self.mu_ref.shape:
+            raise ShapeError(f"mu must have the length of mu_ref, got shapes "
+                             f"{self.mu_ref.shape} and {mu.shape}")
         Tx = self.problem.coupling.apply(point.coords) if parts is None else parts.Tx
         dp = _kl_to_point(self.x_ref, *self._kl_ref, point)
         d = self.mu_ref - mu
-        return (dp / self.schedule.lam + 0.5 * float(d @ d) / self.schedule.nu
-                - float((self.ref.Tx - Tx) @ d))
+        return (dp / self.schedule.lam + 0.5 * _dot(d, d) / self.schedule.nu
+                - _dot(self.ref.Tx - Tx, d))
 
     def certificate(self, w_k, w_next, gap, primal_delta=None, parts=None):
         """``(slack, scale)`` of the step from ``w_k`` to ``w_next``.
@@ -342,6 +371,7 @@ class ReferenceEvaluator:
         with another key has E_k evaluated, so no result depends on the call
         order. Threads may share the carry: each reads a consistent (key,
         energy) pair, and threads on different states only lose the reuse.
+        A stacked step is keyed as a whole and carries its R energies.
         """
         carried_key, e_k = self._carry
         if _state_key(*w_k) != carried_key:
@@ -350,11 +380,18 @@ class ReferenceEvaluator:
         self._carry = (_state_key(*w_next), e_next)
         noise = 0.0
         if primal_delta is not None:
-            x_n = _as_point(w_next[0]).coords
-            noise += float(np.asarray(primal_delta) @ (self.x_ref - x_n))
+            x_n = w_next[0]  # checked by the energy above
+            if isinstance(x_n, BregmanPoint):
+                x_n = x_n.coords
+            noise += _dot(np.asarray(primal_delta), self.x_ref - x_n)
         slack = e_k + noise - gap - e_next
-        scale = 1.0 + max(abs(e_k), abs(e_next), abs(gap), abs(noise))
-        return float(slack), float(scale)
+        terms = (abs(e_k), abs(e_next), abs(gap), abs(noise))
+        if not isinstance(slack, np.ndarray):
+            return float(slack), float(1.0 + max(terms))
+        # max's rule on each row: a later term wins only where it is greater,
+        # so a NaN term wins only in first place
+        top = functools.reduce(lambda top, t: np.where(t > top, t, top), terms)
+        return slack, 1.0 + top
 
 
 def lagrangian_gap(problem, w, w_ref):
@@ -448,8 +485,13 @@ def symmetrized_energy_slack(problem, schedule, w1, w2):
 
 
 def asymptotic_residual(state_k, state_next):
-    """||x_{k+1} - x_k||_1 + ||mu_{k+1} - mu_k||_2 between consecutive states."""
-    dx = float(np.abs(state_next.x.coords - state_k.x.coords).sum())
+    """||x_{k+1} - x_k||_1 + ||mu_{k+1} - mu_k||_2 between consecutive states.
+
+    Stacked states give one residual per row, each bitwise its 1-d run's.
+    """
+    dx = np.abs(state_next.x.coords - state_k.x.coords).sum(axis=-1)
     d = state_next.mu - state_k.mu
-    dmu = math.sqrt(d @ d)  # bitwise np.linalg.norm(d), which takes this form
-    return dx + dmu
+    # sqrt of the dot is bitwise np.linalg.norm(d), which takes this form
+    if d.ndim == 1:
+        return float(dx) + math.sqrt(d @ d)
+    return dx + np.sqrt(np.vecdot(d, d))
