@@ -1,22 +1,33 @@
 """Gradient oracles: exact, partial-sum, and rescaled-unbiased batch modes.
 
-Batches are drawn from a counter-based generator keyed by ``(seed, k)``, so
-the batch of iteration k can be reproduced without replaying the stream.
-That makes runs restartable and lets diagnostics recompute the noise term of
-any iteration after the fact. Since a batch depends on nothing but its key
-and counter, each oracle keeps one Philox generator and re-keys it per draw
-(the counter-based design of Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11). Each oracle also remembers its latest draw,
-``(k, batch)``, so a certificate that asks for the noise of the step just
-taken reuses that step's batch instead of drawing it again; batches are
-returned read-only, since the same array goes to every caller of its k.
-The generator and the memo make an oracle unsafe to share across threads:
-give each thread its own.
+The batch of iteration k is numpy's ``Generator.choice(m, q,
+replace=False)``, sorted, on a fresh Philox4x64-10 with key ``seed`` and
+counter ``k << 64`` (the counter-based design of Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11). It depends on nothing but
+``(seed, k)``, so the batch of any iteration can be reproduced without
+replaying the stream: runs are restartable and diagnostics can recompute
+the noise term of any iteration after the fact.
+
+Since a batch is a pure function of its key and counter, an oracle draws
+the batches of ``_BLOCK`` consecutive iterations in one vectorized pass:
+``_draw_batches`` runs Philox in uint64 numpy arithmetic, splits each
+64-bit output into two 32-bit words as numpy does, and runs Floyd's
+sampling with Lemire's bounded draw ("Fast random integer generation in an
+interval", ACM TOMACS 2019) on all lanes at once, bitwise the generator;
+the lanes it cannot reproduce, or would draw more slowly, go to the
+generator itself. A k outside the block refills it from k. A k inside it
+returns the same read-only array to every caller, so a certificate that
+asks for the noise of the step just taken reuses that step's batch.
+
+An oracle swaps its block in as one tuple, so an oracle shared across
+threads still returns the right batch of every k; but such threads may
+redraw each other's blocks, and a repeated k then need not return the same
+array, so give each thread its own oracle.
 
 An ``OracleStack`` of R oracles serves R runs stepped as one stacked state
-(``solver.run`` on states of R rows): row r draws from oracle r, with its
-own generator and memo, so each row sees the batch stream of its own 1-d
-run.
+(``solver.run`` on states of R rows): row r draws from oracle r, so each
+row sees the batch stream of its own 1-d run. A miss fills the blocks of
+all R oracles in one pass.
 """
 
 from __future__ import annotations
@@ -29,6 +40,140 @@ __all__ = ["OracleError", "GradientOracle", "OracleStack", "ORACLE_MODES"]
 
 ORACLE_MODES = ("exact", "paper-partial", "scaled-unbiased")
 _WORD = (1 << 64) - 1
+_BLOCK = 256  # iterations drawn per miss
+_K_END = 1 << 192  # k << 64 must fit Philox's 256-bit counter
+_FLOYD_Q = 128  # largest batch drawn by _floyd
+_PASS = 1 << 16  # words per _floyd pass (lanes * q), which bounds its memory
+_LOW = np.uint64(0xFFFFFFFF)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+
+
+def _words(ints, count):
+    # the `count` little-endian 64-bit words of each nonnegative int
+    return [((ints >> 64 * i) & _WORD).astype(np.uint64) for i in range(count)]
+
+
+def _mulhilo(a, b):
+    # (high, low) words of the 128-bit products a * b, from 32-bit halves;
+    # each partial sum stays below (2**32 - 1)**2 + 2**32 < 2**64
+    a_lo, a_hi = a & _LOW, a >> 32
+    b_lo, b_hi = b & _LOW, b >> 32
+    mid = a_lo * b_hi + (a_lo * b_lo >> 32)
+    mid2 = a_hi * b_lo + (mid & _LOW)
+    return a_hi * b_hi + (mid >> 32) + (mid2 >> 32), a * b
+
+
+def _philox_uint32(keys, counters, count):
+    """The first ``count`` 32-bit outputs of a fresh numpy Philox, per lane.
+
+    ``keys`` are the two key words and ``counters`` counter words 1-3, each
+    an array over lanes; counter word 0 starts at 0, and numpy increments
+    it before each block of four 64-bit outputs. Returns a (lanes, count)
+    uint64 array of 32-bit words, in the order ``next_uint32`` gives them.
+    """
+    blocks = -(-count // 8)
+    shape = (counters[0].shape[0], blocks)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    c1, c2, c3 = (np.broadcast_to(c[:, None], shape) for c in counters)
+    k0, k1 = (k[:, None] for k in keys)
+    for r in range(10):  # Philox4x64-10
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    out = np.stack([c0, c1, c2, c3], axis=-1).reshape(shape[0], -1)
+    return np.stack([out & _LOW, out >> 32], axis=-1).reshape(shape[0], -1)[:, :count]
+
+
+def _generator_batch(seed, k, m, q):
+    bits = np.random.Philox(key=seed, counter=k << 64)
+    return np.sort(np.random.Generator(bits).choice(m, q, replace=False))
+
+
+def _floyd(keys, counters, m, q):
+    # (batches, rejected) of the lanes of these Philox key and counter words
+    # (rejected: a Lemire step needed a second word, so its batch is void)
+    j = np.arange(m - q, m)
+    bound = j[j > 0].astype(np.uint64) + 1
+    product = _philox_uint32(keys, counters, bound.shape[0]) * bound
+    rejected = ((product & _LOW) < (1 << 32) % bound).any(axis=1)
+    lanes = product.shape[0]
+    t = np.zeros((lanes, q), np.int64)
+    t[:, j > 0] = product >> 32
+    # taken[:, i]: the t of step i was drawn before, so step i takes j[i].
+    # First the t that equal an earlier t: sorting t * q + i keeps equal t
+    # in step order (and m * q < 2**39 on this path)
+    t_sorted, step = np.divmod(np.sort(t * q + np.arange(q), axis=1), q)
+    rows = np.arange(lanes)
+    taken = np.zeros((lanes, q + 1), bool)  # column q stays False
+    taken[rows[:, None], step[:, 1:]] = t_sorted[:, 1:] == t_sorted[:, :-1]
+    # then the t that equal the j of an earlier step that took its j
+    back = t - (m - q)  # that step, or column q if there is none
+    back[(back < 0) | (back >= np.arange(q))] = q
+    for i in np.flatnonzero((back < q).any(axis=0)):
+        taken[:, i] |= taken[rows, back[:, i]]
+    return np.sort(np.where(taken[:, :q], j, t), axis=1), rejected
+
+
+def _draw_batches(seeds, ks, m, q):
+    """Sorted batches of Philox keys ``seeds`` at iterations ``ks``.
+
+    ``seeds`` and ``ks`` are arrays of nonnegative ints (below 2**128 and
+    2**192), broadcast against each other; each element of the broadcast is
+    a lane. Returns the (lanes, q) int64 batches, lane by lane bitwise
+    ``np.sort(Generator(Philox(key=seed, counter=k << 64)).choice(m, q,
+    replace=False))``.
+
+    For ``j`` in m-q, ..., m-1, Floyd's sampling draws t in [0, j] and takes
+    j instead when t was drawn before. numpy draws t as ``(w * (j+1)) >>
+    32`` from one 32-bit word w, unless the low half of that product falls
+    below 2**32 mod (j+1) (a rejection, after which it draws again), and
+    j = 0 takes no word. Since the words do not depend on what was drawn,
+    every t is formed at once, and t was drawn before iff it equals an
+    earlier t or the j of an earlier step that took its j.
+
+    The generator itself draws a lane that rejects, and every lane when
+    q > _FLOYD_Q (where its per-lane cost is the lower one; this includes
+    ``choice``'s tail shuffle, m > 10000 and q > m // 50) or m >= 2**32
+    (a 64-bit bound). Lanes go through in passes of at most _PASS words.
+    """
+    seeds, ks = np.asarray(seeds, dtype=object), np.asarray(ks, dtype=object)
+    shape = np.broadcast_shapes(seeds.shape, ks.shape)
+    lane_seeds, lane_ks = (np.broadcast_to(a, shape).ravel() for a in (seeds, ks))
+    lanes = lane_seeds.shape[0]
+    out = np.empty((lanes, q), np.int64)
+    by_generator = np.ones(lanes, bool)
+    if q <= _FLOYD_Q and m < 1 << 32:
+        keys = [np.broadcast_to(w, shape).ravel() for w in _words(seeds, 2)]
+        counters = [np.broadcast_to(w, shape).ravel() for w in _words(ks, 3)]
+        size = _PASS // q
+        for lo in range(0, lanes, size):
+            part = slice(lo, lo + size)
+            out[part], by_generator[part] = _floyd(
+                [w[part] for w in keys], [w[part] for w in counters], m, q)
+    for i in np.flatnonzero(by_generator):
+        out[i] = _generator_batch(int(lane_seeds[i]), int(lane_ks[i]), m, q)
+    return out
+
+
+def _fill_blocks(oracles, k):
+    """Draw the blocks of ``oracles`` (of one batch size and m) from ``k``.
+
+    Returns each oracle's new block, ``(k, batches)``, after storing it.
+    """
+    if not 0 <= k < _K_END:
+        raise ValueError(f"iteration index {k} out of range")
+    ks = np.array(range(k, min(k + _BLOCK, _K_END)), dtype=object)
+    seeds = np.array([[int(o.seed)] for o in oracles], dtype=object)
+    m, q = oracles[0].m, oracles[0].batch_size
+    batches = _draw_batches(seeds, ks, m, q).reshape(len(oracles), -1, q)
+    batches.flags.writeable = False
+    blocks = [(k, tuple(rows)) for rows in batches]
+    for oracle, block in zip(oracles, blocks):
+        object.__setattr__(oracle, "_block", block)
+    return blocks
 
 
 class OracleError(RuntimeError):
@@ -68,14 +213,9 @@ class GradientOracle:
         if not 1 <= self.batch_size <= self.m:
             raise ValueError(
                 f"batch_size must lie in [1, {self.m}], got {self.batch_size}")
-        # one generator per oracle, re-keyed by sample_batch on every draw,
-        # and the latest (k, batch); not safe to share across threads, so
-        # give each thread its own oracle
-        bits = np.random.Philox(key=self.seed)
-        object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_rng", np.random.Generator(bits))
-        object.__setattr__(self, "_fresh_state", bits.state)
-        object.__setattr__(self, "_latest", (None, None))
+        np.random.Philox(key=self.seed)  # rejects a key outside [0, 2**128)
+        # (first k, the batches of it and of the k after it), swapped as one
+        object.__setattr__(self, "_block", (0, ()))
 
     @property
     def is_exact(self):
@@ -84,25 +224,15 @@ class GradientOracle:
     def sample_batch(self, k):
         """The q distinct uniform indices of iteration ``k`` (sorted, read-only).
 
-        Draws from Philox with key ``seed`` and counter ``k << 64``, with an
-        empty output buffer, exactly as a freshly built generator would. A
-        repeated ``k`` returns the latest draw again.
+        Bitwise the draw of a fresh generator on Philox with key ``seed``
+        and counter ``k << 64``. A k outside the block refills the block
+        from k; a k inside it returns the block's array again.
         """
         k = int(k)
-        latest_k, batch = self._latest
-        if k == latest_k:
-            return batch
-        counter = k << 64
-        if not 0 <= counter < 1 << 256:
-            raise ValueError(f"iteration index {k} out of range")
-        state = self._fresh_state
-        state["state"]["counter"][:] = [(counter >> s) & _WORD
-                                        for s in (0, 64, 128, 192)]
-        self._bits.state = state
-        batch = np.sort(self._rng.choice(self.m, size=self.batch_size, replace=False))
-        batch.flags.writeable = False
-        object.__setattr__(self, "_latest", (k, batch))
-        return batch
+        start, batches = self._block
+        if not 0 <= k - start < len(batches):
+            [(start, batches)] = _fill_blocks((self,), k)
+        return batches[k - start]
 
     def estimate(self, full_grad_fn, partial_grad_fn, x, k):
         """Gradient estimate at ``x`` for iteration ``k`` (no noise report)."""
@@ -138,8 +268,9 @@ class OracleStack:
     """R oracles of one mode, batch size and m, for a stacked state of R rows.
 
     ``sample_batch(k)`` stacks the R oracles' own batches of iteration k
-    into an (R, q) array, so row r keeps the batch stream and the memo of
-    oracle r. The estimates are those of ``GradientOracle``, taken on that
+    into an (R, q) array, so row r keeps the batch stream and the block of
+    oracle r. A k outside the blocks the stack last filled fills all R in
+    one pass. The estimates are those of ``GradientOracle``, taken on that
     array and on an (R, n) stack of points, whose partial gradient gives
     each row the gradient of its own batch.
     """
@@ -151,11 +282,19 @@ class OracleStack:
             raise ValueError("an oracle stack needs oracles of one mode, "
                              "batch size and m")
         [(self.mode, self.batch_size, self.m)] = kinds
+        self._filled = range(0)  # the k of the last fill
 
     is_exact = GradientOracle.is_exact
 
     def sample_batch(self, k):
-        return np.stack([oracle.sample_batch(k) for oracle in self.oracles])
+        k = int(k)
+        if k not in self._filled:
+            start, batches = _fill_blocks(self.oracles, k)[0]
+            self._filled = range(start, start + len(batches))
+        # each row through GradientOracle.sample_batch, so a wrapper patched
+        # onto that class (benchmarks/tracing.py) counts every row's draw;
+        # a row whose block has moved since refills it alone
+        return np.array([oracle.sample_batch(k) for oracle in self.oracles])
 
     # GradientOracle's estimates, looked up on every call, so a wrapper
     # patched onto that class (benchmarks/tracing.py) sees these calls too

@@ -102,10 +102,12 @@ def kl_fidelity_grad(A, b, x):
     A stack ``x`` of shape (R, n) gives the R gradients, each row bitwise
     its vector's (``linalg.matvec``).
     """
-    u = matvec(A, x)
+    vector = x.ndim == 1
+    u = A @ x if vector else matvec(A, x)
     if (u <= 0).any():
         raise DomainError("Ax has nonpositive entries")
-    return matvec(A.T, np.log(u / b))
+    r = np.log(u / b)
+    return A.T @ r if vector else matvec(A.T, r)
 
 
 def kl_rel_smooth_constant(A):
@@ -248,6 +250,8 @@ class SimplexTVProblem:
         # a stack of R batches (R, q) and of R points (R, n) gathers the rows
         # of A as (R, q, n) and takes each point's products through matvec
         sub = self.A[batch]
+        if x.ndim == 1:
+            return sub.T @ np.log(sub @ x / self.b[batch])
         return matvec(sub.swapaxes(-1, -2), np.log(matvec(sub, x) / self.b[batch]))
 
     def saddle_problem(self):
@@ -366,14 +370,28 @@ class OTInverseProblem:
     def kernel(self):
         return semidual_kernel(self.C, self.gamma)
 
+    @staticmethod
+    def _one_vector(mu):
+        # the semidual takes one potential, so ot-inverse can neither step
+        # nor evaluate a stack of dual vectors
+        if mu.ndim != 1:
+            raise ShapeError(f"ot-inverse takes one dual vector, not a stack "
+                             f"of shape {mu.shape}")
+        return mu
+
     def h_star_value(self, mu):
-        return _semidual(mu[:self.n], self.theta, self.C,
+        return _semidual(self._one_vector(mu)[:self.n], self.theta, self.C,
                          self.gamma, self.kernel, grad=False)[0]
 
     def h_star_grad(self, mu):
-        grad = _semidual(mu[:self.n], self.theta, self.C,
+        grad = _semidual(self._one_vector(mu)[:self.n], self.theta, self.C,
                          self.gamma, self.kernel, value=False)[1]
         return np.concatenate([grad, np.zeros(self.n - 1)])
+
+    def dual_feasible(self, mu):
+        mu = self._one_vector(mu)
+        return bool(mu.shape[0] == 2 * self.n - 1
+                    and np.abs(mu[self.n:]).max() <= self.beta + 1e-12)
 
     def dual_prox(self, mu, v, nu):
         # plain gradient step on tau, clamped step on the ball-constrained zeta
@@ -394,9 +412,7 @@ class OTInverseProblem:
             f_value=None,
             h_star_value=self.h_star_value,
             primal_feasible=_simplex_feasible,
-            dual_feasible=lambda mu: bool(
-                mu.shape[0] == 2 * n - 1
-                and np.abs(mu[n:]).max() <= self.beta + 1e-12),
+            dual_feasible=self.dual_feasible,
         )
 
     def initial_point(self):

@@ -1,8 +1,9 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from sbpd import oracle as oracle_module
 from sbpd.oracle import GradientOracle, OracleError, OracleStack
 
 
@@ -42,6 +43,138 @@ def test_batches_equal_fresh_generator_draws():
                 assert np.array_equal(oracle.sample_batch(k),
                                       _fresh_generator_batch(seed, 50, q, k)), \
                     (seed, q, k)
+
+
+# keys past one word and the largest key; iterations that set counter words
+# 2 and 3 (k >= 2**64, k >= 2**128) up to the largest, 2**192 - 1
+_WIDE_SEEDS = (3, 4243, 2**64 + 5, 2**100 + 77, 2**128 - 1)
+_WIDE_KS = (0, 1, 199, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 3, 2**128 + 7,
+            2**192 - 1)
+
+
+@pytest.mark.parametrize("m, q", [
+    (2, 1), (2, 2), (50, 1), (50, 5), (50, 49), (50, 50),
+    (10000, 1), (10000, 128), (10000, 129), (10000, 9999), (10000, 10000),
+    # choice's tail shuffle starts above q = 10001 // 50 = 200
+    (10001, 200), (10001, 201),
+])
+def test_block_draws_equal_fresh_generator_draws(m, q):
+    seeds = np.array(_WIDE_SEEDS, dtype=object)[:, None]
+    batches = oracle_module._draw_batches(seeds, np.array(_WIDE_KS, dtype=object),
+                                          m, q)
+    assert batches.shape == (len(_WIDE_SEEDS) * len(_WIDE_KS), q)
+    assert batches.dtype == np.int64
+    for batch, (seed, k) in zip(batches, product(_WIDE_SEEDS, _WIDE_KS)):
+        assert np.array_equal(batch, _fresh_generator_batch(seed, m, q, k)), \
+            (seed, k)
+
+
+def test_block_draws_in_several_passes_equal_one_pass(monkeypatch):
+    # 45 lanes of q = 7 in passes of 4 lanes, the last one of 1
+    seeds = np.array(_WIDE_SEEDS, dtype=object)[:, None]
+    ks = np.array(_WIDE_KS, dtype=object)
+    whole = oracle_module._draw_batches(seeds, ks, 50, 7)
+    monkeypatch.setattr(oracle_module, "_PASS", 4 * 7 + 6)
+    assert np.array_equal(oracle_module._draw_batches(seeds, ks, 50, 7), whole)
+    for batch, (seed, k) in zip(whole, product(_WIDE_SEEDS, _WIDE_KS)):
+        assert np.array_equal(batch, _fresh_generator_batch(seed, 50, 7, k))
+
+
+def _count_fills(monkeypatch):
+    # the lane count of every _draw_batches call
+    lanes, draw = [], oracle_module._draw_batches
+
+    def counted(seeds, ks, m, q):
+        batches = draw(seeds, ks, m, q)
+        lanes.append(batches.shape[0])
+        return batches
+
+    monkeypatch.setattr(oracle_module, "_draw_batches", counted)
+    return lanes
+
+
+def test_oracle_serves_a_block_and_refills_it_on_a_miss(monkeypatch):
+    lanes = _count_fills(monkeypatch)
+    block = oracle_module._BLOCK
+    oracle = GradientOracle("paper-partial", 5, 2**64 + 5, 50)
+    first = oracle.sample_batch(300)
+    for k in (301, 300 + block - 1, 300):
+        assert np.array_equal(oracle.sample_batch(k),
+                              _fresh_generator_batch(2**64 + 5, 50, 5, k))
+    assert oracle.sample_batch(300) is first
+    assert lanes == [block]
+    # a k past the block, then one before its start: a new block from 299
+    for k in (300 + block, 299, 300):
+        assert np.array_equal(oracle.sample_batch(k),
+                              _fresh_generator_batch(2**64 + 5, 50, 5, k)), k
+    assert oracle.sample_batch(300) is not first
+    assert lanes == [block] * 3
+    # a block that straddles counter words 1 and 2, and one cut short at the
+    # last iteration index
+    for k in (2**64 - 2, 2**64 + 1, 2**192 - 2, 2**192 - 1):
+        assert np.array_equal(oracle.sample_batch(k),
+                              _fresh_generator_batch(2**64 + 5, 50, 5, k)), k
+    assert lanes == [block] * 4 + [2]
+
+
+def test_oracle_stack_fills_rows_of_mixed_seeds_in_one_pass(monkeypatch):
+    lanes = _count_fills(monkeypatch)
+    block = oracle_module._BLOCK
+    seeds = (2**128 - 1, 0, 2**64 + 5, 26)
+    oracles = [GradientOracle("scaled-unbiased", 7, seed, 30) for seed in seeds]
+    stack = OracleStack(oracles)
+    for k in (5, 6, 4 + block, 4, 2**64 + 1):
+        for row, seed in zip(stack.sample_batch(k), seeds):
+            assert np.array_equal(row, _fresh_generator_batch(seed, 30, 7, k))
+    assert lanes == [4 * block] * 3
+    # a row whose block has moved refills it alone
+    oracles[2].sample_batch(0)
+    for row, seed in zip(stack.sample_batch(2**64 + 2), seeds):
+        assert np.array_equal(row, _fresh_generator_batch(seed, 30, 7, 2**64 + 2))
+    assert lanes == [4 * block] * 3 + [block, block]
+
+
+def _spy_generator(monkeypatch):
+    calls, fresh = [], oracle_module._generator_batch
+
+    def spy(seed, k, m, q):
+        calls.append((seed, k))
+        return fresh(seed, k, m, q)
+
+    monkeypatch.setattr(oracle_module, "_generator_batch", spy)
+    return calls
+
+
+def test_a_rejected_lemire_step_falls_back_to_the_generator(monkeypatch):
+    # a zero word at step j = 47 of lane 4 gives the product 0, below
+    # 2**32 mod 48 = 16, which numpy rejects; that lane is drawn again by the
+    # generator, from the true words, and every other lane keeps its own
+    calls = _spy_generator(monkeypatch)
+    real = oracle_module._philox_uint32
+
+    def words(keys, counters, count):
+        out = real(keys, counters, count).copy()
+        out[4, 2] = 0
+        return out
+
+    monkeypatch.setattr(oracle_module, "_philox_uint32", words)
+    seeds = (3, 2**64 + 5)
+    batches = oracle_module._draw_batches(np.array(seeds, dtype=object)[:, None],
+                                          np.array([0, 1, 2], dtype=object), 50, 5)
+    assert calls == [(2**64 + 5, 1)]
+    for batch, (seed, k) in zip(batches, product(seeds, (0, 1, 2))):
+        assert np.array_equal(batch, _fresh_generator_batch(seed, 50, 5, k))
+
+
+def test_a_rejection_in_the_true_stream_falls_back_to_the_generator(monkeypatch):
+    # seed 11 at k = 3791 draws a word that numpy rejects (m = 10000, q = 128)
+    calls = _spy_generator(monkeypatch)
+    batches = oracle_module._draw_batches(np.array([11], dtype=object),
+                                          np.array([3790, 3791], dtype=object),
+                                          10000, 128)
+    assert calls == [(11, 3791)]
+    for batch, k in zip(batches, (3790, 3791)):
+        assert np.array_equal(batch, _fresh_generator_batch(11, 10000, 128, k))
 
 
 def test_reused_generator_carries_no_state_between_draws():

@@ -16,7 +16,7 @@ from sbpd.bregman import BregmanPoint, DomainError
 from sbpd.experiment import ExperimentConfig, read_trace, run_experiment
 from sbpd.linalg import ShapeError
 from sbpd.oracle import GradientOracle, OracleError, OracleStack
-from sbpd.problems import build_simplex_tv, compute_reference
+from sbpd.problems import build_ot_inverse, build_simplex_tv, compute_reference
 from sbpd.solver import ReferenceEvaluator, initial_state, run, sbpd_step
 
 
@@ -272,6 +272,22 @@ def test_stacked_evaluation_rejects_rows_of_two_counts(x_rows, mu_rows):
                     (evaluator._energy, (point, mu[:mu_rows]))):
         with pytest.raises(ShapeError, match="row count"):
             call(w)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_stacked_ot_inverse_evaluation_raises_shape_error(check):
+    # the semidual takes one potential: a feasible stack of ot-inverse rows
+    # is a shape error, not a dual part that violates its constraints
+    problem = build_ot_inverse(8, 1)
+    x0, mu0 = problem.initial_point()
+    saddle = problem.saddle_problem()
+    evaluator = ReferenceEvaluator(saddle, problem.default_schedule(), (x0, mu0))
+    state = initial_state(x0, mu0, rows=3)
+    with pytest.raises(ShapeError, match="one dual vector"):
+        evaluator.gap((state.x, state.mu), check=check)
+    with pytest.raises(ShapeError, match="one dual vector"):
+        saddle.h_star_grad(state.mu)
+    assert evaluator.gap((x0, mu0))[0] == 0.0
 
 
 @pytest.mark.parametrize("changed", [None, "log x", "mu"])
