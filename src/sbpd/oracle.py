@@ -15,9 +15,12 @@ the batches of ``_BLOCK`` consecutive iterations in one vectorized pass:
 sampling with Lemire's bounded draw ("Fast random integer generation in an
 interval", ACM TOMACS 2019) on all lanes at once, bitwise the generator;
 the lanes it cannot reproduce, or would draw more slowly, go to the
-generator itself. A k outside the block refills it from k. A k inside it
-returns the same read-only array to every caller, so a certificate that
-asks for the noise of the step just taken reuses that step's batch.
+generator itself, one per thread, re-keyed for each batch. Where the
+generator draws every lane (q > _FLOYD_Q or m >= 2**32) a block holds one
+k, so nothing is drawn ahead. A k outside the block refills it from k. A k
+inside it returns the same read-only array to every caller, so a
+certificate that asks for the noise of the step just taken reuses that
+step's batch.
 
 An oracle swaps its block in as one tuple, so an oracle shared across
 threads still returns the right batch of every k; but such threads may
@@ -32,6 +35,7 @@ all R oracles in one pass.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +49,7 @@ _K_END = 1 << 192  # k << 64 must fit Philox's 256-bit counter
 _FLOYD_Q = 128  # largest batch drawn by _floyd
 _PASS = 1 << 16  # words per _floyd pass (lanes * q), which bounds its memory
 _LOW = np.uint64(0xFFFFFFFF)
+_thread = threading.local()  # each thread's generator, see _generator_batch
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 
@@ -87,9 +92,24 @@ def _philox_uint32(keys, counters, count):
     return np.stack([out & _LOW, out >> 32], axis=-1).reshape(shape[0], -1)[:, :count]
 
 
+def _vectorized(m, q):
+    # whether _floyd draws the batches of (m, q); the generator draws the rest
+    return q <= _FLOYD_Q and m < 1 << 32
+
+
 def _generator_batch(seed, k, m, q):
-    bits = np.random.Philox(key=seed, counter=k << 64)
-    return np.sort(np.random.Generator(bits).choice(m, q, replace=False))
+    # the batch on this thread's generator, its Philox set to the state that
+    # a fresh one has at key seed and counter k << 64 (cheaper than a new one)
+    if not hasattr(_thread, "rng"):
+        bits = np.random.Philox(0)
+        _thread.rng, _thread.state = np.random.Generator(bits), bits.state
+    state = _thread.state
+    state["state"]["counter"][:] = [(k << 64 >> s) & _WORD for s in (0, 64, 128, 192)]
+    state["state"]["key"][:] = [seed & _WORD, seed >> 64]
+    _thread.rng.bit_generator.state = state
+    batch = np.sort(_thread.rng.choice(m, q, replace=False))
+    batch.flags.writeable = False
+    return batch
 
 
 def _floyd(keys, counters, m, q):
@@ -145,7 +165,7 @@ def _draw_batches(seeds, ks, m, q):
     lanes = lane_seeds.shape[0]
     out = np.empty((lanes, q), np.int64)
     by_generator = np.ones(lanes, bool)
-    if q <= _FLOYD_Q and m < 1 << 32:
+    if _vectorized(m, q):
         keys = [np.broadcast_to(w, shape).ravel() for w in _words(seeds, 2)]
         counters = [np.broadcast_to(w, shape).ravel() for w in _words(ks, 3)]
         size = _PASS // q
@@ -165,11 +185,14 @@ def _fill_blocks(oracles, k):
     """
     if not 0 <= k < _K_END:
         raise ValueError(f"iteration index {k} out of range")
-    ks = np.array(range(k, min(k + _BLOCK, _K_END)), dtype=object)
-    seeds = np.array([[int(o.seed)] for o in oracles], dtype=object)
     m, q = oracles[0].m, oracles[0].batch_size
-    batches = _draw_batches(seeds, ks, m, q).reshape(len(oracles), -1, q)
-    batches.flags.writeable = False
+    if _vectorized(m, q):
+        ks = np.array(range(k, min(k + _BLOCK, _K_END)), dtype=object)
+        seeds = np.array([[int(o.seed)] for o in oracles], dtype=object)
+        batches = _draw_batches(seeds, ks, m, q).reshape(len(oracles), -1, q)
+        batches.flags.writeable = False
+    else:  # the generator draws one batch at a time, so a block holds k alone
+        batches = [[_generator_batch(int(o.seed), k, m, q)] for o in oracles]
     blocks = [(k, tuple(rows)) for rows in batches]
     for oracle, block in zip(oracles, blocks):
         object.__setattr__(oracle, "_block", block)

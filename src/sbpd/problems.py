@@ -102,12 +102,10 @@ def kl_fidelity_grad(A, b, x):
     A stack ``x`` of shape (R, n) gives the R gradients, each row bitwise
     its vector's (``linalg.matvec``).
     """
-    vector = x.ndim == 1
-    u = A @ x if vector else matvec(A, x)
+    u = matvec(A, x)
     if (u <= 0).any():
         raise DomainError("Ax has nonpositive entries")
-    r = np.log(u / b)
-    return A.T @ r if vector else matvec(A.T, r)
+    return matvec(A.T, np.log(u / b))
 
 
 def kl_rel_smooth_constant(A):
@@ -250,8 +248,6 @@ class SimplexTVProblem:
         # a stack of R batches (R, q) and of R points (R, n) gathers the rows
         # of A as (R, q, n) and takes each point's products through matvec
         sub = self.A[batch]
-        if x.ndim == 1:
-            return sub.T @ np.log(sub @ x / self.b[batch])
         return matvec(sub.swapaxes(-1, -2), np.log(matvec(sub, x) / self.b[batch]))
 
     def saddle_problem(self):

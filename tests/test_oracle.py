@@ -177,6 +177,20 @@ def test_a_rejection_in_the_true_stream_falls_back_to_the_generator(monkeypatch)
         assert np.array_equal(batch, _fresh_generator_batch(11, 10000, 128, k))
 
 
+def test_generator_blocks_hold_one_k(monkeypatch):
+    # past _FLOYD_Q the generator draws every batch, so nothing is drawn ahead
+    lanes, calls = _count_fills(monkeypatch), _spy_generator(monkeypatch)
+    seeds = (2**128 - 1, 4243, 2**64 + 5)
+    oracles = [GradientOracle("paper-partial", 129, seed, 300) for seed in seeds]
+    stack = OracleStack(oracles)
+    for k in (7, 7, 8, 2**64 + 1, 3):
+        for row, seed in zip(stack.sample_batch(k), seeds):
+            assert np.array_equal(row, _fresh_generator_batch(seed, 300, 129, k))
+    assert oracles[0].sample_batch(3) is oracles[0].sample_batch(3)
+    assert calls == [(seed, k) for k in (7, 8, 2**64 + 1, 3) for seed in seeds]
+    assert lanes == []
+
+
 def test_reused_generator_carries_no_state_between_draws():
     oracle = GradientOracle("scaled-unbiased", 5, 26, 50)
     first, back, again = (oracle.sample_batch(k) for k in (5, 3, 5))
