@@ -1,17 +1,24 @@
 """Numerical self-checks runnable from the command line.
 
 Every suite draws fresh randomized instances (seeded, so reruns agree) and
-counts violations of a contract the library is supposed to satisfy: adjoint
-pairings, divergence inequalities, prox optimality, oracle statistics, and
-the per-iteration energy certificate. The suites are the one home of each
+samples a contract the library is supposed to satisfy: adjoint pairings,
+divergence inequalities, prox optimality, oracle statistics, and the
+per-iteration energy certificate. The suites are the one home of each
 sampled contract: the test suite runs every entry of ``SUITES`` at ``full``
 level, and no unit test re-samples a contract that a suite covers. ``fast``
 trims the sample counts to keep the whole battery under five seconds;
 ``full`` runs the real volumes.
+
+A suite is a generator that yields one verdict per sample, ``True`` for a
+violation. A suite with more to report than its counts returns that detail,
+a string, as the generator's return value. One tally counts the verdicts:
+``SUITES[name](level)`` returns ``(samples, failures)``, plus the detail
+when the suite returns one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +46,8 @@ from .problems import (
     ot_semidual_value_grad,
 )
 from .solver import (
+    ReferenceEvaluator,
     certificate_holds,
-    estimate_inequality_terms,
     initial_state,
     run,
     symmetrized_energy_slack,
@@ -104,6 +111,20 @@ def _operator_zoo(rng):
     ]
 
 
+def _adjoint_verdicts(op, pairs, seed, tol):
+    rng = np.random.default_rng(seed)
+    draws = [(rng.standard_normal(op.input_dim), rng.standard_normal(op.output_dim))
+             for _ in range(pairs)]
+    xs = np.array([x for x, _ in draws])
+    ys = np.array([y for _, y in draws])
+    for x, y, tx, ty in zip(xs, ys, op.apply(xs), op.adjoint_apply(ys)):
+        lhs = float(tx @ y)
+        rhs = float(x @ ty)
+        yield (abs(lhs - rhs) > tol * (1.0 + abs(lhs))
+               or tx.tobytes() != op.apply(x).tobytes()
+               or ty.tobytes() != op.adjoint_apply(y).tobytes())
+
+
 def adjoint_consistency_failures(op, pairs, seed=0, tol=1e-10):
     """Count pairs where <op x, y> and <x, op* y> disagree beyond roundoff.
 
@@ -111,38 +132,18 @@ def adjoint_consistency_failures(op, pairs, seed=0, tol=1e-10):
     and one of y's; a pair also fails when its rows of the stacked products
     are not bitwise the 1-d products of its x and y.
     """
-    rng = np.random.default_rng(seed)
-    draws = [(rng.standard_normal(op.input_dim), rng.standard_normal(op.output_dim))
-             for _ in range(pairs)]
-    xs = np.array([x for x, _ in draws])
-    ys = np.array([y for _, y in draws])
-    failures = 0
-    for x, y, tx, ty in zip(xs, ys, op.apply(xs), op.adjoint_apply(ys)):
-        lhs = float(tx @ y)
-        rhs = float(x @ ty)
-        if (abs(lhs - rhs) > tol * (1.0 + abs(lhs))
-                or tx.tobytes() != op.apply(x).tobytes()
-                or ty.tobytes() != op.adjoint_apply(y).tobytes()):
-            failures += 1
-    return failures
+    return sum(_adjoint_verdicts(op, pairs, seed, tol))
 
 
 def _check_adjoints(level):
     pairs = _pick(level, 25, 100)
-    rng = np.random.default_rng(101)
-    failures = 0
-    total = 0
-    for _, op in _operator_zoo(rng):
-        failures += adjoint_consistency_failures(op, pairs, seed=7)
-        total += pairs
-    return total, failures
+    for _, op in _operator_zoo(np.random.default_rng(101)):
+        yield from _adjoint_verdicts(op, pairs, seed=7, tol=1e-10)
 
 
 def _check_linearity(level):
     triples = _pick(level, 10, 40)
     rng = np.random.default_rng(102)
-    failures = 0
-    total = 0
     for _, op in _operator_zoo(rng):
         for _ in range(triples):
             x = rng.standard_normal(op.input_dim)
@@ -153,49 +154,39 @@ def _check_linearity(level):
             images = op.apply(points)
             lhs, tx, ty = images
             rhs = a * tx + b * ty
-            if (np.abs(lhs - rhs).max() > 1e-12 * (1.0 + np.abs(rhs).max())
-                    or any(image.tobytes() != op.apply(point).tobytes()
-                           for point, image in zip(points, images))):
-                failures += 1
-            total += 1
-    return total, failures
+            yield (np.abs(lhs - rhs).max() > 1e-12 * (1.0 + np.abs(rhs).max())
+                   or any(image.tobytes() != op.apply(point).tobytes()
+                          for point, image in zip(points, images)))
 
 
 def _check_operator_norms(level):
     rng = np.random.default_rng(103)
-    facts = []
-    facts.append(abs(operator_norm(LinearMap(np.eye(7))) - 1.0) <= 1e-9)
-    facts.append(abs(operator_norm(LinearMap(np.diag([3.0, -4.0]))) - 4.0) <= 1e-8)
+    yield not abs(operator_norm(LinearMap(np.eye(7))) - 1.0) <= 1e-9
+    yield not abs(operator_norm(LinearMap(np.diag([3.0, -4.0]))) - 4.0) <= 1e-8
     fd_norm = operator_norm(LinearMap(forward_difference_matrix(250)))
     fd_exact = 2.0 * np.cos(np.pi / 500)  # closed form 2 cos(pi / 2n) at n = 250
-    facts.append(abs(fd_norm - fd_exact) <= 1e-12 * fd_exact)
+    yield not abs(fd_norm - fd_exact) <= 1e-12 * fd_exact
     blocks = [LinearMap(forward_difference_matrix(20)),
               LinearMap(rng.standard_normal((8, 20)))]
     stack_norm = operator_norm(LinearMap(np.vstack([b.matrix for b in blocks])))
     lo = max(operator_norm(b) for b in blocks)
     hi = float(np.sqrt(sum(operator_norm(b) ** 2 for b in blocks))) + 1e-9
-    facts.append(lo - 1e-9 <= stack_norm <= hi)
-    facts.append(operator_norm(LinearMap(np.zeros((3, 5)))) == 0.0)
-    failures = sum(1 for ok in facts if not ok)
-    return len(facts), failures
+    yield not lo - 1e-9 <= stack_norm <= hi
+    yield operator_norm(LinearMap(np.zeros((3, 5)))) != 0.0
 
 
 def _check_divergence_nonnegativity(level):
     n = _pick(level, 200, 1000)
     rng = np.random.default_rng(104)
-    failures = 0
     for dim in (6, 8):
         for _ in range(n):
             x = rng.dirichlet(np.ones(dim))
             y = rng.dirichlet(np.ones(dim)) + 1e-12
             y = y / y.sum()
-            if kl_divergence(x, y) < -1e-13:
-                failures += 1
+            yield kl_divergence(x, y) < -1e-13
             u = rng.standard_normal(dim)
             v = rng.standard_normal(dim)
-            if euclidean_divergence(u, v) < 0.0:
-                failures += 1
-    return 4 * n, failures
+            yield euclidean_divergence(u, v) < 0.0
 
 
 def _check_entropy_gradients(level):
@@ -203,7 +194,6 @@ def _check_entropy_gradients(level):
     # x - y for the Euclidean divergence, against central differences
     n = _pick(level, 20, 100)
     rng = np.random.default_rng(105)
-    failures = 0
     h = 1e-6
     for _ in range(n):
         on_simplex = rng.dirichlet(np.full(5, 5.0)) + 0.01
@@ -220,9 +210,7 @@ def _check_entropy_gradients(level):
                 e = np.zeros(5)
                 e[i] = h
                 fd = (div(x + e, y) - div(x - e, y)) / (2 * h)
-                if abs(fd - grad[i]) > max(1e-5 * abs(grad[i]), 1e-7):
-                    failures += 1
-    return 15 * n, failures
+                yield abs(fd - grad[i]) > max(1e-5 * abs(grad[i]), 1e-7)
 
 
 def _grid_simplex(step):
@@ -234,12 +222,9 @@ def _grid_simplex(step):
 
 
 def _check_prox_optimality(level):
-    instances = _pick(level, 2, 5)
     rng = np.random.default_rng(106)
     grid = np.clip(_grid_simplex(2e-3), 1e-300, None)
-    failures = 0
-    total = 0
-    for _ in range(instances):
+    for _ in range(_pick(level, 2, 5)):
         x = BregmanPoint.from_positive_coords(rng.dirichlet(np.full(3, 4.0)) + 1e-3)
         x = BregmanPoint.from_positive_coords(x.coords / x.coords.sum())
         v = rng.standard_normal(3) * 2.0
@@ -249,12 +234,9 @@ def _check_prox_optimality(level):
                      + (np.sum(np.where(grid > 0, grid * (np.log(grid) - x.log_coords), 0.0), axis=1)
                         + 1.0 - grid.sum(axis=1)) / lam)
         own = float(out.coords @ v) + kl_divergence(out.coords, x.coords) / lam
-        if own > objective.min() + 1e-8:
-            failures += 1
-        total += 1
-    coords = _pick(level, 10, 50)
+        yield own > objective.min() + 1e-8
     ticks = np.linspace(-1.0, 1.0, 4001)
-    for _ in range(coords):
+    for _ in range(_pick(level, 10, 50)):
         mu = rng.uniform(-1.0, 1.0, 1)
         v = rng.standard_normal(1)
         nu = float(rng.uniform(0.1, 2.0))
@@ -262,48 +244,35 @@ def _check_prox_optimality(level):
         out = linf_ball_prox(mu, v, nu, beta)
         objective = ticks * v[0] + (ticks - mu[0]) ** 2 / (2 * nu)
         own = out[0] * v[0] + (out[0] - mu[0]) ** 2 / (2 * nu)
-        if own > objective.min() + 1e-7:
-            failures += 1
-        total += 1
-    return total, failures
+        yield own > objective.min() + 1e-7
 
 
 def _check_pinsker(level):
-    n = _pick(level, 1000, 10_000)
     rng = np.random.default_rng(107)
-    failures = 0
-    for _ in range(n):
+    for _ in range(_pick(level, 1000, 10_000)):
         dim = int(rng.integers(2, 12))
         x = rng.dirichlet(np.full(dim, rng.uniform(0.2, 3.0)))
         y = rng.dirichlet(np.full(dim, rng.uniform(0.2, 3.0))) + 1e-13
         y = y / y.sum()
-        if pinsker_slack(x, y) < -1e-12:
-            failures += 1
-    return n, failures
+        yield pinsker_slack(x, y) < -1e-12
 
 
 def _check_three_point(level):
-    n = _pick(level, 200, 1000)
     rng = np.random.default_rng(108)
-    failures = 0
-    for _ in range(n):
+    for _ in range(_pick(level, 200, 1000)):
         pts = [rng.dirichlet(np.full(5, 2.0)) + 1e-9 for _ in range(3)]
         x, y, z = [p / p.sum() for p in pts]
-        if three_point_identity_check(x, y, z) > 1e-10 * (1.0 + kl_divergence(x, z)):
-            failures += 1
+        yield three_point_identity_check(x, y, z) > 1e-10 * (1.0 + kl_divergence(x, z))
         # Euclidean: the mirror-map difference is y - z
         x, y, z = [rng.standard_normal(5) for _ in range(3)]
         resid = (euclidean_divergence(x, z) - euclidean_divergence(x, y)
                  - euclidean_divergence(y, z) - float((y - z) @ (x - y)))
-        if abs(resid) > 1e-12:
-            failures += 1
-    return 2 * n, failures
+        yield abs(resid) > 1e-12
 
 
 def _check_primal_descent(level):
     n = _pick(level, 200, 1000)
     rng = np.random.default_rng(109)
-    failures = 0
     # A with more rows than columns, then with more columns than rows
     for dim, m in ((30, 40), (12, 10)):
         problem = build_simplex_tv(dim, m, seed=3)
@@ -316,32 +285,24 @@ def _check_primal_descent(level):
             lhs = problem.f_value(y)
             rhs = (problem.f_value(x) + problem.f_grad(x) @ (y - x)
                    + problem.L_p * kl_divergence(y, x))
-            if lhs > rhs + 1e-9 * (1.0 + abs(rhs)):
-                failures += 1
-    return 2 * n, failures
+            yield lhs > rhs + 1e-9 * (1.0 + abs(rhs))
 
 
 def _check_dual_descent(level):
-    n = _pick(level, 100, 500)
     problem = build_ot_inverse(25, seed=5, gamma=1.0)
     rng = np.random.default_rng(110)
-    failures = 0
-    for _ in range(n):
+    for _ in range(_pick(level, 100, 500)):
         t1 = rng.standard_normal(25) * 3.0
         t2 = t1 + rng.standard_normal(25) * rng.uniform(0.01, 2.0)
         v1, g1 = ot_semidual_value_grad(t1, problem.theta, problem.C, problem.gamma)
         v2, _ = ot_semidual_value_grad(t2, problem.theta, problem.C, problem.gamma)
         d = t2 - t1
         rhs = v1 + g1 @ d + 0.5 * problem.L_d * float(d @ d)
-        if v2 > rhs + 1e-9 * (1.0 + abs(rhs)):
-            failures += 1
-    return n, failures
+        yield v2 > rhs + 1e-9 * (1.0 + abs(rhs))
 
 
 def _check_lipschitz_ratio(level):
     pairs = _pick(level, 100, 1000)
-    failures = 0
-    total = 0
     for gamma in (0.5, 1.0, 2.0):
         problem = build_ot_inverse(20, seed=6, gamma=gamma)
         rng = np.random.default_rng(111)
@@ -356,10 +317,7 @@ def _check_lipschitz_ratio(level):
                 _, g2 = ot_semidual_value_grad(t2, problem.theta, problem.C, gamma)
                 num = float(np.linalg.norm(g1 - g2))
                 den = float(np.linalg.norm(t1 - t2))
-                if den > 0 and num / den > 1.0 / gamma + 1e-9:
-                    failures += 1
-                total += 1
-    return total, failures
+                yield den > 0 and num / den > 1.0 / gamma + 1e-9
 
 
 def _check_estimate_inequality(level):
@@ -377,32 +335,31 @@ def _check_estimate_inequality(level):
     run(saddle, schedule, initial_state(*problem.initial_point()), iters,
         callback=lambda prev, new: pairs.append(
             ((prev.x, prev.mu), (new.x, new.mu))))
-    # references outermost, so the evaluator memo of estimate_inequality_terms
-    # builds one evaluator per reference
-    terms = [estimate_inequality_terms(saddle, schedule, w_k, w_next, ref)
-             for ref in refs for w_k, w_next in pairs]
-    return len(terms), sum(1 for slack, scale in terms
-                           if not certificate_holds(slack, scale))
+    # one evaluator per reference, which carries E_{k+1} into the next step
+    for ref in refs:
+        evaluator = ReferenceEvaluator(saddle, schedule, ref)
+        for w_k, w_next in pairs:
+            gap, parts = evaluator.gap(w_next, check=False)
+            yield not certificate_holds(
+                *evaluator.certificate(w_k, w_next, gap, parts=parts))
 
 
 def _check_cross_term(level):
-    n = _pick(level, 100, 500)
     problem = build_simplex_tv(12, 15, seed=22)
     saddle = problem.saddle_problem()
     schedule = problem.default_schedule()
     rng = np.random.default_rng(113)
-    failures = 0
-    for _ in range(n):
+    for _ in range(_pick(level, 100, 500)):
         x1 = rng.dirichlet(np.ones(12)) + 1e-12
         x2 = rng.dirichlet(np.ones(12)) + 1e-12
         w1 = (x1 / x1.sum(), rng.uniform(-1, 1, 11) * problem.beta)
         w2 = (x2 / x2.sum(), rng.uniform(-1, 1, 11) * problem.beta)
-        if symmetrized_energy_slack(saddle, schedule, w1, w2) < -1e-10:
-            failures += 1
-    return n, failures
+        yield symmetrized_energy_slack(saddle, schedule, w1, w2) < -1e-10
 
 
-def _check_oracle_unbiasedness(level, mode="scaled-unbiased"):
+def _oracle_mean_error(level, mode):
+    # |mean error| of the oracle's estimates at one point, and the 4-sigma
+    # bound it stays under when the oracle is unbiased
     draws = _pick(level, 500, 5000)
     problem = build_simplex_tv(9, 30, seed=23)
     x = np.full(9, 1.0 / 9)
@@ -415,30 +372,28 @@ def _check_oracle_unbiasedness(level, mode="scaled-unbiased"):
     mean = deltas.mean(axis=0)
     centered = deltas - mean
     sigma = float(np.sqrt((centered ** 2).sum() / (draws - 1)))
-    bound = 4.0 * sigma / np.sqrt(draws)
-    ok = float(np.linalg.norm(mean)) <= bound
-    return ok, float(np.linalg.norm(mean)), bound
+    return float(np.linalg.norm(mean)), 4.0 * sigma / np.sqrt(draws)
 
 
 def _check_unbiasedness(level):
-    ok, norm, bound = _check_oracle_unbiasedness(level, "scaled-unbiased")
-    return 1, 0 if ok else 1, f"|mean|={norm:.3e} bound={bound:.3e}"
+    norm, bound = _oracle_mean_error(level, "scaled-unbiased")
+    yield not norm <= bound
+    return f"|mean|={norm:.3e} bound={bound:.3e}"
 
 
 def _check_bias_control(level):
     # the partial-sum oracle is biased; the same test must reject it
-    ok, norm, bound = _check_oracle_unbiasedness(level, "paper-partial")
-    return 1, 1 if ok else 0, f"|mean|={norm:.3e} bound={bound:.3e}"
+    norm, bound = _oracle_mean_error(level, "paper-partial")
+    yield norm <= bound
+    return f"|mean|={norm:.3e} bound={bound:.3e}"
 
 
 def _check_oracle_boundedness(level):
-    draws = _pick(level, 200, 1000)
     problem = build_simplex_tv(9, 30, seed=24)
     A = problem.A
     rng = np.random.default_rng(114)
     oracle = GradientOracle("paper-partial", 7, seed=901, m=30)
-    failures = 0
-    for k in range(draws):
+    for k in range(_pick(level, 200, 1000)):
         x = rng.dirichlet(np.ones(9)) + 1e-9
         x = x / x.sum()
         est, delta = oracle.grad_estimate(
@@ -449,25 +404,22 @@ def _check_oracle_boundedness(level):
         bound = (np.linalg.norm(sub, 2)
                  * (np.linalg.norm(np.log(sub @ x))
                     + np.linalg.norm(np.log(problem.b[comp]))))
-        if np.linalg.norm(delta) > bound + 1e-12:
-            failures += 1
-    return draws, failures
+        yield np.linalg.norm(delta) > bound + 1e-12
 
 
 def _check_batch_frequency(level):
+    # one verdict per index: is its share of the draws within tol of q/m?
     draws = _pick(level, 5000, 100_000)
-    tol = _pick(level, 0.02, 0.01)
     oracle = GradientOracle("paper-partial", 3, seed=902, m=10)
     counts = np.zeros(10)
     for k in range(draws):
         counts[oracle.sample_batch(k)] += 1
-    freq = counts / draws
-    failures = int(np.sum(np.abs(freq - 0.3) > tol))
-    return 10, failures, f"max dev {np.abs(freq - 0.3).max():.4f}"
+    deviation = np.abs(counts / draws - 0.3)
+    yield from deviation > _pick(level, 0.02, 0.01)
+    return f"max dev {deviation.max():.4f}"
 
 
 def _check_ergodic_consistency(level):
-    iters = _pick(level, 300, 2000)
     problem = build_simplex_tv(6, 8, seed=25)
     saddle = problem.saddle_problem()
     schedule = problem.default_schedule()
@@ -479,36 +431,47 @@ def _check_ergodic_consistency(level):
         drifted.append(np.abs(state.x_bar - np.mean(xs, axis=0)).max() > 1e-10
                        or np.abs(state.mu_bar - np.mean(mus, axis=0)).max() > 1e-10)
 
-    run(saddle, schedule, initial_state(*problem.initial_point()), iters,
-        callback=compare)
-    return iters, int(sum(drifted))
+    run(saddle, schedule, initial_state(*problem.initial_point()),
+        _pick(level, 300, 2000), callback=compare)
+    yield from drifted
 
 
 def _check_simplex_preservation(level):
     n = _pick(level, 50, 200)
     rng = np.random.default_rng(115)
     conv = LinearMap(convolution_matrix(40, bump_kernel(6)))
-    problem = build_simplex_tv(10, 12, seed=26)
-    saddle = problem.saddle_problem()
-    schedule = problem.default_schedule()
-    failed = []
     for _ in range(n):
-        x = rng.dirichlet(np.ones(40))
-        y = conv.apply(x)
-        failed.append(np.any(y < 0) or abs(y.sum() - 1.0) > 1e-12)
+        y = conv.apply(rng.dirichlet(np.ones(40)))
+        yield np.any(y < 0) or abs(y.sum() - 1.0) > 1e-12
+    problem = build_simplex_tv(10, 12, seed=26)
+    failed = []
 
     def check_iterate(prev, state):
         failed.append(abs(state.x.coords.sum() - 1.0) > 1e-12
                       or np.any(state.x.coords < 0)
                       or np.abs(state.mu).max() > problem.beta + 1e-12)
 
-    run(saddle, schedule, initial_state(*problem.initial_point()), min(n, 100),
+    run(problem.saddle_problem(), problem.default_schedule(),
+        initial_state(*problem.initial_point()), min(n, 100),
         callback=check_iterate)
-    return len(failed), int(sum(failed))
+    yield from failed
 
 
-# suite name -> suite(level), which returns (samples, failures[, detail])
-SUITES = {
+def _tally(suite, level):
+    """``(samples, failures)`` of one run of ``suite``, plus its detail if any."""
+    verdicts = suite(level)
+    samples = failures = 0
+    while True:
+        try:
+            failures += bool(next(verdicts))
+        except StopIteration as end:
+            detail = () if end.value is None else (end.value,)
+            return (samples, failures) + detail
+        samples += 1
+
+
+# suite name -> the tally of its suite: level -> (samples, failures[, detail])
+SUITES = {name: functools.partial(_tally, suite) for name, suite in {
     "adjoint-consistency": _check_adjoints,
     "operator-linearity": _check_linearity,
     "operator-norm-bounds": _check_operator_norms,
@@ -528,7 +491,7 @@ SUITES = {
     "batch-frequency": _check_batch_frequency,
     "ergodic-consistency": _check_ergodic_consistency,
     "simplex-preservation": _check_simplex_preservation,
-}
+}.items()}
 
 
 def run_check_suite(level="fast"):

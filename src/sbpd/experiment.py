@@ -214,9 +214,12 @@ class ExperimentConfig:
         if self.experiment == "ot-inverse":
             return build_ot_inverse(self.n, self.seed, self.gamma, self.beta,
                                     self.noise_level)
-        return simplex_tv_from_arrays(np.array(self.A, dtype=np.float64),
-                                      np.array(self.b, dtype=np.float64),
-                                      self.beta)
+        try:
+            A = np.array(self.A, dtype=np.float64)
+            b = np.array(self.b, dtype=np.float64)
+        except TypeError as exc:  # a JSON object among the entries
+            raise ConfigError(f"A and b must be arrays of numbers: {exc}") from exc
+        return simplex_tv_from_arrays(A, b, self.beta)
 
     def is_stochastic(self):
         return self.oracle_mode != "exact"

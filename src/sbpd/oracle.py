@@ -231,6 +231,11 @@ class GradientOracle:
     def __post_init__(self):
         if self.mode not in ORACLE_MODES:
             raise ValueError(f"unknown oracle mode {self.mode!r}")
+        # a float or bool would be truncated into another batch stream
+        for name in ("batch_size", "seed", "m"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m < 1:
             raise ValueError("m must be positive")
         if not 1 <= self.batch_size <= self.m:

@@ -89,7 +89,7 @@ def kl_fidelity_value(A, b, x):
     A stack ``x`` of shape (R, n) gives the R values as an array, each
     bitwise its vector's (``linalg.matvec``, sums along the last axis).
     """
-    u = A @ x if x.ndim == 1 else matvec(A, x)
+    u = matvec(A, x)
     if (u <= 0).any():
         raise DomainError("Ax has nonpositive entries")
     value = (u * np.log(u / b) - u + b).sum(axis=-1)

@@ -49,6 +49,36 @@ def test_fast_battery_passes():
     assert lines[-1].startswith("all checks passed")
 
 
+# each suite's sample count at fast and at full level
+SAMPLES = {
+    "adjoint-consistency": (150, 600),
+    "operator-linearity": (60, 240),
+    "operator-norm-bounds": (5, 5),
+    "divergence-nonnegativity": (800, 4000),
+    "entropy-gradient": (300, 1500),
+    "prox-grid-optimality": (12, 55),
+    "pinsker-inequality": (1000, 10_000),
+    "three-point-identity": (400, 2000),
+    "primal-descent-lemma": (400, 2000),
+    "dual-descent-lemma": (100, 500),
+    "semidual-lipschitz-ratio": (600, 6000),
+    "estimate-inequality": (30, 500),
+    "cross-term-positivity": (100, 500),
+    "oracle-unbiasedness": (1, 1),
+    "oracle-bias-control": (1, 1),
+    "oracle-boundedness": (200, 1000),
+    "batch-frequency": (10, 10),
+    "ergodic-consistency": (300, 2000),
+    "simplex-preservation": (100, 300),
+}
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_every_suite_sample_count_is_pinned(level):
+    counts = {r.name: r.samples for r in run_check_suite(level).results}
+    assert counts == {name: pair[level == "full"] for name, pair in SAMPLES.items()}
+
+
 def test_report_lines_flag_failures():
     result = CheckResult("made-up", 10, 3)
     assert not result.passed

@@ -200,6 +200,25 @@ def test_unusable_config_fails_as_invalid_config(case, command, tmp_path,
     assert json.loads((tmp_path / "runs" / "error.json").read_text()) == doc
 
 
+@pytest.mark.parametrize("command", ["solve", "reference"])
+@pytest.mark.parametrize("arrays", [
+    {"A": {"x": 1}, "b": [1, 2]},
+    {"A": [[1.0, 2.0], [3.0, 4.0]], "b": [1.0, {"x": 1}]},
+], ids=["object-A", "object-in-b"])
+def test_object_valued_custom_arrays_fail_as_invalid_config(
+        arrays, command, tmp_path, monkeypatch, capsys):
+    # once a TypeError traceback from np.array, with no error.json
+    monkeypatch.delenv("SBPD_OUTPUT_DIR", raising=False)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"experiment": "custom", **arrays}))
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(config), "--output-dir", str(out_dir)]) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "invalid-config"
+    assert "A and b must be arrays of numbers" in doc["message"]
+    assert json.loads((out_dir / "error.json").read_text()) == doc
+
+
 def test_unusable_config_error_json_follows_output_dir_precedence(
         tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("SBPD_OUTPUT_DIR", raising=False)

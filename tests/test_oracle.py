@@ -352,6 +352,24 @@ def test_parameter_validation():
         GradientOracle("paper-partial", 9, 0, 8)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("seed", 1.5), ("seed", True), ("seed", 3.0), ("seed", "3"),
+    ("m", 10.0), ("m", True), ("batch_size", 3.0), ("batch_size", False),
+])
+def test_non_integral_parameters_rejected(field, value):
+    # a seed of 1.5 or True once drew seed 1's batches; a float m or q
+    # failed only at the first draw
+    args = dict(mode="paper-partial", batch_size=3, seed=1, m=10)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        GradientOracle(**dict(args, **{field: value}))
+
+
+def test_numpy_integer_parameters_accepted():
+    oracle = GradientOracle("paper-partial", np.int64(3), np.uint64(1), np.int32(10))
+    assert np.array_equal(oracle.sample_batch(4),
+                          GradientOracle("paper-partial", 3, 1, 10).sample_batch(4))
+
+
 def test_nonfinite_gradient_raises_with_iteration():
     bad_full = lambda x: np.array([np.nan, 1.0])
     oracle = GradientOracle("exact", 2, 0, 2)
