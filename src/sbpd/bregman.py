@@ -103,8 +103,7 @@ def _kl_to_point(x, log_x, sum_x, point):
         if (y <= 0).any():
             raise DomainError("y has nonpositive entries and no log coordinates")
         log_y = np.log(y)
-    value = (x * (log_x - log_y)).sum(axis=-1) - sum_x + y.sum(axis=-1)
-    return float(value) if y.ndim == 1 else value
+    return (x * (log_x - log_y)).sum(axis=-1) - sum_x + y.sum(axis=-1)
 
 
 def euclidean_divergence(x, y):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, get_args, get_type_hints
@@ -177,8 +178,17 @@ class ExperimentConfig:
             raise ConfigError("cert_every must be nonnegative")
         if self.reference_iterations is not None and self.reference_iterations < 1000:
             raise ConfigError("reference_iterations must be at least 1000")
-        if self.experiment == "custom" and (self.A is None or self.b is None):
-            raise ConfigError("custom experiments need explicit A and b arrays")
+        if self.experiment == "custom":
+            if self.A is None or self.b is None:
+                raise ConfigError("custom experiments need explicit A and b arrays")
+            # a true would read as 1.0, an object b as one summand; a huge int overflows
+            for key, rows in (("A", self.A), ("b", [self.b])):
+                if not (type(rows) is list and all(type(row) is list and all(
+                        type(e) is float or (type(e) is int and abs(e) <= sys.float_info.max)
+                        for e in row) for row in rows)):
+                    raise ConfigError(f"A and b must be arrays of numbers: {key} must be a JSON "
+                                      f"array{' of rows' * (key == 'A')} of numbers within "
+                                      f"the float range")
         if self.experiment == "ot-inverse" and self.is_stochastic():
             raise ConfigError("ot-inverse has no finite-sum gradient; "
                               "stochastic oracles need simplex-tv or custom")
@@ -214,12 +224,7 @@ class ExperimentConfig:
         if self.experiment == "ot-inverse":
             return build_ot_inverse(self.n, self.seed, self.gamma, self.beta,
                                     self.noise_level)
-        try:
-            A = np.array(self.A, dtype=np.float64)
-            b = np.array(self.b, dtype=np.float64)
-        except TypeError as exc:  # a JSON object among the entries
-            raise ConfigError(f"A and b must be arrays of numbers: {exc}") from exc
-        return simplex_tv_from_arrays(A, b, self.beta)
+        return simplex_tv_from_arrays(self.A, self.b, self.beta)
 
     def is_stochastic(self):
         return self.oracle_mode != "exact"
@@ -327,10 +332,12 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
     logged k is evaluated once, on the stacked states: one evaluator gives
     the R gaps, Lagrangians and certificates and ``asymptotic_residual`` the
     R residuals, as arrays whose rows are bitwise the 1-d runs' values, and
-    the R records of the k are built from their columns. Each logged k evaluates the Lagrangian parts of its two points
-    once; the gap and T x of the iterate are the certificate's gap term and
-    cross term, and the energy of a certified k is carried to the next one.
-    The certificates are the ``(slack, scale)`` pairs of the certified rows.
+    the R records of the k are built from their columns (a 1-d run's are
+    numpy scalars), made Python floats by one ``tolist`` each. Each logged k
+    evaluates the Lagrangian parts of its two points once; the gap and T x
+    of the iterate are the certificate's gap term and cross term, and the
+    energy of a certified k is carried to the next one. The certificates are
+    the ``(slack, scale)`` pairs of the certified rows.
     """
     repeats = len(oracles)
     stacked = repeats > 1
@@ -357,10 +364,10 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
         columns = (gap, evaluator.gap((state.x_bar, state.mu_bar))[0],
                    evaluator.lagrangian(parts), asymptotic_residual(prev, state),
                    slack, scale)
-        rows = (columns,)
-        if stacked:  # each column holds R values: one row per run
-            rows = zip(*([None] * repeats if c is None else c.tolist()
-                         for c in columns))
+        cells = [None if c is None else c.tolist() for c in columns]
+        rows = [cells]
+        if stacked:  # each cell holds R values: one row per run
+            rows = zip(*([None] * repeats if c is None else c for c in cells))
         wall = time.perf_counter_ns() - t0 if config.record_timing else None
         for (records, certificates), row in zip(runs, rows):
             records.append(TraceRecord(state.k, *row[:-1], wall_nanos=wall))

@@ -242,7 +242,7 @@ class GradientOracle:
             raise ValueError(
                 f"batch_size must lie in [1, {self.m}], got {self.batch_size}")
         np.random.Philox(key=self.seed)  # rejects a key outside [0, 2**128)
-        # (first k, the batches of it and of the k after it), swapped as one
+        # (first k, the batches of _BLOCK iterations from it), swapped as one
         object.__setattr__(self, "_block", (0, ()))
 
     @property

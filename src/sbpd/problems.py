@@ -92,8 +92,7 @@ def kl_fidelity_value(A, b, x):
     u = matvec(A, x)
     if (u <= 0).any():
         raise DomainError("Ax has nonpositive entries")
-    value = (u * np.log(u / b) - u + b).sum(axis=-1)
-    return float(value) if x.ndim == 1 else value
+    return (u * np.log(u / b) - u + b).sum(axis=-1)
 
 
 def kl_fidelity_grad(A, b, x):

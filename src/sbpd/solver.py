@@ -10,7 +10,6 @@ inequality is evaluated here verbatim as a runtime certificate.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -54,15 +53,6 @@ class LagrangianParts(NamedTuple):
     mu: np.ndarray
 
 
-def _dot(a, b):
-    """<a, b> as a float for two vectors; when either is a stack (R, d), the
-    R dot products as an array, each bitwise its row's ``@`` (``np.vecdot``;
-    a gemv ``X @ v`` rounds differently)."""
-    if a.ndim == b.ndim == 1:
-        return float(a @ b)
-    return np.vecdot(a, b)
-
-
 def _lagrangian(primal, dual):
     """L(x, mu) = f(x) + <Tx, mu> - h*(mu), x from ``primal``, mu from ``dual``.
 
@@ -70,9 +60,7 @@ def _lagrangian(primal, dual):
     family keeps its own float expression (signed zeros included). Parts of
     a stacked point give one value per row.
     """
-    Tx, mu = primal.Tx, dual.mu
-    # _dot's two forms, inlined: each logged row makes five of these calls
-    value = float(Tx @ mu) if Tx.ndim == mu.ndim == 1 else np.vecdot(Tx, mu)
+    value = np.vecdot(primal.Tx, dual.mu)
     if primal.f is not None:
         value = primal.f + value
     if dual.h is not None:
@@ -358,8 +346,8 @@ class ReferenceEvaluator:
         Tx = self.problem.coupling.apply(point.coords) if parts is None else parts.Tx
         dp = _kl_to_point(self.x_ref, *self._kl_ref, point)
         d = self.mu_ref - mu
-        return (dp / self.schedule.lam + 0.5 * _dot(d, d) / self.schedule.nu
-                - _dot(self.ref.Tx - Tx, d))
+        return (dp / self.schedule.lam + 0.5 * np.vecdot(d, d) / self.schedule.nu
+                - np.vecdot(self.ref.Tx - Tx, d))
 
     def certificate(self, w_k, w_next, gap, primal_delta=None, parts=None):
         """``(slack, scale)`` of the step from ``w_k`` to ``w_next``.
@@ -383,11 +371,11 @@ class ReferenceEvaluator:
             x_n = w_next[0]  # checked by the energy above
             if isinstance(x_n, BregmanPoint):
                 x_n = x_n.coords
-            noise += _dot(np.asarray(primal_delta), self.x_ref - x_n)
+            noise += np.vecdot(np.asarray(primal_delta), self.x_ref - x_n)
         slack = e_k + noise - gap - e_next
         terms = (abs(e_k), abs(e_next), abs(gap), abs(noise))
-        if not isinstance(slack, np.ndarray):
-            return float(slack), float(1.0 + max(terms))
+        if slack.ndim == 0:
+            return slack, 1.0 + max(terms)
         # max's rule on each row: a later term wins only where it is greater,
         # so a NaN term wins only in first place
         top = functools.reduce(lambda top, t: np.where(t > top, t, top), terms)
@@ -492,6 +480,4 @@ def asymptotic_residual(state_k, state_next):
     dx = np.abs(state_next.x.coords - state_k.x.coords).sum(axis=-1)
     d = state_next.mu - state_k.mu
     # sqrt of the dot is bitwise np.linalg.norm(d), which takes this form
-    if d.ndim == 1:
-        return float(dx) + math.sqrt(d @ d)
     return dx + np.sqrt(np.vecdot(d, d))

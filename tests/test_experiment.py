@@ -414,6 +414,25 @@ def test_stochastic_oracle_on_ot_inverse_is_rejected(tmp_path):
     _assert_invalid_config(config, "ot-inverse")
 
 
+@pytest.mark.parametrize("key,data", [
+    ("A", {"A": [[True, 1.0], [2.0, 3.0]], "b": [1, 2]}),
+    ("b", {"A": [[1.0, 1.0], [2.0, 3.0]], "b": [1, False]}),
+    ("A", {"A": "[[1.0, 2.0], [3.0, 4.0]]", "b": [1, 2]}),
+    ("A", {"A": [1.0, 2.0], "b": [1, 2]}),
+    ("A", {"A": [[1.0, [2.0]], [3.0, 4.0]], "b": [1, 2]}),
+    ("b", {"A": [[1.0, 2.0], [3.0, 4.0]], "b": {"x": 1},
+           "oracle_mode": "paper-partial", "batch_size": 2}),
+    ("b", {"A": [[1.0, 2.0], [3.0, 4.0]], "b": [[1, 2]]}),
+    ("A", {"A": [[10 ** 400, 2.0], [3.0, 4.0]], "b": [1, 2]}),
+], ids=["bool-in-A", "bool-in-b", "string-A", "vector-A", "nested-entry",
+        "object-b-with-batch", "matrix-b", "int-beyond-float"])
+def test_custom_arrays_must_hold_numbers(tmp_path, key, data):
+    # a true once read as 1.0, an object b as one gradient summand, and an
+    # integer beyond the float range escaped as a traceback
+    config = _tiny_config(tmp_path, experiment="custom", **data)
+    _assert_invalid_config(config, f"A and b must be arrays of numbers: {key} must")
+
+
 def test_custom_matrix_with_nan_is_rejected(tmp_path):
     # NaN passes the positivity test (NaN <= 0 is false), so only the
     # finiteness check stops it
@@ -700,6 +719,33 @@ def test_meta_certificate_counts_a_violation_and_exits_0(tmp_path, monkeypatch):
     assert cert["violations"] == 2
     assert cert["worst_scaled_slack"] == -1e-6
     assert cert["evaluated"] == 300
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"oracle_mode": "paper-partial", "batch_size": 4},
+    {"oracle_mode": "paper-partial", "batch_size": 4, "repeats": 3},
+], ids=["exact", "stochastic", "three-repeats"])
+def test_measured_run_hands_records_python_floats(tmp_path, overrides):
+    # the evaluator returns numpy scalars for one run and arrays for a
+    # stack; a np.float64 cell would write "np.float64(...)" to a trace
+    config = _tiny_config(tmp_path, iterations=50, **overrides)
+    problem = config.build_problem()
+    oracles = tuple(GradientOracle(config.oracle_mode, config.batch_size,
+                                   config.seed + r, problem.m)
+                    for r in range(config.repeats)) if config.is_stochastic() else (None,)
+    runs = experiment._measured_run(problem, problem.saddle_problem(),
+                                    problem.default_schedule(),
+                                    compute_reference(problem, 1000, config.seed),
+                                    config.iterations, config, oracles)
+    assert len(runs) == config.repeats
+    for records, certificates in runs:
+        assert len(records) == len(certificates) == 50
+        cells = [getattr(r, name) for r in records
+                 for name in ("gap_pointwise", "gap_ergodic", "lagrangian",
+                              "residual", "estimate_slack")]
+        cells += [v for pair in certificates for v in pair]
+        assert {type(v) for v in cells} == {float}
 
 
 def _measured_run_applies(tmp_path, cert_every, iterations):
