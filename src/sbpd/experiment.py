@@ -490,7 +490,7 @@ def run_phases(config, problem, output_dir):
             "oracle_mode": config.oracle_mode,
             "batch_size": config.batch_size,
             "oracle_seeds": oracle_seeds,
-            "measured_iterations": config.iterations,
+            "measured_iterations": traces[0][-1].k,  # fewer after a stop_gap stop
             "reference_iterations": ref_budget,
             "reference_hash": reference.config_hash,
             "ref_tol": reference.ref_tol,

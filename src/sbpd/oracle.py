@@ -35,6 +35,7 @@ all R oracles in one pass.
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -199,6 +200,16 @@ def _fill_blocks(oracles, k):
     return blocks
 
 
+def _integer(value, name):
+    # an int or numpy integer: a float, bool or string would pick other batches
+    if value.__class__ is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class OracleError(RuntimeError):
     """Non-finite gradient data; carries the iteration index when known."""
 
@@ -231,11 +242,8 @@ class GradientOracle:
     def __post_init__(self):
         if self.mode not in ORACLE_MODES:
             raise ValueError(f"unknown oracle mode {self.mode!r}")
-        # a float or bool would be truncated into another batch stream
         for name in ("batch_size", "seed", "m"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _integer(getattr(self, name), name)
         if self.m < 1:
             raise ValueError("m must be positive")
         if not 1 <= self.batch_size <= self.m:
@@ -256,7 +264,7 @@ class GradientOracle:
         and counter ``k << 64``. A k outside the block refills the block
         from k; a k inside it returns the block's array again.
         """
-        k = int(k)
+        k = _integer(k, "iteration index")
         start, batches = self._block
         if not 0 <= k - start < len(batches):
             [(start, batches)] = _fill_blocks((self,), k)
@@ -315,7 +323,7 @@ class OracleStack:
     is_exact = GradientOracle.is_exact
 
     def sample_batch(self, k):
-        k = int(k)
+        k = _integer(k, "iteration index")
         if k not in self._filled:
             start, batches = _fill_blocks(self.oracles, k)[0]
             self._filled = range(start, start + len(batches))

@@ -36,6 +36,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -211,19 +212,49 @@ def ot_semidual_value_grad(tau, theta, C, gamma):
 
 # ------------------------------------------------------------------ problems
 
-def _simplex_feasible(x):
-    return simplex_violation(x) is None
+class _SimplexPrimal:
+    """A simplex primal from the barycenter; coupling, L_p, L_d and steps follow the data."""
+
+    def __post_init__(self):
+        if not self.beta >= 0:  # not beta < 0, which a NaN passes
+            raise ValueError("beta must be nonnegative")
+
+    @cached_property
+    def coupling_norm(self):
+        return operator_norm(self.coupling)
+
+    def initial_point(self):
+        x0 = BregmanPoint.from_positive_coords(np.full(self.n, 1.0 / self.n))
+        return x0, np.zeros(self.coupling.output_dim)
+
+    def default_schedule(self):
+        return StepSchedule(*default_step_sizes(self.L_p, self.L_d, self.coupling_norm))
+
+    def _saddle(self, f_value=None, h_star_value=None, **fields):
+        return SaddleProblem(g_prox=kl_prox_simplex,
+                             primal_feasible=lambda x: simplex_violation(x) is None,
+                             coupling=self.coupling, L_p=self.L_p, L_d=self.L_d,
+                             f_value=f_value, h_star_value=h_star_value, **fields)
 
 
 @dataclass(frozen=True)
-class SimplexTVProblem:
-    """min over the simplex of D_K(Ax, b) + beta * ||Bx||_1."""
+class SimplexTVProblem(_SimplexPrimal):
+    """min over the simplex of D_K(Ax, b) + beta * ||Bx||_1, B the forward difference."""
 
     A: np.ndarray
     b: np.ndarray
     beta: float
-    B: LinearMap
-    L_p: float
+    L_d: ClassVar[float] = 0.0  # no smooth dual term
+
+    def __post_init__(self):
+        if np.ndim(self.A) != 2 or self.A.shape[1] < 2:
+            raise ValueError(f"A must be a matrix of n >= 2 columns, got shape {np.shape(self.A)}")
+        as_vector(self.b, self.m, "b")  # 1-d, of length m, finite
+        if not np.all(np.isfinite(self.A)):
+            raise ValueError("A contains non-finite entries")
+        if np.any(self.A <= 0) or np.any(self.b <= 0):
+            raise ValueError("A and b must have strictly positive entries")
+        super().__post_init__()
 
     @property
     def n(self):
@@ -234,8 +265,12 @@ class SimplexTVProblem:
         return self.A.shape[0]
 
     @cached_property
-    def coupling_norm(self):
-        return operator_norm(self.B)
+    def coupling(self):
+        return LinearMap(forward_difference_matrix(self.n))
+
+    @cached_property
+    def L_p(self):
+        return kl_rel_smooth_constant(self.A)
 
     def f_value(self, x):
         return kl_fidelity_value(self.A, self.b, x)
@@ -251,27 +286,14 @@ class SimplexTVProblem:
 
     def saddle_problem(self):
         beta = self.beta
-        return SaddleProblem(
+        return self._saddle(
             f_grad=self.f_grad,
             h_star_grad=lambda mu: np.zeros(self.n - 1),
-            g_prox=kl_prox_simplex,
             l_star_prox=lambda mu, v, nu: linf_ball_prox(mu, v, nu, beta),
-            coupling=self.B,
-            L_p=self.L_p,
-            L_d=0.0,
             f_value=self.f_value,
-            h_star_value=None,
-            primal_feasible=_simplex_feasible,
             dual_feasible=lambda mu: bool(np.abs(mu).max() <= beta + 1e-12),
             f_partial_grad=self.f_partial_grad,
         )
-
-    def initial_point(self):
-        x0 = BregmanPoint.from_positive_coords(np.full(self.n, 1.0 / self.n))
-        return x0, np.zeros(self.n - 1)
-
-    def default_schedule(self):
-        return StepSchedule(*default_step_sizes(self.L_p, 0.0, self.coupling_norm))
 
     def descriptor(self):
         return {
@@ -285,26 +307,9 @@ class SimplexTVProblem:
 
 
 def simplex_tv_from_arrays(A, b, beta):
-    """Problem from explicit data; entries of A and b must be positive."""
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    b = as_vector(b, name="b")
-    if A.ndim != 2 or A.shape[0] != b.shape[0]:
-        raise ValueError(f"A of shape {A.shape} does not match b of length {b.shape[0]}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("A contains non-finite entries")
-    if np.any(A <= 0):
-        raise ValueError("A must have strictly positive entries")
-    if np.any(b <= 0):
-        raise ValueError("b must be strictly positive")
-    if not beta >= 0:  # not beta < 0, which a NaN passes
-        raise ValueError("beta must be nonnegative")
-    return SimplexTVProblem(
-        A=A,
-        b=b,
-        beta=float(beta),
-        B=LinearMap(forward_difference_matrix(A.shape[1])),
-        L_p=kl_rel_smooth_constant(A),
-    )
+    """Problem from explicit data, converted to float64 arrays and checked."""
+    return SimplexTVProblem(A=np.ascontiguousarray(A, dtype=np.float64),
+                            b=np.asarray(b, dtype=np.float64), beta=float(beta))
 
 
 def build_simplex_tv(n, m, seed, beta=1.0):
@@ -326,13 +331,13 @@ def bump_kernel(radius):
 
 
 @dataclass(frozen=True)
-class OTInverseProblem:
+class OTInverseProblem(_SimplexPrimal):
     """Measure recovery through an entropic transport fidelity.
 
     Primal variable: a simplex vector rho. Dual variable: the transport
     potential tau stacked over the total-variation dual zeta, coupled
     through (F rho, D rho), with D the forward difference. Only the zeta
-    block is ball-constrained.
+    block is ball-constrained. The data are checked at construction.
     """
 
     C: np.ndarray
@@ -340,14 +345,16 @@ class OTInverseProblem:
     theta: np.ndarray
     gamma: float
     beta: float
-    L_d: float
     rho_truth: np.ndarray
+    L_p: ClassVar[float] = 0.0  # no smooth primal term
 
     def __post_init__(self):
         # checked once: h_star_value and h_star_grad run on plain arrays
         if np.ndim(self.F) != 2 or self.F.shape[0] != self.F.shape[1]:
             raise ShapeError(f"F must be a square matrix, got shape {np.shape(self.F)}")
         _check_theta(self.theta, self.C, self.n)
+        _check_gamma(self.gamma)
+        super().__post_init__()
 
     @property
     def n(self):
@@ -358,8 +365,8 @@ class OTInverseProblem:
         return LinearMap(np.vstack([self.F, forward_difference_matrix(self.n)]))
 
     @cached_property
-    def coupling_norm(self):
-        return operator_norm(self.coupling)
+    def L_d(self):
+        return 1.0 / self.gamma
 
     @cached_property
     def kernel(self):
@@ -396,26 +403,13 @@ class OTInverseProblem:
 
     def saddle_problem(self):
         n = self.n
-        return SaddleProblem(
+        return self._saddle(
             f_grad=lambda x: np.zeros(n),
             h_star_grad=self.h_star_grad,
-            g_prox=kl_prox_simplex,
             l_star_prox=self.dual_prox,
-            coupling=self.coupling,
-            L_p=0.0,
-            L_d=self.L_d,
-            f_value=None,
             h_star_value=self.h_star_value,
-            primal_feasible=_simplex_feasible,
             dual_feasible=self.dual_feasible,
         )
-
-    def initial_point(self):
-        x0 = BregmanPoint.from_positive_coords(np.full(self.n, 1.0 / self.n))
-        return x0, np.zeros(2 * self.n - 1)
-
-    def default_schedule(self):
-        return StepSchedule(*default_step_sizes(0.0, self.L_d, self.coupling_norm))
 
     def descriptor(self):
         return {
@@ -443,9 +437,6 @@ def build_ot_inverse(n, seed, gamma=1.0, beta=1.0, noise_level=0.1,
     """
     if n < 4:
         raise ValueError("need n >= 4")
-    _check_gamma(gamma)
-    if not beta >= 0:
-        raise ValueError("beta must be nonnegative")
     if not 0.0 <= noise_level <= 1.0:
         raise ValueError("noise_level must lie in [0, 1]")
     idx = np.arange(n, dtype=np.float64)
@@ -464,7 +455,7 @@ def build_ot_inverse(n, seed, gamma=1.0, beta=1.0, noise_level=0.1,
     theta = (1.0 - noise_level) * clean + noise_level * rng.dirichlet(np.ones(n))
     theta = theta / theta.sum()
     return OTInverseProblem(C=C, F=F, theta=theta, gamma=float(gamma),
-                            beta=float(beta), L_d=1.0 / gamma, rho_truth=rho)
+                            beta=float(beta), rho_truth=rho)
 
 
 # ----------------------------------------------------------------- reference

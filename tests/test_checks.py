@@ -11,12 +11,6 @@ from sbpd import checks, solver
 from sbpd.linalg import LinearMap
 
 
-@pytest.mark.parametrize("name", SUITES)
-def test_suite_passes_at_full_volume(name):
-    result = CheckResult(name, *SUITES[name]("full"))
-    assert result.passed, result.line()
-
-
 @pytest.mark.parametrize("level,references", [("fast", 3), ("full", 5)])
 def test_estimate_inequality_suite_builds_one_evaluator_per_reference(
         monkeypatch, level, references):
@@ -73,10 +67,22 @@ SAMPLES = {
 }
 
 
-@pytest.mark.parametrize("level", ["fast", "full"])
+def test_samples_pin_every_suite():
+    assert list(SAMPLES) == list(SUITES)
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_suite_passes_at_full_volume(name):
+    result = CheckResult(name, *SUITES[name]("full"))
+    assert result.passed, result.line()
+    assert result.samples == SAMPLES[name][1]
+
+
+# the full level is pinned suite by suite above, on the one full-volume run
+@pytest.mark.parametrize("level", ["fast"])
 def test_every_suite_sample_count_is_pinned(level):
     counts = {r.name: r.samples for r in run_check_suite(level).results}
-    assert counts == {name: pair[level == "full"] for name, pair in SAMPLES.items()}
+    assert counts == {name: fast for name, (fast, _) in SAMPLES.items()}
 
 
 def test_report_lines_flag_failures():

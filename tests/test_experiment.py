@@ -548,6 +548,8 @@ def test_stop_gap_cuts_run_short(tmp_path):
     assert run_experiment(config, log=lambda s: None) == 0
     records = read_trace(tmp_path / "out" / "trace.csv")
     assert len(records) == 100 and records[-1].k == 100
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    assert meta["resolved"]["measured_iterations"] == 100
 
 
 def test_stop_gap_with_stochastic_repeats_is_rejected(tmp_path):
@@ -754,13 +756,13 @@ def _measured_run_applies(tmp_path, cert_every, iterations):
     saddle = problem.saddle_problem()
     reference = compute_reference(problem, 1000, config.seed)
     calls = []
-    apply = problem.B.apply
+    apply = problem.coupling.apply
 
     def counted(x):
         calls.append(1)
         return apply(x)
 
-    problem.B.apply = counted  # saddle.coupling is problem.B
+    problem.coupling.apply = counted  # the saddle shares this LinearMap
     [(records, _)] = experiment._measured_run(problem, saddle,
                                               problem.default_schedule(),
                                               reference, iterations, config)

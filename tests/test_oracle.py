@@ -370,6 +370,17 @@ def test_numpy_integer_parameters_accepted():
                           GradientOracle("paper-partial", 3, 1, 10).sample_batch(4))
 
 
+@pytest.mark.parametrize("k", [3.9, 4.0, True, "4"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["oracle", "stack"])
+def test_non_integral_iteration_rejected(stacked, k):
+    # 3.9 once drew batch 3, True batch 1 and "4" batch 4
+    oracles = [GradientOracle("paper-partial", 3, seed, 10) for seed in (1, 2)]
+    sampler = OracleStack(oracles) if stacked else oracles[0]
+    with pytest.raises(ValueError, match="iteration index must be an integer"):
+        sampler.sample_batch(k)
+    assert np.array_equal(sampler.sample_batch(np.int64(4)), sampler.sample_batch(4))
+
+
 def test_nonfinite_gradient_raises_with_iteration():
     bad_full = lambda x: np.array([np.nan, 1.0])
     oracle = GradientOracle("exact", 2, 0, 2)

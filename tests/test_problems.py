@@ -9,6 +9,7 @@ from sbpd.bregman import DomainError
 from sbpd.experiment import ExperimentConfig
 from sbpd.linalg import ShapeError
 from sbpd.problems import (
+    SimplexTVProblem,
     build_ot_inverse,
     build_simplex_tv,
     bump_kernel,
@@ -356,7 +357,7 @@ def test_build_simplex_tv_ranges_and_determinism():
 def test_build_simplex_tv_paper_scale():
     p = build_simplex_tv(250, 250, seed=0)
     assert p.n == p.m == 250
-    assert p.B.output_dim == 249
+    assert p.coupling.output_dim == 249
 
 
 def test_simplex_tv_from_arrays_validation():
@@ -427,6 +428,45 @@ def test_ot_inverse_checks_its_data_at_construction():
         dataclasses.replace(p, C=np.zeros((10, 11)))
     with pytest.raises(ShapeError, match="square"):
         dataclasses.replace(p, F=np.zeros((9, 10)))
+    with pytest.raises(ValueError, match="gamma"):
+        dataclasses.replace(p, gamma=0.0)
+    with pytest.raises(ValueError, match="beta"):
+        dataclasses.replace(p, beta=-1.0)
+
+
+def test_replaced_ot_inverse_steps_by_its_own_gamma():
+    p = dataclasses.replace(build_ot_inverse(24, 1), gamma=0.1)
+    assert p.L_d == 10.0
+    assert p.default_schedule() == build_ot_inverse(24, 1, gamma=0.1).default_schedule()
+
+
+def test_replaced_simplex_tv_steps_by_its_own_matrix():
+    tv = build_simplex_tv(6, 5, seed=2)
+    p = dataclasses.replace(tv, A=5 * tv.A)
+    assert p.L_p == kl_rel_smooth_constant(5 * tv.A) != tv.L_p
+    assert p.default_schedule() == simplex_tv_from_arrays(5 * tv.A, tv.b, 1.0).default_schedule()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("A", np.array([[1.0, 0.0], [1.0, 1.0]])),
+    ("b", np.array([1.0, 1.0, 1.0])),
+    ("beta", float("nan")),
+], ids=["nonpositive-A", "b-length", "nan-beta"])
+def test_simplex_tv_checks_its_data_at_construction(field, value):
+    data = {"A": np.ones((2, 2)), "b": np.ones(2), "beta": 1.0}
+    SimplexTVProblem(**data)
+    with pytest.raises(ValueError):
+        SimplexTVProblem(**dict(data, **{field: value}))
+
+
+@pytest.mark.parametrize("key", ["L_p", "L_d", "B"])
+def test_derived_constants_are_not_constructor_fields(key):
+    tv, ot = build_simplex_tv(4, 4, seed=0), build_ot_inverse(8, 0)
+    for problem in (tv, ot):
+        with pytest.raises(TypeError):
+            dataclasses.replace(problem, **{key: 1.0})
+    with pytest.raises(TypeError):
+        SimplexTVProblem(A=tv.A, b=tv.b, beta=1.0, **{key: 1.0})
 
 
 def test_ot_inverse_run_rejects_a_non_finite_potential():
