@@ -6,8 +6,9 @@ phase reruns the solver for 80% of the reference budget by default: once
 with the exact oracle (replaying the first steps of the reference
 trajectory), or ``repeats`` times with derived seeds (stochastic), stepped
 as one stacked state whose rows are bitwise the repeats' own runs, logging
-Lagrangian gaps against the reference into CSV traces. Each logged k is
-evaluated once, on the stacked state, and gives one trace row per repeat.
+Lagrangian gaps against the reference into CSV traces. Logged k are
+evaluated a block at a time, as one stack of rows (one per repeat of each
+k), each bitwise the row the k's own state gives alone.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from . import __version__
+from .bregman import BregmanPoint
 from .oracle import ORACLE_MODES, GradientOracle, OracleStack
 from .problems import (
     build_ot_inverse,
@@ -31,7 +33,9 @@ from .problems import (
     simplex_tv_from_arrays,
 )
 from .solver import (  # noqa: F401  benchmarks/tracing.py patches the unused names
+    LagrangianParts,
     ReferenceEvaluator,
+    SolverState,
     asymptotic_residual,
     certificate_holds,
     ergodic_rate_constant,
@@ -323,20 +327,27 @@ def _mean_records(traces):
             for row, values in zip(rows, zip(*columns))]
 
 
+# logged k evaluated as one stack, each row bitwise its own k's values; a
+# larger block dispatches less but holds more states (at 64, ot-inverse
+# peaked 2 MB higher than evaluating each k alone; at 16, within 0.5 MB)
+_ROW_BLOCK = 16
+
+
 def _measured_run(problem, saddle, schedule, reference, iterations, config,
                   oracles=(None,)):
     """The measured phase, one run per oracle (``None`` is the exact one).
 
     Returns one ``(records, certificates)`` pair per run. R > 1 oracles step
-    their R runs as one stacked state over an ``OracleStack``, and each
-    logged k is evaluated once, on the stacked states: one evaluator gives
-    the R gaps, Lagrangians and certificates and ``asymptotic_residual`` the
-    R residuals, as arrays whose rows are bitwise the 1-d runs' values, and
-    the R records of the k are built from their columns (a 1-d run's are
-    numpy scalars), made Python floats by one ``tolist`` each. Each logged k
-    evaluates the Lagrangian parts of its two points once; the gap and T x
-    of the iterate are the certificate's gap term and cross term, and the
-    energy of a certified k is carried to the next one. The certificates are
+    their R runs as one stacked state over an ``OracleStack``. The callback
+    only collects each logged k (its states, whether it is certified and the
+    gradient-estimate error of a certified stochastic k); every
+    ``_ROW_BLOCK`` logged k, and at the final k, the block is evaluated as
+    one stack of rows, R per k in (k, r) order: one checked ``gap`` each of
+    the iterates and of the ergodic means, one ``lagrangian``, one
+    ``certificate`` over the certified rows and one ``asymptotic_residual``,
+    each row bitwise its 1-d value, made Python floats by one ``tolist`` per
+    column. A run with ``stop_gap`` evaluates each logged k on its own, as
+    the stop rule reads each gap before the next step. The certificates are
     the ``(slack, scale)`` pairs of the certified rows.
     """
     repeats = len(oracles)
@@ -345,6 +356,8 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
     evaluator = ReferenceEvaluator(saddle, schedule, reference.w_star)
     runs = [([], []) for _ in range(repeats)]
     noisy = oracle is not None and not oracle.is_exact
+    block_rows = _ROW_BLOCK if config.stop_gap is None else 1
+    block = []  # (prev, state, certified, delta, wall) of each logged k
     t0 = time.perf_counter_ns()
 
     def observe(prev, state):
@@ -355,24 +368,12 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
         if certify and noisy:
             _, delta = oracle.grad_estimate(
                 saddle.f_grad, saddle.f_partial_grad, prev.x.coords, prev.k)
-        w = (state.x, state.mu)
-        gap, parts = evaluator.gap(w)
-        slack = scale = None
-        if certify:
-            slack, scale = evaluator.certificate(
-                (prev.x, prev.mu), w, gap, primal_delta=delta, parts=parts)
-        columns = (gap, evaluator.gap((state.x_bar, state.mu_bar))[0],
-                   evaluator.lagrangian(parts), asymptotic_residual(prev, state),
-                   slack, scale)
-        cells = [None if c is None else c.tolist() for c in columns]
-        rows = [cells]
-        if stacked:  # each cell holds R values: one row per run
-            rows = zip(*([None] * repeats if c is None else c for c in cells))
         wall = time.perf_counter_ns() - t0 if config.record_timing else None
-        for (records, certificates), row in zip(runs, rows):
-            records.append(TraceRecord(state.k, *row[:-1], wall_nanos=wall))
-            if certify:
-                certificates.append(row[-2:])  # (slack, scale)
+        block.append((prev, state, certify, delta, wall))
+        # the last block too is evaluated here, before run's final check
+        if len(block) == block_rows or state.k == iterations:
+            _evaluate_block(evaluator, block, runs)
+            block.clear()
         if config.stop_gap is None:
             return False
         # stop_gap comes with one run (ExperimentConfig rejects it with repeats)
@@ -383,6 +384,53 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
         initial_state(*problem.initial_point(), rows=repeats if stacked else None),
         iterations, oracle, observe)
     return runs
+
+
+def _rows(arrays):
+    # one (rows, d) stack of vectors or of (R, d) stacks, in order; None for None
+    if arrays[0] is None:
+        return None
+    return np.array(arrays).reshape(-1, arrays[0].shape[-1])
+
+
+def _point(xs):
+    return BregmanPoint(_rows([x.coords for x in xs]), _rows([x.log_coords for x in xs]))
+
+
+def _evaluate_block(evaluator, block, runs):
+    """Append the records and certificates of a block of logged k to ``runs``."""
+    prevs, states, certified, deltas, walls = zip(*block)
+    repeats = len(runs)
+    prev = SolverState(None, _point([s.x for s in prevs]), _rows([s.mu for s in prevs]),
+                       None, None)  # asymptotic_residual reads no ergodic mean
+    now = SolverState(None, _point([s.x for s in states]), _rows([s.mu for s in states]),
+                      _rows([s.x_bar for s in states]), _rows([s.mu_bar for s in states]))
+    gap, parts = evaluator.gap((now.x, now.mu))
+    columns = [gap, evaluator.gap((now.x_bar, now.mu_bar))[0],
+               evaluator.lagrangian(parts), asymptotic_residual(prev, now)]
+    certificates = iter(())
+    if any(certified):
+        # the certified rows; a view of all of them when every k is certified
+        rows = slice(None) if all(certified) else np.repeat(certified, repeats)
+
+        def pick(a):
+            return None if a is None else a[rows]
+
+        def w(state):
+            return BregmanPoint(pick(state.x.coords), pick(state.x.log_coords)), pick(state.mu)
+
+        # a stochastic run has a delta at each certified k, an exact one none
+        slack, scale = evaluator.certificate(
+            w(prev), w(now), gap[rows], parts=LagrangianParts(*map(pick, parts)),
+            primal_delta=_rows([d for d, c in zip(deltas, certified) if c]))
+        certificates = zip(slack.tolist(), scale.tolist())
+    for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+        j = i // repeats
+        records, certs = runs[i % repeats]
+        cert = next(certificates) if certified[j] else (None, None)
+        records.append(TraceRecord(states[j].k, *row, cert[0], wall_nanos=walls[j]))
+        if certified[j]:
+            certs.append(cert)
 
 
 def _certificate_summary(certificates):

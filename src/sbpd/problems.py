@@ -196,6 +196,21 @@ def _semidual(tau, theta, C, gamma, kernel, value=True, grad=True):
             E @ (theta / s) if grad else None)
 
 
+def _semidual_rows(tau, theta, C, gamma, kernel):
+    # h* at each row of a stack tau (R, n), each bitwise _semidual's value of
+    # the row: the kernel form on every row within _KERNEL_SPREAD at once (a
+    # gemv per row), the log-domain form on each other row alone
+    K, c = kernel
+    top = tau.max(axis=-1)
+    near = (top - tau.min(axis=-1)) / gamma <= _KERNEL_SPREAD
+    values = np.empty(len(tau))
+    u = np.exp((tau[near] - top[near, None]) / gamma)
+    values[near] = np.vecdot(theta, top[near, None] - c + gamma * np.log(matvec(K.T, u)))
+    for r in np.flatnonzero(~near):
+        values[r] = _semidual(tau[r], theta, C, gamma, kernel, grad=False)[0]
+    return values
+
+
 def ot_semidual_value_grad(tau, theta, C, gamma):
     """Value and gradient of the smooth transport semidual term.
 
@@ -247,7 +262,10 @@ class SimplexTVProblem(_SimplexPrimal):
     L_d: ClassVar[float] = 0.0  # no smooth dual term
 
     def __post_init__(self):
-        if np.ndim(self.A) != 2 or self.A.shape[1] < 2:
+        # the data as float64 arrays (a frozen field is set through object)
+        object.__setattr__(self, "A", np.ascontiguousarray(self.A, dtype=np.float64))
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
+        if self.A.ndim != 2 or self.A.shape[1] < 2:
             raise ValueError(f"A must be a matrix of n >= 2 columns, got shape {np.shape(self.A)}")
         as_vector(self.b, self.m, "b")  # 1-d, of length m, finite
         if not np.all(np.isfinite(self.A)):
@@ -308,8 +326,7 @@ class SimplexTVProblem(_SimplexPrimal):
 
 def simplex_tv_from_arrays(A, b, beta):
     """Problem from explicit data, converted to float64 arrays and checked."""
-    return SimplexTVProblem(A=np.ascontiguousarray(A, dtype=np.float64),
-                            b=np.asarray(b, dtype=np.float64), beta=float(beta))
+    return SimplexTVProblem(A=A, b=b, beta=float(beta))
 
 
 def build_simplex_tv(n, m, seed, beta=1.0):
@@ -372,28 +389,26 @@ class OTInverseProblem(_SimplexPrimal):
     def kernel(self):
         return semidual_kernel(self.C, self.gamma)
 
-    @staticmethod
-    def _one_vector(mu):
-        # the semidual takes one potential, so ot-inverse can neither step
-        # nor evaluate a stack of dual vectors
+    def h_star_value(self, mu):
+        """h* at a dual vector, or at each row of a stack (R, 2n - 1) of them."""
+        if mu.ndim == 1:
+            return _semidual(mu[:self.n], self.theta, self.C, self.gamma,
+                             self.kernel, grad=False)[0]
+        return _semidual_rows(mu[:, :self.n], self.theta, self.C, self.gamma,
+                              self.kernel)
+
+    def h_star_grad(self, mu):
+        # the step takes one potential: ot-inverse cannot step a stack
         if mu.ndim != 1:
             raise ShapeError(f"ot-inverse takes one dual vector, not a stack "
                              f"of shape {mu.shape}")
-        return mu
-
-    def h_star_value(self, mu):
-        return _semidual(self._one_vector(mu)[:self.n], self.theta, self.C,
-                         self.gamma, self.kernel, grad=False)[0]
-
-    def h_star_grad(self, mu):
-        grad = _semidual(self._one_vector(mu)[:self.n], self.theta, self.C,
-                         self.gamma, self.kernel, value=False)[1]
+        grad = _semidual(mu[:self.n], self.theta, self.C, self.gamma,
+                         self.kernel, value=False)[1]
         return np.concatenate([grad, np.zeros(self.n - 1)])
 
     def dual_feasible(self, mu):
-        mu = self._one_vector(mu)
-        return bool(mu.shape[0] == 2 * self.n - 1
-                    and np.abs(mu[self.n:]).max() <= self.beta + 1e-12)
+        return bool(mu.shape[-1] == 2 * self.n - 1
+                    and np.abs(mu[..., self.n:]).max() <= self.beta + 1e-12)
 
     def dual_prox(self, mu, v, nu):
         # plain gradient step on tau, clamped step on the ball-constrained zeta

@@ -19,8 +19,11 @@ from sbpd.experiment import (
     write_trace,
 )
 from sbpd.oracle import GradientOracle
+from sbpd import problems
 from sbpd.problems import ReferenceSolution, SimplexTVProblem, compute_reference
 from sbpd.solver import (
+    ReferenceEvaluator,
+    asymptotic_residual,
     estimate_inequality_terms,
     initial_state,
     lagrangian_gap,
@@ -706,15 +709,17 @@ def test_meta_certificate_counts_a_violation_and_exits_0(tmp_path, monkeypatch):
     certificate = experiment.ReferenceEvaluator.certificate
     broken = []
 
-    def breaks_the_first_two(self, w_k, w_next, gap, **kwargs):
+    def breaks_the_first_two_rows(self, w_k, w_next, gap, **kwargs):
+        # a block of logged k is certified in one call, one slack per row
         slack, scale = certificate(self, w_k, w_next, gap, **kwargs)
-        if len(broken) < 2:
-            broken.append(slack)
-            slack = -1e-6 * scale
+        slack = slack.copy()
+        first = slice(0, 2 - len(broken))
+        broken.extend(slack[first].tolist())
+        slack[first] = -1e-6 * scale[first]
         return slack, scale
 
     monkeypatch.setattr(experiment.ReferenceEvaluator, "certificate",
-                        breaks_the_first_two)
+                        breaks_the_first_two_rows)
     config = _tiny_config(tmp_path)
     assert run_experiment(config, log=lambda s: None) == 0
     cert = json.loads((tmp_path / "out" / "meta.json").read_text())["certificate"]
@@ -771,10 +776,115 @@ def _measured_run_applies(tmp_path, cert_every, iterations):
 
 
 def test_carried_certified_row_applies_the_coupling_twice(tmp_path):
-    # every step applies T once and the evaluator once for T x_ref; a
-    # logged row applies it to x and to x_bar; a certified row whose
-    # previous row carried its energy adds none, and the first adds T x_0
+    # every step applies T once and the evaluator once for T x_ref; a block
+    # of logged k applies it once to its iterates and once to its ergodic
+    # means, and certifying the block adds one apply, to its previous states
     n = 12
+    assert n <= experiment._ROW_BLOCK  # one block
     plain = _measured_run_applies(tmp_path, 0, n)
-    assert plain == n + 1 + 2 * n
+    assert plain == n + 1 + 2
     assert _measured_run_applies(tmp_path, 1, n) == plain + 1
+
+
+def _replayed_run(problem, reference, iterations, config, oracle):
+    """``_measured_run``'s records and certificates of one run, evaluated one
+    logged k at a time through the public 1-d evaluator."""
+    saddle = problem.saddle_problem()
+    schedule = problem.default_schedule()
+    evaluator = ReferenceEvaluator(saddle, schedule, reference.w_star)
+    records, certificates = [], []
+
+    def observe(prev, state):
+        if not should_log(state.k, final=iterations):
+            return False
+        gap, parts = evaluator.gap((state.x, state.mu))
+        slack = None
+        if config.cert_every and state.k % config.cert_every == 0:
+            delta = None
+            if oracle is not None:
+                _, delta = oracle.grad_estimate(
+                    saddle.f_grad, saddle.f_partial_grad, prev.x.coords, prev.k)
+            slack, scale = evaluator.certificate(
+                (prev.x, prev.mu), (state.x, state.mu), gap,
+                primal_delta=delta, parts=parts)
+            certificates.append((float(slack), float(scale)))
+        records.append(TraceRecord(
+            state.k, float(gap),
+            float(evaluator.gap((state.x_bar, state.mu_bar))[0]),
+            float(evaluator.lagrangian(parts)),
+            float(asymptotic_residual(prev, state)),
+            None if slack is None else float(slack)))
+        tail = records[-100:]
+        return (config.stop_gap is not None and len(tail) == 100
+                and all(r.gap_pointwise < config.stop_gap for r in tail))
+
+    run(saddle, schedule, initial_state(*problem.initial_point()), iterations,
+        oracle, observe)
+    return records, certificates
+
+
+@pytest.mark.parametrize("overrides", [
+    {"iterations": 1100},
+    {"iterations": 150, "cert_every": 0},
+    {"iterations": 128, "cert_every": 3},
+    {"iterations": 150, "cert_every": 3, "oracle_mode": "paper-partial",
+     "batch_size": 4},
+    {"iterations": 150, "oracle_mode": "paper-partial", "batch_size": 4,
+     "repeats": 3},
+    {"iterations": 1100, "cert_every": 3, "oracle_mode": "scaled-unbiased",
+     "batch_size": 4, "repeats": 3},
+    {"iterations": 3000, "stop_gap": 1e-3},
+    {"experiment": "ot-inverse", "iterations": 150},
+    {"experiment": "ot-inverse", "iterations": 1100, "cert_every": 3},
+], ids=["exact-1100", "cert-every-0", "full-blocks-cert-every-3",
+        "one-repeat-cert-every-3", "three-repeats", "three-repeats-1100-cert-every-3",
+        "stop-gap", "ot-inverse", "ot-inverse-1100-cert-every-3"])
+def test_blocks_of_logged_k_equal_the_per_row_replay(tmp_path, overrides):
+    # logged k are evaluated _ROW_BLOCK at a time as one stack; every record
+    # and (slack, scale) pair equals the 1-d evaluation of its own k, across
+    # block boundaries, certified rows split between blocks and a last
+    # block that is not full
+    config = _tiny_config(tmp_path, **overrides)
+    problem = config.build_problem()
+    reference = compute_reference(problem, 1000, config.seed)
+    oracles = (None,)
+    if config.is_stochastic():
+        oracles = tuple(GradientOracle(config.oracle_mode, config.batch_size,
+                                       config.seed + r, problem.m)
+                        for r in range(config.repeats))
+    runs = experiment._measured_run(problem, problem.saddle_problem(),
+                                    problem.default_schedule(), reference,
+                                    config.iterations, config, oracles)
+    assert len(runs) == config.repeats
+    for r, (records, certificates) in enumerate(runs):
+        oracle = oracles[r] and GradientOracle(config.oracle_mode, config.batch_size,
+                                               config.seed + r, problem.m)
+        replayed, replayed_certificates = _replayed_run(
+            problem, reference, config.iterations, config, oracle)
+        assert records == replayed
+        assert certificates == replayed_certificates
+    if config.stop_gap is not None:  # the run stopped early
+        assert 100 < len(records) < config.iterations
+
+
+def test_nan_in_the_last_block_fails_its_feasibility_check(tmp_path, monkeypatch):
+    # 1000 reference steps, then 300 measured ones; a NaN iterate at k = 298
+    # is reported by the check of its row in the last block, which is
+    # evaluated inside the run, not by run's final check
+    calls = []
+    prox = problems.kl_prox_simplex
+
+    def nan_prox(x, v, lam):
+        calls.append(1)
+        point = prox(x, v, lam)
+        if len(calls) >= 1000 + 298:
+            point.coords[0] = np.nan
+        return point
+
+    monkeypatch.setattr(problems, "kl_prox_simplex", nan_prox)
+    config = _tiny_config(tmp_path)
+    assert run_experiment(config, log=lambda s: None) == 1
+    doc = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert doc == {"error": "DomainError",
+                   "message": "primal part of w violates its constraints"}
+    assert len(calls) == 1000 + 300

@@ -459,6 +459,18 @@ def test_simplex_tv_checks_its_data_at_construction(field, value):
         SimplexTVProblem(**dict(data, **{field: value}))
 
 
+def test_simplex_tv_converts_list_data():
+    # list data once failed with an AttributeError on the missing .shape
+    problem = SimplexTVProblem(A=[[1.0, 2.0], [1.0, 1.0]], b=[1.0, 1.0], beta=1.0)
+    assert problem.A.dtype == problem.b.dtype == np.float64
+    assert problem.descriptor() == simplex_tv_from_arrays(
+        np.array([[1.0, 2.0], [1.0, 1.0]]), np.array([1.0, 1.0]), 1.0).descriptor()
+    with pytest.raises(ValueError, match="A must be a matrix"):
+        SimplexTVProblem(A=[1.0, 2.0], b=[1.0], beta=1.0)
+    with pytest.raises(ValueError):
+        SimplexTVProblem(A=[[1.0, 2.0], [1.0]], b=[1.0, 1.0], beta=1.0)
+
+
 @pytest.mark.parametrize("key", ["L_p", "L_d", "B"])
 def test_derived_constants_are_not_constructor_fields(key):
     tv, ot = build_simplex_tv(4, 4, seed=0), build_ot_inverse(8, 0)

@@ -275,19 +275,46 @@ def test_stacked_evaluation_rejects_rows_of_two_counts(x_rows, mu_rows):
 
 
 @pytest.mark.parametrize("check", [True, False])
-def test_stacked_ot_inverse_evaluation_raises_shape_error(check):
-    # the semidual takes one potential: a feasible stack of ot-inverse rows
-    # is a shape error, not a dual part that violates its constraints
+def test_stacked_ot_inverse_evaluation_is_bitwise_its_rows(check):
+    # the semidual values a stack of ot-inverse rows, each gap bitwise its
+    # row's 1-d gap; its gradient takes one potential, so no stack steps
     problem = build_ot_inverse(8, 1)
     x0, mu0 = problem.initial_point()
     saddle = problem.saddle_problem()
     evaluator = ReferenceEvaluator(saddle, problem.default_schedule(), (x0, mu0))
-    state = initial_state(x0, mu0, rows=3)
+    states = []
+    run(saddle, problem.default_schedule(), initial_state(x0, mu0), 3,
+        callback=lambda prev, new: states.append(new))
+    x = BregmanPoint(np.array([s.x.coords for s in states]),
+                     np.array([s.x.log_coords for s in states]))
+    mu = np.array([s.mu for s in states])
+    gaps = evaluator.gap((x, mu), check=check)[0]
+    assert ([g.hex() for g in gaps.tolist()]
+            == [float(evaluator.gap((s.x, s.mu), check=check)[0]).hex()
+                for s in states])
+    assert len(set(gaps.tolist())) == 3
     with pytest.raises(ShapeError, match="one dual vector"):
-        evaluator.gap((state.x, state.mu), check=check)
-    with pytest.raises(ShapeError, match="one dual vector"):
-        saddle.h_star_grad(state.mu)
+        saddle.h_star_grad(mu)
     assert evaluator.gap((x0, mu0))[0] == 0.0
+
+
+def test_stacked_semidual_mixes_kernel_and_log_domain_rows():
+    # spreads (max tau - min tau) / gamma of 1 and 299 take the kernel form,
+    # 350 the log-domain one; each row's value is bitwise its vector's
+    problem = build_ot_inverse(12, 1)
+    n = problem.n
+    rng = np.random.default_rng(3)
+    mu = np.array([np.concatenate([rng.permutation(np.linspace(0.0, spread, n)),
+                                   rng.uniform(-0.5, 0.5, n - 1)])
+                   for spread in (1.0, 299.0, 350.0, 1.0)])
+    values = problem.h_star_value(mu)
+    assert values.shape == (4,)
+    assert ([v.hex() for v in values.tolist()]
+            == [float(problem.h_star_value(row)).hex() for row in mu])
+    # the ball constraint on zeta binds every row
+    assert problem.dual_feasible(mu)
+    mu[2, -1] = 1.5
+    assert not problem.dual_feasible(mu)
 
 
 @pytest.mark.parametrize("changed", [None, "log x", "mu"])
