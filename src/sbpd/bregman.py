@@ -42,6 +42,9 @@ class BregmanPoint:
     ``log_coords`` is present exactly for simplex iterates; the
     multiplicative prox works on the logarithms and the coordinates are the
     exponentials (which may underflow to zero without harming the update).
+    A point ``kl_prox_simplex`` returns has ``coords`` exactly
+    ``np.exp(log_coords)``; one from ``from_positive_coords`` keeps the
+    coordinates it was given.
     """
 
     coords: np.ndarray
@@ -145,7 +148,9 @@ def kl_prox_simplex(x, v, lam):
         log x' = (log x - lam v) - logsumexp(log x - lam v),
 
     with the log-sum-exp shifted by its largest term, so the output stays
-    strictly interior for arbitrarily large drifts.
+    strictly interior for arbitrarily large drifts. The output's coordinates
+    are exactly ``np.exp`` of its log coordinates, so a step can be rebuilt
+    from its log coordinates alone.
 
     The step path calls this on every iteration, so ``v`` is not checked:
     it must be a finite vector of the dimension of ``x``. A stack of points

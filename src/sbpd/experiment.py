@@ -2,13 +2,17 @@
 
 A run has two phases. First a long deterministic reference run produces an
 approximate saddle point (cached under its config hash). Then the measured
-phase reruns the solver for 80% of the reference budget by default: once
-with the exact oracle (replaying the first steps of the reference
-trajectory), or ``repeats`` times with derived seeds (stochastic), stepped
-as one stacked state whose rows are bitwise the repeats' own runs, logging
-Lagrangian gaps against the reference into CSV traces. Logged k are
-evaluated a block at a time, as one stack of rows (one per repeat of each
-k), each bitwise the row the k's own state gives alone.
+phase runs the solver for 80% of the reference budget by default, logging
+Lagrangian gaps against the reference into CSV traces. With the exact
+oracle it is the first steps of the reference trajectory: a computed
+reference hands them over as it steps (log x and mu of each, up to
+``_HELD_BYTES``), the measured phase replays them, and it steps on from the
+last held state only when the cap or a shorter reference budget cut them
+short; a cached reference hands over none, and every step is stepped. A
+stochastic run draws its batches, so it steps its ``repeats`` runs with
+derived seeds, as one stacked state whose rows are bitwise the repeats' own
+runs. Logged k are evaluated a block at a time, as one stack of rows (one
+per repeat of each k), each bitwise the row the k's own state gives alone.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .solver import (  # noqa: F401  benchmarks/tracing.py patches the unused na
     LagrangianParts,
     ReferenceEvaluator,
     SolverState,
+    _advance,
     asymptotic_residual,
     certificate_holds,
     ergodic_rate_constant,
@@ -164,10 +169,6 @@ class ExperimentConfig:
             raise ConfigError(f"oracle_mode {self.oracle_mode} needs an integer batch_size")
         if not self.is_stochastic() and (self.batch_size != "full" or self.repeats > 1):
             raise ConfigError("the exact oracle needs batch_size 'full' and repeats = 1")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
-        if self.beta < 0:
-            raise ConfigError("beta must be nonnegative")
         if not 0.0 <= self.noise_level <= 1.0:
             raise ConfigError("noise_level must lie in [0, 1]")
         if self.repeats < 1:
@@ -327,6 +328,48 @@ def _mean_records(traces):
             for row, values in zip(rows, zip(*columns))]
 
 
+# bytes of the reference run's first steps (log x and mu of each) that a cold
+# exact run holds to replay as its measured phase; steps past them are stepped
+# again. The 50x50 simplex-tv instance holds 2648 steps in 2 MiB: all of a
+# 2000-iteration run, the first 2648 of the default 20k. Holding whole states
+# instead cost 5 MB more peak memory over 2000 steps and 17 MB over 20k.
+_HELD_BYTES = 2 << 20
+
+
+class _HeldSteps:
+    """The first ``steps`` steps of a reference run, as ``run``'s callback.
+
+    Each step's log x and mu are copied into two float64 columns, allocated
+    on the first step (a cached reference steps none), up to ``_HELD_BYTES``.
+    """
+
+    def __init__(self, steps):
+        self.steps = steps
+        self.log_x = self.mu = None
+
+    def __call__(self, prev, state):
+        if self.log_x is None:
+            n, d = state.x.log_coords.shape[-1], state.mu.shape[-1]
+            rows = min(self.steps, _HELD_BYTES // (8 * (n + d)))
+            self.log_x, self.mu = np.empty((rows, n)), np.empty((rows, d))
+        if state.k <= len(self.log_x):
+            self.log_x[state.k - 1] = state.x.log_coords
+            self.mu[state.k - 1] = state.mu
+
+    def states(self, state):
+        """The held states after ``state``, the run's initial one, in order.
+
+        Each is bitwise its stepped state: x = exp(log x), as
+        ``kl_prox_simplex`` forms it, and the ergodic means by the step's own
+        recursion.
+        """
+        if self.log_x is None:
+            return
+        for log_x, mu in zip(self.log_x, self.mu):
+            state = _advance(state, BregmanPoint(np.exp(log_x), log_x), mu)
+            yield state
+
+
 # logged k evaluated as one stack, each row bitwise its own k's values; a
 # larger block dispatches less but holds more states (at 64, ot-inverse
 # peaked 2 MB higher than evaluating each k alone; at 16, within 0.5 MB)
@@ -334,11 +377,16 @@ _ROW_BLOCK = 16
 
 
 def _measured_run(problem, saddle, schedule, reference, iterations, config,
-                  oracles=(None,)):
+                  oracles=(None,), held=None):
     """The measured phase, one run per oracle (``None`` is the exact one).
 
     Returns one ``(records, certificates)`` pair per run. R > 1 oracles step
-    their R runs as one stacked state over an ``OracleStack``. The callback
+    their R runs as one stacked state over an ``OracleStack``. ``held``, the
+    ``_HeldSteps`` of the reference run of an exact run, is replayed first:
+    its states, rebuilt bitwise, go to the same callback as stepped ones,
+    and ``run`` steps on from the last of them when they end before
+    ``iterations``. ``record_timing``'s walls count from the start of this
+    phase, through replayed and stepped steps alike. The callback
     only collects each logged k (its states, whether it is certified and the
     gradient-estimate error of a certified stochastic k); every
     ``_ROW_BLOCK`` logged k, and at the final k, the block is evaluated as
@@ -380,9 +428,14 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
         tail = runs[0][0][-100:]
         return len(tail) == 100 and all(r.gap_pointwise < config.stop_gap for r in tail)
 
-    run(saddle, schedule,
-        initial_state(*problem.initial_point(), rows=repeats if stacked else None),
-        iterations, oracle, observe)
+    state = initial_state(*problem.initial_point(), rows=repeats if stacked else None)
+    for new in () if held is None else held.states(state):
+        stop = observe(state, new)
+        state = new
+        if stop:
+            return runs
+    if state.k < iterations:
+        run(saddle, schedule, state, iterations - state.k, oracle, observe)
     return runs
 
 
@@ -504,17 +557,20 @@ def run_phases(config, problem, output_dir):
     saddle = problem.saddle_problem()
     schedule = problem.default_schedule()
     ref_budget = config.resolved_reference_budget()
-    reference = compute_reference(problem, ref_budget, config.seed,
-                                  cache_dir=output_dir)
-
     stochastic = config.is_stochastic()
+    # an exact measured phase is the reference run's first steps: a computed
+    # reference hands them over to be replayed, not stepped again
+    held = None if stochastic else _HeldSteps(min(config.iterations, ref_budget))
+    reference = compute_reference(problem, ref_budget, config.seed,
+                                  cache_dir=output_dir, callback=held)
+
     oracle_seeds = ([config.seed + r for r in range(config.repeats)]
                     if stochastic else [])
     # None is the exact oracle; repeats step as one stacked state
     oracles = tuple(GradientOracle(config.oracle_mode, config.batch_size, seed,
                                    problem.m) for seed in oracle_seeds) or (None,)
     runs = _measured_run(problem, saddle, schedule, reference,
-                         config.iterations, config, oracles)
+                         config.iterations, config, oracles, held)
     traces = [records for records, _ in runs]
     final_gap = float(np.mean([t[-1].gap_ergodic for t in traces]))
     if stochastic:

@@ -532,7 +532,7 @@ def save_reference(ref, path):
     os.replace(tmp, path)
 
 
-def compute_reference(problem, budget, seed, cache_dir=None):
+def compute_reference(problem, budget, seed, cache_dir=None, callback=None):
     """Long deterministic run producing (x*, mu*) and its tolerance.
 
     ``ref_tol`` scales the final consecutive-iterate residual by
@@ -546,6 +546,10 @@ def compute_reference(problem, budget, seed, cache_dir=None):
     ``seed`` only feeds that hash, and so the cache file name: the run is
     deterministic and draws no random numbers, and the instance data are
     hashed through ``problem.descriptor()`` already.
+
+    ``callback(prev_state, new_state)``, when given, sees each step of a
+    computed reference (a returned cached file steps none); its return value
+    is ignored, as the reference always runs its whole budget.
     """
     if budget < 1000:
         raise ValueError("reference budget must be at least 1000 iterations")
@@ -573,6 +577,8 @@ def compute_reference(problem, budget, seed, cache_dir=None):
 
     def track(prev, new):
         last[:] = prev, new
+        if callback is not None:
+            callback(prev, new)
         return False
 
     state = run(saddle, schedule, state, budget, callback=track)

@@ -207,7 +207,13 @@ def sbpd_step(problem, schedule, state, oracle=None):
     drift_d = problem.h_star_grad(state.mu) - problem.coupling.apply(x_tilde)
     mu_next = problem.l_star_prox(state.mu, drift_d, schedule.nu)
 
-    k1 = k + 1
+    return _advance(state, x_next, mu_next)
+
+
+def _advance(state, x_next, mu_next):
+    """The state after ``state`` at (x_next, mu_next): k + 1, and ergodic
+    means moved by the one new term (the initial point is excluded)."""
+    k1 = state.k + 1
     x_bar = state.x_bar + (x_next.coords - state.x_bar) / k1
     mu_bar = state.mu_bar + (mu_next - state.mu_bar) / k1
     return SolverState(k1, x_next, mu_next, x_bar, mu_bar)

@@ -20,7 +20,12 @@ from sbpd.experiment import (
 )
 from sbpd.oracle import GradientOracle
 from sbpd import problems
-from sbpd.problems import ReferenceSolution, SimplexTVProblem, compute_reference
+from sbpd.problems import (
+    ReferenceSolution,
+    SimplexTVProblem,
+    build_simplex_tv,
+    compute_reference,
+)
 from sbpd.solver import (
     ReferenceEvaluator,
     asymptotic_residual,
@@ -49,14 +54,13 @@ def test_config_rejects_unknown_keys():
     ({"batch_size": 0}, "batch_size"),
     ({"batch_size": 2.5}, "batch_size"),
     ({"gamma": 0.0}, "gamma"),
-    ({"beta": -1.0}, "beta"),
+    ({"experiment": "custom"}, "custom experiments"),
     ({"noise_level": 1.5}, "noise_level"),
     ({"m": 1}, "m must"),
     ({"batch_size": True}, "batch_size"),
     ({"repeats": 0}, "repeats"),
     ({"cert_every": -1}, "cert_every"),
     ({"reference_iterations": 10}, "reference_iterations"),
-    ({"experiment": "custom"}, "custom experiments"),
 ])
 def test_config_validation_errors(overrides, match):
     config = ExperimentConfig().with_overrides(**overrides)
@@ -323,6 +327,18 @@ def test_config_that_would_run_as_exact_is_rejected(tmp_path, overrides, match):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("overrides,match", [
+    ({"beta": -1.0}, "beta must be nonnegative"),
+    ({"experiment": "ot-inverse", "beta": -1.0}, "beta must be nonnegative"),
+    ({"experiment": "ot-inverse", "gamma": 0.0}, "gamma must be finite and positive"),
+], ids=["tv-negative-beta", "ot-negative-beta", "ot-zero-gamma"])
+def test_problem_family_rejects_out_of_range_values(tmp_path, overrides, match):
+    # the families check beta and gamma when they are built, which
+    # run_guarded reports as an invalid config before any reference is run
+    _assert_invalid_config(_tiny_config(tmp_path, **overrides), match)
+    assert list((tmp_path / "out").glob("reference_*.json")) == []
+
+
 MALFORMED_NUMBERS = [
     ({"n": 8.5}, "n must be an integer"),
     ({"experiment": "ot-inverse", "beta": "1"}, "beta must be a real number"),
@@ -390,8 +406,9 @@ def test_largest_philox_seed_runs(tmp_path):
 
 @pytest.mark.parametrize("bad_step", [500, 1100], ids=["reference", "measured"])
 def test_non_finite_gradient_mid_run_fails_the_run(tmp_path, monkeypatch, bad_step):
-    # 1000 reference steps, then 300 measured ones; the reference phase
-    # logs nothing, so only run's final check sees the NaN there
+    # 1000 reference steps, the first 1000 measured ones replayed from them,
+    # then 300 more stepped; the reference phase logs nothing, so only run's
+    # final check sees the NaN there
     calls = []
     f_grad = SimplexTVProblem.f_grad
 
@@ -401,7 +418,7 @@ def test_non_finite_gradient_mid_run_fails_the_run(tmp_path, monkeypatch, bad_st
         return np.full_like(grad, np.nan) if len(calls) >= bad_step else grad
 
     monkeypatch.setattr(SimplexTVProblem, "f_grad", nan_grad)
-    config = _tiny_config(tmp_path)
+    config = _tiny_config(tmp_path, reference_iterations=1000, iterations=1300)
     lines = []
     assert run_experiment(config, log=lines.append) == 1
     doc = json.loads((tmp_path / "out" / "error.json").read_text())
@@ -529,12 +546,17 @@ def test_cert_every_zero_leaves_slack_empty(tmp_path):
     assert all(r.estimate_slack is None for r in records)
 
 
-def test_record_timing_populates_wall_nanos(tmp_path):
-    config = _tiny_config(tmp_path, record_timing=True, iterations=60)
-    assert run_experiment(config, log=lambda s: None) == 0
-    walls = [r.wall_nanos for r in read_trace(tmp_path / "out" / "trace.csv")]
-    assert all(isinstance(w, int) and w > 0 for w in walls)
-    assert walls == sorted(walls)
+def test_record_timing_populates_wall_nanos(tmp_path, monkeypatch):
+    # every step replayed, then 40 replayed and 20 stepped: the walls of both
+    # kinds of step share the measured phase's clock
+    for held_bytes in (2 << 20, 8 * 15 * 40):
+        monkeypatch.setattr(experiment, "_HELD_BYTES", held_bytes)
+        config = _tiny_config(tmp_path / str(held_bytes), record_timing=True,
+                              iterations=60)
+        assert run_experiment(config, log=lambda s: None) == 0
+        walls = [r.wall_nanos for r in read_trace(Path(config.output_dir) / "trace.csv")]
+        assert len(walls) == 60 and all(isinstance(w, int) and w > 0 for w in walls)
+        assert walls == sorted(walls)
 
 
 @pytest.mark.parametrize("value", ["no", 1, None], ids=["string", "int", "null"])
@@ -868,9 +890,10 @@ def test_blocks_of_logged_k_equal_the_per_row_replay(tmp_path, overrides):
 
 
 def test_nan_in_the_last_block_fails_its_feasibility_check(tmp_path, monkeypatch):
-    # 1000 reference steps, then 300 measured ones; a NaN iterate at k = 298
-    # is reported by the check of its row in the last block, which is
-    # evaluated inside the run, not by run's final check
+    # 1000 reference steps, the first 1000 measured ones replayed from them,
+    # then 300 more stepped; a NaN iterate at k = 1298 is reported by the
+    # check of its row in the last block, which is evaluated inside the run,
+    # not by run's final check
     calls = []
     prox = problems.kl_prox_simplex
 
@@ -882,9 +905,128 @@ def test_nan_in_the_last_block_fails_its_feasibility_check(tmp_path, monkeypatch
         return point
 
     monkeypatch.setattr(problems, "kl_prox_simplex", nan_prox)
-    config = _tiny_config(tmp_path)
+    config = _tiny_config(tmp_path, reference_iterations=1000, iterations=1300)
     assert run_experiment(config, log=lambda s: None) == 1
     doc = json.loads((tmp_path / "out" / "error.json").read_text())
     assert doc == {"error": "DomainError",
                    "message": "primal part of w violates its constraints"}
     assert len(calls) == 1000 + 300
+
+
+def test_nan_inside_the_held_steps_fails_the_reference(tmp_path, monkeypatch):
+    # the 300 measured steps are the reference's first ones, held and never
+    # stepped again: a NaN iterate at k = 150 fails the reference's final
+    # check, before anything is written
+    calls = []
+    prox = problems.kl_prox_simplex
+
+    def nan_prox(x, v, lam):
+        calls.append(1)
+        point = prox(x, v, lam)
+        if len(calls) == 150:
+            point.coords[0] = np.nan
+        return point
+
+    monkeypatch.setattr(problems, "kl_prox_simplex", nan_prox)
+    config = _tiny_config(tmp_path)
+    lines = []
+    assert run_experiment(config, log=lines.append) == 1
+    out = tmp_path / "out"
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "DomainError" and json.loads(lines[0]) == doc
+    assert doc["message"].endswith("has non-finite entries at k = 1000")
+    assert len(calls) == 1000
+    assert not (out / "trace.csv").exists()
+    assert list(out.glob("reference_*.json")) == []
+
+
+def test_nan_mid_block_of_a_stochastic_run_fails_its_next_estimate(tmp_path, monkeypatch):
+    # a stochastic run steps its measured phase, and the step after a NaN
+    # iterate draws a gradient estimate before the iterate's block is checked
+    calls = []
+    prox = problems.kl_prox_simplex
+
+    def nan_prox(x, v, lam):
+        calls.append(1)
+        point = prox(x, v, lam)
+        if len(calls) == 1000 + 100:
+            point.coords[0] = np.nan
+        return point
+
+    monkeypatch.setattr(problems, "kl_prox_simplex", nan_prox)
+    config = _tiny_config(tmp_path, oracle_mode="paper-partial", batch_size=4,
+                          cert_every=3)
+    lines = []
+    assert run_experiment(config, log=lines.append) == 1
+    doc = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert doc == {"error": "OracleError",
+                   "message": "non-finite gradient estimate at iteration 100"}
+    assert json.loads(lines[0]) == doc
+
+
+@pytest.mark.parametrize("experiment_name", ["simplex-tv", "ot-inverse", "custom"])
+def test_held_steps_rebuild_the_stepped_states_bitwise(tmp_path, experiment_name):
+    overrides = {"ot-inverse": {"n": 12}, "custom": CUSTOM_DATA}.get(experiment_name, {})
+    config = _tiny_config(tmp_path, experiment=experiment_name, **overrides)
+    problem = config.build_problem()
+    held, stepped = experiment._HeldSteps(300), []
+
+    def both(prev, state):
+        held(prev, state)
+        stepped.append(state)
+
+    compute_reference(problem, 1000, config.seed, callback=both)
+    rebuilt = list(held.states(initial_state(*problem.initial_point())))
+    assert [s.k for s in rebuilt] == list(range(1, 301))
+
+    def bits(state):
+        return [a.tobytes() for a in (state.x.coords, state.x.log_coords, state.mu,
+                                      state.x_bar, state.mu_bar)]
+
+    assert all(bits(r) == bits(s) for r, s in zip(rebuilt, stepped))
+
+
+def test_held_steps_stop_at_the_byte_cap(monkeypatch):
+    problem = build_simplex_tv(8, 10, 5)  # 8 + 7 floats a step
+    monkeypatch.setattr(experiment, "_HELD_BYTES", 8 * 15 * 40 + 119)
+    held = experiment._HeldSteps(300)
+    compute_reference(problem, 1000, 5, callback=held)
+    assert held.log_x.shape == (40, 8) and held.mu.shape == (40, 7)
+    assert len(list(held.states(initial_state(*problem.initial_point())))) == 40
+
+
+def test_a_cached_reference_allocates_no_held_columns(tmp_path):
+    problem = build_simplex_tv(8, 10, 5)
+    compute_reference(problem, 1000, 5, cache_dir=str(tmp_path))
+    held = experiment._HeldSteps(300)
+    assert compute_reference(problem, 1000, 5, cache_dir=str(tmp_path),
+                             callback=held).from_cache
+    assert held.log_x is None and held.mu is None
+    assert list(held.states(initial_state(*problem.initial_point()))) == []
+
+
+# the cap holds no step, 40 steps (so the rest are stepped) or every step
+HELD_CAPS = {"stepped": 0, "resumed": 8 * 15 * 40, "replayed": 2 << 20}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"cert_every": 2},
+    {"reference_iterations": 1000, "iterations": 1300},
+    {"iterations": 1200, "stop_gap": 0.05},
+], ids=["cert-every-2", "reference-shorter-than-run", "stop-gap"])
+def test_held_cap_leaves_every_output_byte_identical(tmp_path, monkeypatch, overrides):
+    # a cold exact run replays what the cap held of the reference's first
+    # steps and steps the rest: whatever the cap, each file is the same
+    outputs = {}
+    for name, cap in HELD_CAPS.items():
+        monkeypatch.setattr(experiment, "_HELD_BYTES", cap)
+        monkeypatch.setenv(experiment.ENV_OUTPUT_DIR, str(tmp_path / name))
+        assert run_experiment(_tiny_config(tmp_path, **overrides),
+                              log=lambda s: None) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert outputs["stepped"] == outputs["resumed"] == outputs["replayed"]
+    assert ([name.split("_")[0] for name in sorted(outputs["stepped"])]
+            == ["meta.json", "reference", "trace.csv"])
+    k = read_trace(tmp_path / "replayed" / "trace.csv")[-1].k
+    iterations = overrides.get("iterations", 300)
+    assert k < iterations if "stop_gap" in overrides else k == iterations
