@@ -335,7 +335,7 @@ def _check_estimate_inequality(level):
     run(saddle, schedule, initial_state(*problem.initial_point()), iters,
         callback=lambda prev, new: pairs.append(
             ((prev.x, prev.mu), (new.x, new.mu))))
-    # one evaluator per reference, which carries E_{k+1} into the next step
+    # one evaluator per reference, which evaluates both energies of each step
     for ref in refs:
         evaluator = ReferenceEvaluator(saddle, schedule, ref)
         for w_k, w_next in pairs:

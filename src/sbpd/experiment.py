@@ -152,10 +152,6 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError(f"output_dir must be a non-empty string, "
                               f"got {self.output_dir!r}")
-        if self.n < 2:
-            raise ConfigError("n must be at least 2")
-        if self.experiment == "simplex-tv" and self.m < 2:
-            raise ConfigError("m must be at least 2")
         if self.iterations < 1:
             raise ConfigError("iterations must be positive")
         if self.oracle_mode not in ORACLE_MODES:
@@ -169,8 +165,6 @@ class ExperimentConfig:
             raise ConfigError(f"oracle_mode {self.oracle_mode} needs an integer batch_size")
         if not self.is_stochastic() and (self.batch_size != "full" or self.repeats > 1):
             raise ConfigError("the exact oracle needs batch_size 'full' and repeats = 1")
-        if not 0.0 <= self.noise_level <= 1.0:
-            raise ConfigError("noise_level must lie in [0, 1]")
         if self.repeats < 1:
             raise ConfigError("repeats must be positive")
         if self.seed < 0:

@@ -288,11 +288,12 @@ class ReferenceEvaluator:
 
     Built once per reference ``w_ref``, from private copies: it checks that
     ``w_ref`` is feasible and evaluates the reference's parts f(x_ref),
-    T x_ref and h*(mu_ref) once. ``gap`` evaluates a point's parts once and
-    returns them with the gap, so the point's own Lagrangian and the
-    certificate's gap term and cross term reuse them. The reference side of
-    the energy (log x_ref and sum x_ref) is evaluated on the first energy.
-    ``schedule`` is needed only by the energy and ``certificate``.
+    T x_ref and h*(mu_ref) and, for a nonnegative x_ref, the reference side
+    of the energy (log x_ref and sum x_ref) once. It holds no other state:
+    each result depends only on its arguments. ``gap`` evaluates a point's
+    parts once and returns them with the gap, so the point's own Lagrangian
+    and the certificate's gap term and cross term reuse them. ``schedule``
+    is needed only by the energy and ``certificate``.
 
     A stacked w (x, log x and mu of shape (R, .)) is evaluated in one pass:
     ``gap``, ``lagrangian``, the energy and ``certificate`` then return one
@@ -310,11 +311,9 @@ class ReferenceEvaluator:
         self.mu_ref = np.array(mu_ref, dtype=np.float64)
         _check_feasible(problem, self.x_ref, self.mu_ref, "w_ref")
         self.ref = problem.parts(self.x_ref, self.mu_ref)
-        self._carry = (None, None)  # (key of the last w_next, its energy)
-
-    @functools.cached_property
-    def _kl_ref(self):
-        return _kl_terms(self.x_ref)
+        # None for a reference with a negative entry (a Euclidean primal),
+        # whose gaps evaluate but whose energy raises as _kl_terms does
+        self._kl_ref = _kl_terms(self.x_ref) if (self.x_ref >= 0).all() else None
 
     def gap(self, w, check=True):
         """``(L(x, mu_ref) - L(x_ref, mu), parts of w)``.
@@ -350,7 +349,7 @@ class ReferenceEvaluator:
             raise ShapeError(f"mu must have the length of mu_ref, got shapes "
                              f"{self.mu_ref.shape} and {mu.shape}")
         Tx = self.problem.coupling.apply(point.coords) if parts is None else parts.Tx
-        dp = _kl_to_point(self.x_ref, *self._kl_ref, point)
+        dp = _kl_to_point(self.x_ref, *(self._kl_ref or _kl_terms(self.x_ref)), point)
         d = self.mu_ref - mu
         return (dp / self.schedule.lam + 0.5 * np.vecdot(d, d) / self.schedule.nu
                 - np.vecdot(self.ref.Tx - Tx, d))
@@ -359,22 +358,17 @@ class ReferenceEvaluator:
         """``(slack, scale)`` of the step from ``w_k`` to ``w_next``.
 
         ``gap`` is the gap of ``w_next`` and ``parts`` its parts, as ``gap``
-        returns them; without ``parts``, T x_next is applied here. E_{k+1}
-        is kept for the next step under the key of ``w_next``, the shapes and
-        float64 bytes of x, of log x (``None`` without) and of mu. A ``w_k``
-        with another key has E_k evaluated, so no result depends on the call
-        order. Threads may share the carry: each reads a consistent (key,
-        energy) pair, and threads on different states only lose the reuse.
-        A stacked step is keyed as a whole and carries its R energies.
+        returns them; without ``parts``, T x_next is applied here. Both
+        energies are evaluated on every call.
         """
-        carried_key, e_k = self._carry
-        if _state_key(*w_k) != carried_key:
-            e_k = self._energy(w_k)
-        e_next = self._energy(w_next, parts)
-        self._carry = (_state_key(*w_next), e_next)
+        return self._slack(self._energy(w_k), self._energy(w_next, parts),
+                           w_next, gap, primal_delta)
+
+    def _slack(self, e_k, e_next, w_next, gap, primal_delta):
+        # (slack, scale) of the step to w_next, given E_k and E_{k+1}
         noise = 0.0
         if primal_delta is not None:
-            x_n = w_next[0]  # checked by the energy above
+            x_n = w_next[0]  # checked by the energy of w_next
             if isinstance(x_n, BregmanPoint):
                 x_n = x_n.coords
             noise += np.vecdot(np.asarray(primal_delta), self.x_ref - x_n)
@@ -406,21 +400,11 @@ def ergodic_rate_constant(problem, schedule, w_ref, w0):
     return float(ReferenceEvaluator(problem, schedule, w_ref)._energy(w0))
 
 
-# (problem, schedule, reference key, evaluator) of the last
-# estimate_inequality_terms call; at module level, because an evaluator kept
-# on the problem would form a reference cycle through it
-_last_evaluator = (None, None, None, None)
-
-
-def _memo_evaluator(problem, schedule, w_ref):
-    global _last_evaluator
-    key = _state_key(*w_ref)
-    last_problem, last_schedule, last_key, evaluator = _last_evaluator
-    if last_problem is problem and last_schedule == schedule and last_key == key:
-        return evaluator
-    evaluator = ReferenceEvaluator(problem, schedule, w_ref)
-    _last_evaluator = (problem, schedule, key, evaluator)
-    return evaluator
+# (problem, schedule, reference key, evaluator, key of the last w_next, its
+# energy) of the last estimate_inequality_terms call, replaced as one tuple so
+# that each call reads a consistent entry; at module level, because an
+# evaluator kept on the problem would form a reference cycle through it
+_memo = (None,) * 6
 
 
 def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
@@ -440,20 +424,30 @@ def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
     steps the inequality does not depend on it. Only ``w_ref`` is checked
     for feasibility.
 
-    Callers certify many steps against one reference, so the
-    ``ReferenceEvaluator`` of the last call is kept in a one-entry memo,
-    keyed by the problem's identity, the schedule's value and the shapes and
-    float64 bytes of ``w_ref``. A miss builds it, with every check, from
-    private copies of the reference, so a reference changed in place misses
-    and is checked again. The evaluator carries E_{k+1} into the next call
-    under the key of ``w_next`` (``ReferenceEvaluator.certificate``). Threads
-    share the memo and the carry safely, but threads on different references
-    evict each other's entry, and threads on different states lose the reuse.
+    Callers certify many steps against one reference, so the last call's
+    ``ReferenceEvaluator`` and E_{k+1} are kept in a one-entry memo. The
+    evaluator is keyed by the problem's identity, the schedule's value and
+    the shapes and float64 bytes of ``w_ref``; a miss builds it, with every
+    check, from private copies of the reference, so a reference changed in
+    place misses and is checked again. E_{k+1} is keyed by the shapes and
+    float64 bytes of x, of log x (``None`` without) and of mu of ``w_next``,
+    and stands in for E_k of the next call only when its evaluator hits and
+    its ``w_k`` has that key, so no result depends on the call order.
+    Threads may share the memo: each call reads and replaces the whole
+    entry, so threads on different references or states only lose the reuse.
     """
-    evaluator = _memo_evaluator(problem, schedule, w_ref)
+    global _memo
+    ref_key = _state_key(*w_ref)
+    last_problem, last_schedule, last_ref, evaluator, last_key, e_k = _memo
+    hit = last_problem is problem and last_schedule == schedule and last_ref == ref_key
+    if not hit:
+        evaluator = ReferenceEvaluator(problem, schedule, w_ref)
     gap, parts = evaluator.gap(w_next, check=False)
-    return evaluator.certificate(w_k, w_next, gap, primal_delta=primal_delta,
-                                 parts=parts)
+    if not hit or _state_key(*w_k) != last_key:
+        e_k = evaluator._energy(w_k)
+    e_next = evaluator._energy(w_next, parts)
+    _memo = (problem, schedule, ref_key, evaluator, _state_key(*w_next), e_next)
+    return evaluator._slack(e_k, e_next, w_next, gap, primal_delta)
 
 
 def certificate_holds(slack, scale):

@@ -48,7 +48,7 @@ def test_config_rejects_unknown_keys():
 
 @pytest.mark.parametrize("overrides,match", [
     ({"experiment": "nope"}, "experiment"),
-    ({"n": 1}, "n must"),
+    ({"n": 1.5}, "n must"),
     ({"iterations": 0}, "iterations"),
     ({"oracle_mode": "minibatch"}, "oracle_mode"),
     ({"batch_size": 0}, "batch_size"),
@@ -56,7 +56,7 @@ def test_config_rejects_unknown_keys():
     ({"gamma": 0.0}, "gamma"),
     ({"experiment": "custom"}, "custom experiments"),
     ({"noise_level": 1.5}, "noise_level"),
-    ({"m": 1}, "m must"),
+    ({"m": 1.5}, "m must"),
     ({"batch_size": True}, "batch_size"),
     ({"repeats": 0}, "repeats"),
     ({"cert_every": -1}, "cert_every"),
@@ -331,10 +331,16 @@ def test_config_that_would_run_as_exact_is_rejected(tmp_path, overrides, match):
     ({"beta": -1.0}, "beta must be nonnegative"),
     ({"experiment": "ot-inverse", "beta": -1.0}, "beta must be nonnegative"),
     ({"experiment": "ot-inverse", "gamma": 0.0}, "gamma must be finite and positive"),
-], ids=["tv-negative-beta", "ot-negative-beta", "ot-zero-gamma"])
+    ({"n": 1}, "need n, m >= 2"),
+    ({"m": 1}, "need n, m >= 2"),
+    ({"experiment": "ot-inverse", "n": 3}, "need n >= 4"),
+    ({"experiment": "ot-inverse", "noise_level": 1.5}, "noise_level must lie in [0, 1]"),
+], ids=["tv-negative-beta", "ot-negative-beta", "ot-zero-gamma", "tv-n-1", "tv-m-1",
+        "ot-n-3", "ot-noise_level-1.5"])
 def test_problem_family_rejects_out_of_range_values(tmp_path, overrides, match):
-    # the families check beta and gamma when they are built, which
-    # run_guarded reports as an invalid config before any reference is run
+    # the families check their sizes, beta, gamma and noise_level when they
+    # are built, which run_guarded reports as an invalid config before any
+    # reference is run
     _assert_invalid_config(_tiny_config(tmp_path, **overrides), match)
     assert list((tmp_path / "out").glob("reference_*.json")) == []
 

@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -273,6 +275,25 @@ def test_lagrangian_gap_identity_and_feasibility():
                 symmetrized_energy_slack(problem, schedule, *pair)
 
 
+def test_reference_evaluator_gaps_a_euclidean_reference_without_an_energy():
+    # on a box-constrained primal a reference with a negative entry has a
+    # gap; only the KL energy (E_0 and certificates) rejects it
+    T = LinearMap(np.array([[1.0, -2.0], [3.0, 4.0]]) / 3.0)
+    problem = SaddleProblem(
+        f_grad=lambda x: np.zeros(2), h_star_grad=lambda mu: np.zeros(2),
+        g_prox=None, l_star_prox=None, coupling=T, L_p=0.0, L_d=0.0,
+        f_value=None, h_star_value=None,
+        primal_feasible=lambda x: bool(np.abs(x).max() <= 1.0),
+        dual_feasible=lambda mu: bool(np.abs(mu).max() <= 1.0))
+    ref = (np.array([0.9, -0.4]), np.array([0.1, 0.2]))
+    w = (np.array([0.5, 0.5]), np.array([-0.3, 0.4]))
+    # L(x, mu) = <Tx, mu> here
+    expected = (T.matrix @ w[0]) @ ref[1] - (T.matrix @ ref[0]) @ w[1]
+    assert lagrangian_gap(problem, w, ref) == pytest.approx(expected, abs=1e-15)
+    with pytest.raises(DomainError, match="negative entries"):
+        ergodic_rate_constant(problem, StepSchedule(0.3, 0.25), ref, w)
+
+
 def test_reference_evaluator_failure_paths():
     problem, schedule, state = tv_problem(5, 5, seed=10)
     w = (state.x.coords, np.zeros(4))
@@ -288,7 +309,7 @@ def test_reference_evaluator_failure_paths():
             evaluator.gap(bad_w)
 
 
-def test_reference_evaluator_shares_parts_and_carries_energy():
+def test_reference_evaluator_shares_parts_and_matches_the_carried_terms():
     problem, schedule, state = tv_problem(6, 8, seed=4)
     rng = np.random.default_rng(2)
     ref = next(iter(feasible_refs(rng, 6, 1.0, 1)))
@@ -302,8 +323,8 @@ def test_reference_evaluator_shares_parts_and_carries_energy():
             new.x.coords, new.mu)
         expected = estimate_inequality_terms(problem, schedule, w_k, w_n, ref)
         fresh = ReferenceEvaluator(problem, schedule, ref)
-        # consecutive certificates carry the energy, a fresh evaluator
-        # evaluates it
+        # consecutive estimate_inequality_terms calls carry the energy, the
+        # evaluators evaluate it
         assert evaluator.certificate(w_k, w_n, gap, parts=parts) == expected
         assert fresh.certificate(w_k, w_n, gap) == expected
         state = new
@@ -330,24 +351,25 @@ def _fresh_certificate(problem, schedule, ref, w_k, w_next):
 
 def test_certificate_carries_the_energy_to_the_next_step_only():
     problem, schedule, ref, ws = _carry_case()
-    evaluator = ReferenceEvaluator(problem, schedule, ref)
     calls = _count_applies(problem)
-    # step 1 follows step 0; step 3 skips step 2; step 1 comes out of order
-    for k, carried in ((0, False), (1, True), (3, False), (1, False)):
+    # step 1 follows step 0; step 3 skips step 2; step 1 comes out of order.
+    # The first call builds the evaluator (T x_ref); every call applies
+    # T x_next, shared by the gap and E_{k+1}, and T x_k unless E_k is carried
+    for k, applies in ((0, 3), (1, 1), (3, 2), (1, 2)):
         expected = _fresh_certificate(problem, schedule, ref, ws[k], ws[k + 1])
         del calls[:]
-        assert _certify(evaluator, ws[k], ws[k + 1]) == expected
-        # T x_next for the gap and for E_{k+1}, and T x_k unless carried
-        assert len(calls) == (2 if carried else 3)
+        assert estimate_inequality_terms(
+            problem, schedule, ws[k], ws[k + 1], ref) == expected
+        assert len(calls) == applies
 
 
 @pytest.mark.parametrize("changed", ["log x", "mu"])
 def test_certificate_recomputes_a_state_changed_in_place(changed):
     problem, schedule, ref, ws = _carry_case()
-    evaluator = ReferenceEvaluator(problem, schedule, ref)
     x, mu = ws[1]
     w1 = (BregmanPoint(x.coords.copy(), x.log_coords.copy()), mu.copy())
-    _certify(evaluator, ws[0], w1)
+    estimate_inequality_terms(problem, schedule, ws[0], w1, ref)
+    evaluator = ReferenceEvaluator(problem, schedule, ref)
     before = evaluator._energy(w1)
     if changed == "mu":
         w1[1][0] += 0.25
@@ -355,19 +377,38 @@ def test_certificate_recomputes_a_state_changed_in_place(changed):
         w1[0].log_coords[0] -= 0.25
     assert evaluator._energy(w1) != before
     expected = _fresh_certificate(problem, schedule, ref, w1, ws[2])
-    assert _certify(evaluator, w1, ws[2]) == expected
+    calls = _count_applies(problem)
+    assert estimate_inequality_terms(problem, schedule, w1, ws[2], ref) == expected
+    # E_1 was kept under the bytes w1 had before the change: T x_k is applied
+    assert len(calls) == 2
 
 
 def test_certificate_recomputes_a_state_without_log_coordinates():
     problem, schedule, ref, ws = _carry_case()
-    evaluator = ReferenceEvaluator(problem, schedule, ref)
-    _certify(evaluator, ws[0], ws[1])
+    estimate_inequality_terms(problem, schedule, ws[0], ws[1], ref)
     x, mu = ws[1]
     plain = (x.coords.copy(), mu.copy())
     expected = _fresh_certificate(problem, schedule, ref, plain, ws[2])
     calls = _count_applies(problem)
-    assert _certify(evaluator, plain, ws[2]) == expected
-    assert len(calls) == 3
+    assert estimate_inequality_terms(problem, schedule, plain, ws[2], ref) == expected
+    assert len(calls) == 2
+
+
+def test_certificate_of_one_evaluator_does_not_depend_on_the_call_order():
+    problem, schedule, ref, ws = _carry_case()
+    fresh = [tuple(v.hex() for v in _fresh_certificate(
+        problem, schedule, ref, ws[k], ws[k + 1])) for k in range(4)]
+    evaluator = ReferenceEvaluator(problem, schedule, ref)
+    attributes = dict(vars(evaluator))
+    calls = _count_applies(problem)
+    for k in (0, 1, 2, 3, 3, 2, 1, 0, 1, 3, 0, 2, 2):
+        del calls[:]
+        slack, scale = _certify(evaluator, ws[k], ws[k + 1])
+        assert (slack.hex(), scale.hex()) == fresh[k]
+        # T x_next for the gap and for E_{k+1}, and T x_k, on every call
+        assert len(calls) == 3
+    assert vars(evaluator).keys() == attributes.keys()
+    assert all(vars(evaluator)[name] is value for name, value in attributes.items())
 
 
 def _energy_of(evaluator, w):
@@ -562,6 +603,42 @@ def test_estimate_inequality_memo_keeps_at_most_one_problem_alive():
     estimate_inequality_terms(other, schedule, w, w, ref)
     gc.collect()
     assert old() is None
+
+
+def test_estimate_inequality_memo_is_shared_by_two_threads():
+    # each thread certifies its own reference, so they evict each other's
+    # entry: a barrier makes them take turns at every step, and a short
+    # switch interval lets one preempt the other within a call
+    problem, schedule, state = tv_problem(6, 8, seed=4)
+    refs = list(feasible_refs(np.random.default_rng(2), 6, 1.0, 2))
+    ws = [(state.x, state.mu)]
+    for _ in range(200):
+        state = sbpd_step(problem, schedule, state)
+        ws.append((state.x, state.mu))
+    results = [None, None]
+    barrier = threading.Barrier(2, timeout=30)
+
+    def certify(i):
+        terms = []
+        for k in range(200):
+            barrier.wait()
+            terms.append(estimate_inequality_terms(problem, schedule, ws[k],
+                                                   ws[k + 1], refs[i]))
+        results[i] = terms
+
+    threads = [threading.Thread(target=certify, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for ref, result in zip(refs, results):
+        fresh = ReferenceEvaluator(problem, schedule, ref)
+        assert result == [_certify(fresh, ws[k], ws[k + 1]) for k in range(200)]
 
 
 def test_certificate_holds_up_to_the_relative_tolerance():

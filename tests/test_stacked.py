@@ -17,7 +17,13 @@ from sbpd.experiment import ExperimentConfig, read_trace, run_experiment
 from sbpd.linalg import ShapeError
 from sbpd.oracle import GradientOracle, OracleError, OracleStack
 from sbpd.problems import build_ot_inverse, build_simplex_tv, compute_reference
-from sbpd.solver import ReferenceEvaluator, initial_state, run, sbpd_step
+from sbpd.solver import (
+    ReferenceEvaluator,
+    estimate_inequality_terms,
+    initial_state,
+    run,
+    sbpd_step,
+)
 
 
 def _fields(state):
@@ -185,9 +191,8 @@ def test_stacked_evaluation_is_bitwise_the_1d_measured_runs(
         tmp_path, monkeypatch, looped, rows, iterations, mode, cert_every):
     # each logged k is evaluated once, on the stacked state: every cell of
     # every run_*.csv and every (slack, scale) pair is its 1-d run's, bit for
-    # bit. cert_every = 1 carries the energy from one logged k to the next
-    # up to k = 1000, and past it, where logging thins to every other k,
-    # evaluates it again; cert_every = 3 evaluates it at every certified k.
+    # bit, at cert_every = 1 (every logged k: each k up to k = 1000, every
+    # other k past it) and at cert_every = 3.
     config = _config(tmp_path, mode, rows, iterations, cert_every)
     measured_run, stacked = experiment._measured_run, []
     monkeypatch.setattr(experiment, "_measured_run",
@@ -319,24 +324,24 @@ def test_stacked_semidual_mixes_kernel_and_log_domain_rows():
 
 @pytest.mark.parametrize("changed", [None, "log x", "mu"])
 def test_stacked_certificate_recomputes_a_row_changed_in_place(changed):
-    # the carry keys the whole stacked w_next by its bytes: a row changed in
-    # place (row 2, not row 0) in the same arrays has its energy evaluated
-    # again, and an unchanged state reuses every row's
+    # estimate_inequality_terms keys the whole stacked w_next by its bytes: a
+    # row changed in place (row 2, not row 0) in the same arrays has its
+    # energy evaluated again, and an unchanged state reuses every row's
     saddle, schedule, reference, (w0, w1, w2) = _stacked_steps(3)
     evaluator = ReferenceEvaluator(saddle, schedule, reference)
 
-    def certify(evaluator, w_k, w_next):
-        gap, parts = evaluator.gap(w_next)
+    def certify(w_k, w_next):
         applies = []
         apply = saddle.coupling.apply
         saddle.coupling.apply = lambda x: applies.append(1) or apply(x)
         try:
-            slack, scale = evaluator.certificate(w_k, w_next, gap, parts=parts)
+            slack, scale = estimate_inequality_terms(
+                saddle, schedule, w_k, w_next, reference)
         finally:
             del saddle.coupling.apply
         return [v.hex() for v in slack.tolist() + scale.tolist()], len(applies)
 
-    certify(evaluator, w0, w1)
+    certify(w0, w1)
     before = evaluator._energy(w1)
     if changed == "mu":
         w1[1][2, 0] += 0.25
@@ -345,9 +350,10 @@ def test_stacked_certificate_recomputes_a_row_changed_in_place(changed):
     after = evaluator._energy(w1)
     assert after[:2].tobytes() == before[:2].tobytes()
     assert (after[2] != before[2]) == (changed is not None)
-    fresh, _ = certify(ReferenceEvaluator(saddle, schedule, reference), w1, w2)
-    # E_k takes the one apply of T x_k when it is evaluated
-    assert certify(evaluator, w1, w2) == (fresh, 0 if changed is None else 1)
+    slack, scale = evaluator.certificate(w1, w2, evaluator.gap(w2)[0])
+    fresh = [v.hex() for v in slack.tolist() + scale.tolist()]
+    # T x_next for the gap and E_{k+1}, and T x_k when E_k is evaluated
+    assert certify(w1, w2) == (fresh, 1 if changed is None else 2)
 
 
 def test_stacked_certificate_scale_keeps_the_rule_of_max_on_each_row():
