@@ -17,8 +17,11 @@ per repeat of each k), each bitwise the row the k's own state gives alone.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .bregman import BregmanPoint
-from .oracle import ORACLE_MODES, GradientOracle, OracleStack
+from .oracle import ORACLE_MODES, GradientOracle, OracleError, OracleStack
 from .problems import (
     build_ot_inverse,
     build_simplex_tv,
@@ -268,13 +271,37 @@ def should_log(k, final=None):
     return k % math.ceil(k / 1000.0) == 0
 
 
+# rows of a trace formed per write; a chunk's cells are held at once (all
+# 1500 rows of a 2000-iteration trace at once peaked 0.8 MB above row by row)
+_WRITE_ROWS = 256
+
+
 def write_trace(path, records):
-    lines = [CSV_HEADER]
-    for r in records:
-        values = [getattr(r, name) for name, _, _ in _COLUMNS]
-        lines.append(",".join("" if v is None else repr(v) for v in values))
+    # the cells of each chunk of rows are made a column at a time, one repr
+    # pass per column, and the chunk's lines are joined from its columns
+    rows = iter(records)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        while chunk := list(itertools.islice(rows, _WRITE_ROWS)):
+            columns = [_cells(values, optional)
+                       for values, (_, _, optional) in zip(_columns(chunk), _COLUMNS)]
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+
+# the cells of one record, in column order
+_row_of = operator.attrgetter(*(name for name, _, _ in _COLUMNS))
+
+
+def _columns(records):
+    # one tuple per column, read with one attrgetter call per record
+    return list(zip(*map(_row_of, records))) or [()] * len(_COLUMNS)
+
+
+def _cells(values, optional):
+    # one column's CSV cells; None, in an optional column, writes ""
+    if optional:
+        return ["" if v is None else repr(v) for v in values]
+    return list(map(repr, values))
 
 
 def read_trace(path):
@@ -301,25 +328,26 @@ def _mean_records(traces):
     # column is one (rows, R) array and one mean(axis=1), which sums every
     # row as np.mean sums a list of R values (mean(axis=0) of the transpose
     # sums in another order)
-    rows = list(zip(*traces))
-    # zip stops at the shortest run, so the lengths are compared apart
-    if (len({len(t) for t in traces}) > 1
-            or any(len({r.k for r in row}) != 1 for row in rows)):
+    runs = [_columns(t) for t in traces]  # each run's columns; [0] is k
+    if len({len(t) for t in traces}) > 1 or len({run[0] for run in runs}) > 1:
         raise RuntimeError("runs disagree on the logging grid")
-    if not rows:
+    if not runs or not runs[0][0]:
         return []
 
-    def means(name, kind):
-        # the float mean of each row, cast back to the column's type
-        cells = [[getattr(r, name) for r in row] for row in rows]
-        values = np.array([[0 if c is None else c for c in row] for row in cells],
-                          dtype=np.float64)
-        return [None if None in row else kind(mean)
-                for row, mean in zip(cells, values.mean(axis=1).tolist())]
+    def means(cells, kind):
+        # the float mean of each row, cast back to the column's type; a row
+        # with an empty cell (None) in any run stays empty
+        empty = [False] * len(cells[0])
+        if any(None in c for c in cells):
+            empty = [None in row for row in zip(*cells)]
+            cells = [[0 if v is None else v for v in c] for c in cells]
+        values = np.array(cells, dtype=np.float64).T.copy()  # (rows, R), C order
+        return [None if e else kind(mean)
+                for e, mean in zip(empty, values.mean(axis=1).tolist())]
 
-    columns = [means(name, kind) for name, kind, _ in _COLUMNS[1:]]
-    return [TraceRecord(row[0].k, *values)
-            for row, values in zip(rows, zip(*columns))]
+    columns = [means([run[c] for run in runs], kind)
+               for c, (_, kind, _) in enumerate(_COLUMNS) if c]
+    return [TraceRecord(k, *values) for k, values in zip(runs[0][0], zip(*columns))]
 
 
 # bytes of the reference run's first steps (log x and mu of each) that a cold
@@ -382,13 +410,14 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
     ``iterations``. ``record_timing``'s walls count from the start of this
     phase, through replayed and stepped steps alike. The callback
     only collects each logged k (its states, whether it is certified and the
-    gradient-estimate error of a certified stochastic k); every
+    batch that the step of a certified stochastic k drew); every
     ``_ROW_BLOCK`` logged k, and at the final k, the block is evaluated as
-    one stack of rows, R per k in (k, r) order: one checked ``gap`` each of
-    the iterates and of the ergodic means, one ``lagrangian``, one
-    ``certificate`` over the certified rows and one ``asymptotic_residual``,
-    each row bitwise its 1-d value, made Python floats by one ``tolist`` per
-    column. A run with ``stop_gap`` evaluates each logged k on its own, as
+    one stack of rows, R per k in (k, r) order: the gradient-estimate errors
+    of the certified rows of a stochastic run (``_estimate_errors``), one
+    checked ``gap`` each of the iterates and of the ergodic means, one
+    ``lagrangian``, one ``certificate`` over the certified rows and one
+    ``asymptotic_residual``, each row bitwise its 1-d value, made Python
+    floats by one ``tolist`` per column. A run with ``stop_gap`` evaluates each logged k on its own, as
     the stop rule reads each gap before the next step. The certificates are
     the ``(slack, scale)`` pairs of the certified rows.
     """
@@ -398,23 +427,22 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
     evaluator = ReferenceEvaluator(saddle, schedule, reference.w_star)
     runs = [([], []) for _ in range(repeats)]
     noisy = oracle is not None and not oracle.is_exact
+    noise = functools.partial(_estimate_errors, saddle, oracle) if noisy else None
     block_rows = _ROW_BLOCK if config.stop_gap is None else 1
-    block = []  # (prev, state, certified, delta, wall) of each logged k
+    block = []  # (prev, state, certified, batch, wall) of each logged k
     t0 = time.perf_counter_ns()
 
     def observe(prev, state):
         if not should_log(state.k, final=iterations):
             return False
         certify = bool(config.cert_every) and state.k % config.cert_every == 0
-        delta = None
-        if certify and noisy:
-            _, delta = oracle.grad_estimate(
-                saddle.f_grad, saddle.f_partial_grad, prev.x.coords, prev.k)
+        # the batch of the step just taken (a block hit), for its noise term
+        batch = oracle.sample_batch(prev.k) if certify and noisy else None
         wall = time.perf_counter_ns() - t0 if config.record_timing else None
-        block.append((prev, state, certify, delta, wall))
+        block.append((prev, state, certify, batch, wall))
         # the last block too is evaluated here, before run's final check
         if len(block) == block_rows or state.k == iterations:
-            _evaluate_block(evaluator, block, runs)
+            _evaluate_block(evaluator, block, runs, noise)
             block.clear()
         if config.stop_gap is None:
             return False
@@ -444,12 +472,45 @@ def _point(xs):
     return BregmanPoint(_rows([x.coords for x in xs]), _rows([x.log_coords for x in xs]))
 
 
-def _evaluate_block(evaluator, block, runs):
-    """Append the records and certificates of a block of logged k to ``runs``."""
-    prevs, states, certified, deltas, walls = zip(*block)
+def _estimate_errors(saddle, oracle, batches, x, ks):
+    """The errors estimate - grad f(x) of the gradient estimates of ``oracle``
+    on the batches ``batches`` at the points ``x`` (rows of iterations ``ks``).
+
+    One stacked partial gradient and one stacked full gradient; row i is
+    bitwise ``GradientOracle.grad_estimate``'s delta at iteration ``ks[i]``,
+    as ``linalg.matvec`` runs the vector's gemv on every row.
+    """
+    estimate = saddle.f_partial_grad(batches, x)
+    if oracle.mode == "scaled-unbiased":
+        estimate = (oracle.m / oracle.batch_size) * estimate
+    full = saddle.f_grad(x)
+    finite = np.isfinite(full).all(axis=-1)
+    if not finite.all():
+        raise OracleError(f"non-finite full gradient at iteration {ks[finite.argmin()]}")
+    return estimate - full
+
+
+def _evaluate_block(evaluator, block, runs, noise=None):
+    """Append the records and certificates of a block of logged k to ``runs``.
+
+    ``noise(batches, x, ks)``, given on a stochastic run, forms the
+    gradient-estimate errors of the certified rows from their batches.
+    """
+    prevs, states, certified, batches, walls = zip(*block)
     repeats = len(runs)
+    # the certified rows; a view of all of them when every k is certified
+    rows = slice(None) if all(certified) else np.repeat(certified, repeats)
+
+    def pick(a):
+        return None if a is None else a[rows]
+
     prev = SolverState(None, _point([s.x for s in prevs]), _rows([s.mu for s in prevs]),
                        None, None)  # asymptotic_residual reads no ergodic mean
+    delta = None
+    if noise is not None and any(certified):
+        # before the block's checks, which a per-k noise term also came before
+        delta = noise(_rows([b for b, c in zip(batches, certified) if c]),
+                      pick(prev.x.coords), np.repeat([s.k for s in prevs], repeats)[rows])
     now = SolverState(None, _point([s.x for s in states]), _rows([s.mu for s in states]),
                       _rows([s.x_bar for s in states]), _rows([s.mu_bar for s in states]))
     gap, parts = evaluator.gap((now.x, now.mu))
@@ -457,19 +518,12 @@ def _evaluate_block(evaluator, block, runs):
                evaluator.lagrangian(parts), asymptotic_residual(prev, now)]
     certificates = iter(())
     if any(certified):
-        # the certified rows; a view of all of them when every k is certified
-        rows = slice(None) if all(certified) else np.repeat(certified, repeats)
-
-        def pick(a):
-            return None if a is None else a[rows]
-
         def w(state):
             return BregmanPoint(pick(state.x.coords), pick(state.x.log_coords)), pick(state.mu)
 
-        # a stochastic run has a delta at each certified k, an exact one none
         slack, scale = evaluator.certificate(
             w(prev), w(now), gap[rows], parts=LagrangianParts(*map(pick, parts)),
-            primal_delta=_rows([d for d, c in zip(deltas, certified) if c]))
+            primal_delta=delta)
         certificates = zip(slack.tolist(), scale.tolist())
     for i, row in enumerate(zip(*(c.tolist() for c in columns))):
         j = i // repeats

@@ -306,7 +306,7 @@ class OracleStack:
     ``sample_batch(k)`` stacks the R oracles' own batches of iteration k
     into an (R, q) array, so row r keeps the batch stream and the block of
     oracle r. A k outside the blocks the stack last filled fills all R in
-    one pass. The estimates are those of ``GradientOracle``, taken on that
+    one pass. The estimate is that of ``GradientOracle``, taken on that
     array and on an (R, n) stack of points, whose partial gradient gives
     each row the gradient of its own batch.
     """
@@ -332,11 +332,7 @@ class OracleStack:
         # a row whose block has moved since refills it alone
         return np.array([oracle.sample_batch(k) for oracle in self.oracles])
 
-    # GradientOracle's estimates, looked up on every call, so a wrapper
+    # GradientOracle's estimate, looked up on every call, so a wrapper
     # patched onto that class (benchmarks/tracing.py) sees these calls too
     def estimate(self, full_grad_fn, partial_grad_fn, x, k):
         return GradientOracle.estimate(self, full_grad_fn, partial_grad_fn, x, k)
-
-    def grad_estimate(self, full_grad_fn, partial_grad_fn, x, k):
-        return GradientOracle.grad_estimate(self, full_grad_fn, partial_grad_fn,
-                                            x, k)

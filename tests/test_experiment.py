@@ -970,6 +970,99 @@ def test_nan_mid_block_of_a_stochastic_run_fails_its_next_estimate(tmp_path, mon
     assert json.loads(lines[0]) == doc
 
 
+@pytest.mark.parametrize("repeats", [1, 3])
+@pytest.mark.parametrize("mode", ["paper-partial", "scaled-unbiased"])
+def test_block_noise_terms_equal_the_per_row_grad_estimate(tmp_path, monkeypatch,
+                                                           mode, repeats):
+    # a block's gradient-estimate errors are one stacked partial gradient
+    # minus one stacked full gradient, each row bitwise the delta that
+    # GradientOracle.grad_estimate gives its own k; blocks of 10 logged k
+    # put prev.k 250..259 in one block, across the oracle blocks at k = 256
+    monkeypatch.setattr(experiment, "_ROW_BLOCK", 10)
+    config = _tiny_config(tmp_path, oracle_mode=mode, batch_size=4, repeats=repeats)
+    problem = config.build_problem()
+    saddle = problem.saddle_problem()
+    estimate_errors, blocks = experiment._estimate_errors, []
+
+    def kept(saddle, oracle, batches, x, ks):
+        delta = estimate_errors(saddle, oracle, batches, x, ks)
+        blocks.append((ks.tolist(), delta))
+        return delta
+
+    monkeypatch.setattr(experiment, "_estimate_errors", kept)
+    oracles = tuple(GradientOracle(mode, 4, config.seed + r, problem.m)
+                    for r in range(repeats))
+    experiment._measured_run(problem, saddle, problem.default_schedule(),
+                             compute_reference(problem, 1000, config.seed),
+                             config.iterations, config, oracles)
+    expected = []
+    for r in range(repeats):
+        oracle, deltas = GradientOracle(mode, 4, config.seed + r, problem.m), {}
+
+        def observe(prev, state):
+            deltas[prev.k] = oracle.grad_estimate(
+                saddle.f_grad, saddle.f_partial_grad, prev.x.coords, prev.k)[1]
+            return False
+
+        run(saddle, problem.default_schedule(),
+            initial_state(*problem.initial_point()), config.iterations, oracle, observe)
+        expected.append(deltas)
+    rows = [(k, i % repeats, delta[i]) for ks, delta in blocks for i, k in enumerate(ks)]
+    assert len(rows) == config.iterations * repeats
+    assert all(delta.tobytes() == expected[r][k].tobytes() for k, r, delta in rows)
+    assert any({255, 256} <= set(ks) for ks, _ in blocks)
+
+
+@pytest.mark.parametrize("cert_every,certified", [(1, 200), (3, 66)])
+def test_a_run_draws_once_per_row_per_step_and_per_certified_k(tmp_path, monkeypatch,
+                                                                cert_every, certified):
+    # each row of each step draws its batch, and each certified k takes the
+    # batch of its step again (a block hit), for its noise term
+    sample_batch, calls = GradientOracle.sample_batch, []
+
+    def counted(self, k):
+        calls.append(k)
+        return sample_batch(self, k)
+
+    monkeypatch.setattr(GradientOracle, "sample_batch", counted)
+    config = _tiny_config(tmp_path, iterations=200, oracle_mode="paper-partial",
+                          batch_size=4, repeats=2, cert_every=cert_every)
+    assert run_experiment(config, log=lambda s: None) == 0
+    assert len(calls) == 2 * 200 + 2 * certified
+
+
+def test_non_finite_full_gradient_at_a_certified_row_fails_with_its_k(tmp_path,
+                                                                       monkeypatch):
+    # the full gradient at repeat 1's iterate x_56 is NaN; k = 57 is certified,
+    # in the middle of its block, and the run fails with that row's own k
+    config = _tiny_config(tmp_path, oracle_mode="paper-partial", batch_size=4,
+                          repeats=2, cert_every=3)
+    assert run_experiment(config, log=lambda s: None) == 0  # caches the reference
+    problem = config.build_problem()
+    iterates = {}
+
+    def observe(prev, state):
+        iterates[state.k] = state.x.coords
+        return False
+
+    run(problem.saddle_problem(), problem.default_schedule(),
+        initial_state(*problem.initial_point()), 56,
+        GradientOracle("paper-partial", 4, config.seed + 1, problem.m), observe)
+    f_grad = SimplexTVProblem.f_grad
+
+    def nan_at_x56(self, x):
+        g = f_grad(self, x)
+        return np.where((x == iterates[56]).all(axis=-1)[..., None], np.nan, g)
+
+    monkeypatch.setattr(SimplexTVProblem, "f_grad", nan_at_x56)
+    lines = []
+    assert run_experiment(config, log=lines.append) == 1
+    doc = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert doc == {"error": "OracleError",
+                   "message": "non-finite full gradient at iteration 56"}
+    assert json.loads(lines[0]) == doc
+
+
 @pytest.mark.parametrize("experiment_name", ["simplex-tv", "ot-inverse", "custom"])
 def test_held_steps_rebuild_the_stepped_states_bitwise(tmp_path, experiment_name):
     overrides = {"ot-inverse": {"n": 12}, "custom": CUSTOM_DATA}.get(experiment_name, {})
