@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import ClassVar
 
@@ -548,8 +548,9 @@ def compute_reference(problem, budget, seed, cache_dir=None, callback=None):
     hashed through ``problem.descriptor()`` already.
 
     ``callback(prev_state, new_state)``, when given, sees each step of a
-    computed reference (a returned cached file steps none); its return value
-    is ignored, as the reference always runs its whole budget.
+    computed reference (a returned cached file steps none) on states that
+    carry no ergodic means, as the reference is the last iterate; its return
+    value is ignored, as the reference always runs its whole budget.
     """
     if budget < 1000:
         raise ValueError("reference budget must be at least 1000 iterations")
@@ -572,7 +573,7 @@ def compute_reference(problem, budget, seed, cache_dir=None, callback=None):
             return ref
 
     schedule = problem.default_schedule()
-    state = initial_state(x0, mu0)
+    state = replace(initial_state(x0, mu0), x_bar=None, mu_bar=None)
     last = []
 
     def track(prev, new):

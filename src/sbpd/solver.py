@@ -155,18 +155,20 @@ def default_step_sizes(L_p, L_d, opnorm):
 class SolverState:
     """Iterate pair plus running ergodic means after ``k`` steps.
 
-    Reproducibility needs no generator state here: batches are pure
-    functions of the oracle seed and the iteration counter. A stacked state
-    holds R runs as the rows of its arrays (x and log x of shape (R, n), the
-    rest alike); the step's products and reductions act row by row, so row
-    r is bitwise the state of the 1-d run it started as.
+    A state may carry no means (``x_bar`` and ``mu_bar`` both ``None``); its
+    steps then form none. Reproducibility needs no generator state here:
+    batches are pure functions of the oracle seed and the iteration
+    counter. A stacked state holds R runs as the rows of its arrays (x and
+    log x of shape (R, n), the rest alike); the step's products and
+    reductions act row by row, so row r is bitwise the state of the 1-d run
+    it started as.
     """
 
     k: int
     x: BregmanPoint
     mu: np.ndarray
-    x_bar: np.ndarray
-    mu_bar: np.ndarray
+    x_bar: Optional[np.ndarray]
+    mu_bar: Optional[np.ndarray]
 
 
 def initial_state(x0, mu0, rows=None):
@@ -190,9 +192,9 @@ def sbpd_step(problem, schedule, state, oracle=None):
 
     The primal update moves against the gradient estimate plus the coupling
     pullback of the current dual point; the dual update sees the
-    extrapolated point 2 x_{k+1} - x_k. Ergodic means are updated
-    incrementally and exclude the initial point. A stacked state steps
-    every row at once, each bitwise as its own 1-d step.
+    extrapolated point 2 x_{k+1} - x_k. Ergodic means, if the state has
+    them, are updated incrementally and exclude the initial point. A
+    stacked state steps every row at once, each bitwise as its own 1-d step.
     """
     k = state.k
     if oracle is None or oracle.is_exact:
@@ -211,9 +213,11 @@ def sbpd_step(problem, schedule, state, oracle=None):
 
 
 def _advance(state, x_next, mu_next):
-    """The state after ``state`` at (x_next, mu_next): k + 1, and ergodic
-    means moved by the one new term (the initial point is excluded)."""
+    """The state after ``state`` at (x_next, mu_next): k + 1, and its means
+    (if any) moved by the one new term (the initial point is excluded)."""
     k1 = state.k + 1
+    if state.x_bar is None:
+        return SolverState(k1, x_next, mu_next, None, None)
     x_bar = state.x_bar + (x_next.coords - state.x_bar) / k1
     mu_bar = state.mu_bar + (mu_next - state.mu_bar) / k1
     return SolverState(k1, x_next, mu_next, x_bar, mu_bar)

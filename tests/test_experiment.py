@@ -1069,20 +1069,55 @@ def test_held_steps_rebuild_the_stepped_states_bitwise(tmp_path, experiment_name
     config = _tiny_config(tmp_path, experiment=experiment_name, **overrides)
     problem = config.build_problem()
     held, stepped = experiment._HeldSteps(300), []
-
-    def both(prev, state):
-        held(prev, state)
-        stepped.append(state)
-
-    compute_reference(problem, 1000, config.seed, callback=both)
+    compute_reference(problem, 1000, config.seed, callback=held)
+    # the reference's states carry no means: a means-keeping run steps the
+    # states to compare with
+    run(problem.saddle_problem(), problem.default_schedule(),
+        initial_state(*problem.initial_point()), 300,
+        callback=lambda prev, state: stepped.append(state))
     rebuilt = list(held.states(initial_state(*problem.initial_point())))
-    assert [s.k for s in rebuilt] == list(range(1, 301))
+    assert [s.k for s in rebuilt] == [s.k for s in stepped] == list(range(1, 301))
 
     def bits(state):
         return [a.tobytes() for a in (state.x.coords, state.x.log_coords, state.mu,
                                       state.x_bar, state.mu_bar)]
 
     assert all(bits(r) == bits(s) for r, s in zip(rebuilt, stepped))
+
+
+@pytest.mark.parametrize("experiment_name", ["simplex-tv", "ot-inverse", "custom"])
+def test_a_reference_is_bitwise_a_means_keeping_run_of_its_budget(tmp_path,
+                                                                   experiment_name):
+    overrides = {"ot-inverse": {"n": 12}, "custom": CUSTOM_DATA}.get(experiment_name, {})
+    problem = _tiny_config(tmp_path, experiment=experiment_name, **overrides).build_problem()
+    seen = []
+    ref = compute_reference(problem, 1000, 5,
+                            callback=lambda prev, state: seen.append((prev, state)))
+    assert [state.k for _, state in seen] == list(range(1, 1001))
+    assert all(s.x_bar is None and s.mu_bar is None for pair in seen for s in pair)
+
+    schedule, last = problem.default_schedule(), []
+    state = run(problem.saddle_problem(), schedule,
+                initial_state(*problem.initial_point()), 1000,
+                callback=lambda prev, new: last.__setitem__(slice(None), (prev, new)))
+    assert state.x_bar is not None and state.mu_bar is not None
+    scale = 1.0 / schedule.lam + 1.0 / schedule.nu + problem.coupling_norm
+    ref_tol = float(asymptotic_residual(*last) * scale)
+    assert ref.x_star.tobytes() == state.x.coords.tobytes()
+    assert ref.mu_star.tobytes() == state.mu.tobytes()
+    assert np.float64(ref.ref_tol).tobytes() == np.float64(ref_tol).tobytes()
+
+
+def test_a_reference_ignores_what_its_callback_returns():
+    problem = build_simplex_tv(8, 10, 5)
+    seen = []
+    ref = compute_reference(problem, 1000, 5,
+                            callback=lambda prev, state: seen.append(state.k) or True)
+    assert seen == list(range(1, 1001))
+    plain = compute_reference(problem, 1000, 5)
+    assert ref.x_star.tobytes() == plain.x_star.tobytes()
+    assert ref.mu_star.tobytes() == plain.mu_star.tobytes()
+    assert np.float64(ref.ref_tol).tobytes() == np.float64(plain.ref_tol).tobytes()
 
 
 def test_held_steps_stop_at_the_byte_cap(monkeypatch):

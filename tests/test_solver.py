@@ -188,6 +188,23 @@ def test_run_rejects_a_non_finite_final_state():
         run(problem, schedule, state, 50)
 
 
+def test_a_state_without_means_steps_to_states_without_means():
+    problem, schedule, state = tv_problem(4, 5, seed=4)
+    bare = dataclasses.replace(state, x_bar=None, mu_bar=None)
+    seen = []
+    out = run(problem, schedule, bare, 50, callback=lambda *pair: seen.extend(pair))
+    assert len(seen) == 100 and out is seen[-1]
+    assert all(s.x_bar is None and s.mu_bar is None for s in seen)
+    # the iterates are bitwise those of a means-keeping run
+    kept = run(problem, schedule, state, 50)
+    assert [a.tobytes() for a in (out.x.coords, out.x.log_coords, out.mu)] == \
+        [a.tobytes() for a in (kept.x.coords, kept.x.log_coords, kept.mu)]
+    # and a NaN fails the final check at the same k as with means
+    problem.f_grad = _nan_from_call(problem.f_grad, 30)
+    with pytest.raises(DomainError, match="^x has non-finite entries at k = 50"):
+        run(problem, schedule, bare, 50)
+
+
 def test_run_rejects_a_non_finite_state_at_an_early_stop():
     problem, schedule, state = tv_problem(4, 5, seed=4)
     problem.f_grad = _nan_from_call(problem.f_grad, 7)
