@@ -220,12 +220,10 @@ def simplex_violation(x, name="x"):
     """
     if not (x >= 0).all():
         return f"{name} has negative entries"
-    total = x.sum(axis=-1)
-    if x.ndim > 1:  # a stack: the sum of its first row off the simplex, if any
-        total = next((s for s in total if not abs(s - 1.0) <= SIMPLEX_SUM_TOL),
-                     total[0])
-    if not abs(total - 1.0) <= SIMPLEX_SUM_TOL:
-        return f"{name} does not sum to 1 (got {total!r})"
+    total = np.atleast_1d(x.sum(axis=-1))
+    off = ~(np.abs(total - 1.0) <= SIMPLEX_SUM_TOL)  # a NaN sum is off
+    if off.any():
+        return f"{name} does not sum to 1 (got {total[off.argmax()]!r})"
     return None
 
 

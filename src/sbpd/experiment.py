@@ -11,8 +11,11 @@ last held state only when the cap or a shorter reference budget cut them
 short; a cached reference hands over none, and every step is stepped. A
 stochastic run draws its batches, so it steps its ``repeats`` runs with
 derived seeds, as one stacked state whose rows are bitwise the repeats' own
-runs. Logged k are evaluated a block at a time, as one stack of rows (one
-per repeat of each k), each bitwise the row the k's own state gives alone.
+runs. Logged k are evaluated a block of ``_BLOCK_BYTES`` of states at a
+time, as one stack of rows (one per repeat of each k) that holds the
+iterates and the ergodic means, each bitwise the row the k's own state
+gives alone; a certified k whose previous state is the certified state
+before it takes that state's energy E_{k+1} as its E_k.
 """
 
 from __future__ import annotations
@@ -392,10 +395,12 @@ class _HeldSteps:
             yield state
 
 
-# logged k evaluated as one stack, each row bitwise its own k's values; a
-# larger block dispatches less but holds more states (at 64, ot-inverse
-# peaked 2 MB higher than evaluating each k alone; at 16, within 0.5 MB)
-_ROW_BLOCK = 16
+# bytes of the logged states a block of logged k holds (x, log x, mu and the
+# ergodic means, R rows per k) before it is evaluated as one stack; a larger
+# block dispatches less but holds more states at once. 128 KiB is 66 k of the
+# 50x50 simplex-tv instance, 22 k of its 3 stochastic repeats and 21 k of the
+# n = 108 ot-inverse instance, whose rows are the widest
+_BLOCK_BYTES = 128 << 10
 
 
 def _measured_run(problem, saddle, schedule, reference, iterations, config,
@@ -410,16 +415,13 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
     ``iterations``. ``record_timing``'s walls count from the start of this
     phase, through replayed and stepped steps alike. The callback
     only collects each logged k (its states, whether it is certified and the
-    batch that the step of a certified stochastic k drew); every
-    ``_ROW_BLOCK`` logged k, and at the final k, the block is evaluated as
-    one stack of rows, R per k in (k, r) order: the gradient-estimate errors
-    of the certified rows of a stochastic run (``_estimate_errors``), one
-    checked ``gap`` each of the iterates and of the ergodic means, one
-    ``lagrangian``, one ``certificate`` over the certified rows and one
-    ``asymptotic_residual``, each row bitwise its 1-d value, made Python
-    floats by one ``tolist`` per column. A run with ``stop_gap`` evaluates each logged k on its own, as
-    the stop rule reads each gap before the next step. The certificates are
-    the ``(slack, scale)`` pairs of the certified rows.
+    batch that the step of a certified stochastic k drew); when the logged
+    states collected reach ``_BLOCK_BYTES``, and at the final k, the block
+    is evaluated as one stack of rows (``_evaluate_block``). The energy
+    E_{k+1} of the last certified k is carried from block to block. A run
+    with ``stop_gap`` evaluates each logged k on its own, as the stop rule
+    reads each gap before the next step. The certificates are the
+    ``(slack, scale)`` pairs of the certified rows.
     """
     repeats = len(oracles)
     stacked = repeats > 1
@@ -428,11 +430,16 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
     runs = [([], []) for _ in range(repeats)]
     noisy = oracle is not None and not oracle.is_exact
     noise = functools.partial(_estimate_errors, saddle, oracle) if noisy else None
-    block_rows = _ROW_BLOCK if config.stop_gap is None else 1
+    state = initial_state(*problem.initial_point(), rows=repeats if stacked else None)
+    state_bytes = sum(a.nbytes for a in (state.x.coords, state.x.log_coords, state.mu,
+                                         state.x_bar, state.mu_bar))
+    block_rows = max(1, _BLOCK_BYTES // state_bytes) if config.stop_gap is None else 1
     block = []  # (prev, state, certified, batch, wall) of each logged k
+    carry = (None, None)  # the last certified state and its E_{k+1}
     t0 = time.perf_counter_ns()
 
     def observe(prev, state):
+        nonlocal carry
         if not should_log(state.k, final=iterations):
             return False
         certify = bool(config.cert_every) and state.k % config.cert_every == 0
@@ -442,7 +449,7 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
         block.append((prev, state, certify, batch, wall))
         # the last block too is evaluated here, before run's final check
         if len(block) == block_rows or state.k == iterations:
-            _evaluate_block(evaluator, block, runs, noise)
+            carry = _evaluate_block(evaluator, block, runs, carry, noise)
             block.clear()
         if config.stop_gap is None:
             return False
@@ -450,7 +457,6 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
         tail = runs[0][0][-100:]
         return len(tail) == 100 and all(r.gap_pointwise < config.stop_gap for r in tail)
 
-    state = initial_state(*problem.initial_point(), rows=repeats if stacked else None)
     for new in () if held is None else held.states(state):
         stop = observe(state, new)
         state = new
@@ -462,14 +468,8 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
 
 
 def _rows(arrays):
-    # one (rows, d) stack of vectors or of (R, d) stacks, in order; None for None
-    if arrays[0] is None:
-        return None
+    # one (rows, d) stack of vectors or of (R, d) stacks, in order
     return np.array(arrays).reshape(-1, arrays[0].shape[-1])
-
-
-def _point(xs):
-    return BregmanPoint(_rows([x.coords for x in xs]), _rows([x.log_coords for x in xs]))
 
 
 def _estimate_errors(saddle, oracle, batches, x, ks):
@@ -490,48 +490,76 @@ def _estimate_errors(saddle, oracle, batches, x, ks):
     return estimate - full
 
 
-def _evaluate_block(evaluator, block, runs, noise=None):
+def _evaluate_block(evaluator, block, runs, carry, noise=None):
     """Append the records and certificates of a block of logged k to ``runs``.
 
-    ``noise(batches, x, ks)``, given on a stochastic run, forms the
-    gradient-estimate errors of the certified rows from their batches.
+    The block is one stack of rows, R per k in (k, r) order, each row
+    bitwise its 1-d value and made a Python float by one ``tolist`` per
+    column. The iterates and the ergodic means go through one ``gap``,
+    checked as ``gap`` checks each, the iterates first. One ``certificate``
+    covers the certified rows: their noise terms (``noise(batches, x, ks)``
+    on a stochastic run, formed before the checks) and their E_{k+1}, from
+    their parts. ``carry`` is the state of the last certified k before the
+    block and its E_{k+1}: a certified row whose previous state is the
+    certified state before it takes that state's E_{k+1} as its E_k, and
+    the other rows evaluate theirs. Returns the carry after the block.
     """
     prevs, states, certified, batches, walls = zip(*block)
     repeats = len(runs)
+    n = len(states) * repeats
+    # the iterates' rows, then the ergodic means'
+    x = _rows([s.x.coords for s in states] + [s.x_bar for s in states])
+    mu = _rows([s.mu for s in states] + [s.mu_bar for s in states])
+    now = SolverState(None, BregmanPoint(x[:n], _rows([s.x.log_coords for s in states])),
+                      mu[:n], None, None)
+    prev = SolverState(None, BregmanPoint(_rows([s.x.coords for s in prevs])),
+                       _rows([s.mu for s in prevs]), None, None)
     # the certified rows; a view of all of them when every k is certified
     rows = slice(None) if all(certified) else np.repeat(certified, repeats)
 
     def pick(a):
         return None if a is None else a[rows]
 
-    prev = SolverState(None, _point([s.x for s in prevs]), _rows([s.mu for s in prevs]),
-                       None, None)  # asymptotic_residual reads no ergodic mean
     delta = None
     if noise is not None and any(certified):
-        # before the block's checks, which a per-k noise term also came before
         delta = noise(_rows([b for b, c in zip(batches, certified) if c]),
                       pick(prev.x.coords), np.repeat([s.k for s in prevs], repeats)[rows])
-    now = SolverState(None, _point([s.x for s in states]), _rows([s.mu for s in states]),
-                      _rows([s.x_bar for s in states]), _rows([s.mu_bar for s in states]))
-    gap, parts = evaluator.gap((now.x, now.mu))
-    columns = [gap, evaluator.gap((now.x_bar, now.mu_bar))[0],
-               evaluator.lagrangian(parts), asymptotic_residual(prev, now)]
-    certificates = iter(())
+    evaluator.check((now.x, now.mu))
+    evaluator.check((x[n:], mu[n:]))
+    gap, parts = evaluator.gap((BregmanPoint(x), mu), check=False)
+    gap, gap_bar = gap[:n], gap[n:]
+    parts = LagrangianParts(*(None if a is None else a[:n] for a in parts))
+    columns = [c.tolist() for c in (gap, gap_bar, evaluator.lagrangian(parts),
+                                    asymptotic_residual(prev, now))]
+    slacks = np.full((len(states), repeats), None, dtype=object)
+    certificates = [()] * repeats
     if any(certified):
-        def w(state):
-            return BregmanPoint(pick(state.x.coords), pick(state.x.log_coords)), pick(state.mu)
-
-        slack, scale = evaluator.certificate(
-            w(prev), w(now), gap[rows], parts=LagrangianParts(*map(pick, parts)),
-            primal_delta=delta)
-        certificates = zip(slack.tolist(), scale.tolist())
-    for i, row in enumerate(zip(*(c.tolist() for c in columns))):
-        j = i // repeats
-        records, certs = runs[i % repeats]
-        cert = next(certificates) if certified[j] else (None, None)
-        records.append(TraceRecord(states[j].k, *row, cert[0], wall_nanos=walls[j]))
-        if certified[j]:
-            certs.append(cert)
+        w_next = (BregmanPoint(pick(now.x.coords), pick(now.x.log_coords)), pick(now.mu))
+        e_next = evaluator._energy(w_next, LagrangianParts(*map(pick, parts)))
+        last, e_last = carry
+        starts, ends = zip(*((p, s) for p, s, c in zip(prevs, states, certified) if c))
+        fresh = [p is not s for p, s in zip(starts, (last,) + ends[:-1])]
+        # E_{k+1} shifted by one certified k; the fresh rows are replaced
+        e_k = np.concatenate([np.zeros(repeats) if e_last is None else e_last,
+                              e_next[:-repeats]])
+        if any(fresh):
+            again = np.repeat(fresh, repeats)
+            e_k[again] = evaluator._energy((
+                BregmanPoint(pick(prev.x.coords)[again],
+                             _rows([p.x.log_coords for p, f in zip(starts, fresh) if f])),
+                pick(prev.mu)[again]))
+        slack, scale = evaluator.certificate(None, w_next, gap[rows], primal_delta=delta,
+                                             e_k=e_k, e_next=e_next)
+        slack, scale = slack.tolist(), scale.tolist()
+        slacks[list(certified)] = np.array(slack, dtype=object).reshape(-1, repeats)
+        certificates = [zip(slack[r::repeats], scale[r::repeats]) for r in range(repeats)]
+        carry = ends[-1], e_next[-repeats:]
+    ks = [s.k for s in states]
+    for r, (records, certs) in enumerate(runs):
+        records.extend(map(TraceRecord, ks, *(c[r::repeats] for c in columns),
+                           slacks[:, r].tolist(), walls))
+        certs.extend(certificates[r])
+    return carry
 
 
 def _certificate_summary(certificates):

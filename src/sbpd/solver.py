@@ -319,6 +319,16 @@ class ReferenceEvaluator:
         # whose gaps evaluate but whose energy raises as _kl_terms does
         self._kl_ref = _kl_terms(self.x_ref) if (self.x_ref >= 0).all() else None
 
+    def check(self, w):
+        """``w`` as ``(BregmanPoint, mu)``, checked as ``gap`` checks it.
+
+        Coordinates that are no ``BregmanPoint`` must be finite; then the
+        primal part and the dual part must keep their constraints.
+        """
+        point, mu = _point_and_mu(w)
+        _check_feasible(self.problem, point.coords, mu, "w")
+        return point, mu
+
     def gap(self, w, check=True):
         """``(L(x, mu_ref) - L(x_ref, mu), parts of w)``.
 
@@ -326,11 +336,8 @@ class ReferenceEvaluator:
         feasible; with ``check`` an indicator violation raises rather than
         propagating infinities.
         """
-        point, mu = _point_and_mu(w)
-        x = point.coords
-        if check:
-            _check_feasible(self.problem, x, mu, "w")
-        parts = self.problem.parts(x, mu)
+        point, mu = self.check(w) if check else _point_and_mu(w)
+        parts = self.problem.parts(point.coords, mu)
         ref = self.ref
         return _lagrangian(parts, ref) - _lagrangian(ref, parts), parts
 
@@ -358,15 +365,18 @@ class ReferenceEvaluator:
         return (dp / self.schedule.lam + 0.5 * np.vecdot(d, d) / self.schedule.nu
                 - np.vecdot(self.ref.Tx - Tx, d))
 
-    def certificate(self, w_k, w_next, gap, primal_delta=None, parts=None):
+    def certificate(self, w_k, w_next, gap, primal_delta=None, parts=None,
+                    e_k=None, e_next=None):
         """``(slack, scale)`` of the step from ``w_k`` to ``w_next``.
 
         ``gap`` is the gap of ``w_next`` and ``parts`` its parts, as ``gap``
-        returns them; without ``parts``, T x_next is applied here. Both
-        energies are evaluated on every call.
+        returns them; without ``parts``, T x_next is applied here. ``e_k``
+        and ``e_next``, when the caller knows them, are the energies E_k and
+        E_{k+1} of ``w_k`` and ``w_next``; an energy not given is evaluated.
         """
-        return self._slack(self._energy(w_k), self._energy(w_next, parts),
-                           w_next, gap, primal_delta)
+        e_k = self._energy(w_k) if e_k is None else e_k
+        e_next = self._energy(w_next, parts) if e_next is None else e_next
+        return self._slack(e_k, e_next, w_next, gap, primal_delta)
 
     def _slack(self, e_k, e_next, w_next, gap, primal_delta):
         # (slack, scale) of the step to w_next, given E_k and E_{k+1}

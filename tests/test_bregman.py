@@ -9,6 +9,7 @@ from sbpd.bregman import (
     kl_prox_simplex,
     linf_ball_prox,
     pinsker_slack,
+    simplex_violation,
     three_point_identity_check,
 )
 from sbpd.linalg import ShapeError
@@ -301,3 +302,15 @@ def test_pinsker_domain_errors():
         pinsker_slack([0.5, 0.5], [1.0, 0.0])
     with pytest.raises(DomainError):
         pinsker_slack([-0.1, 1.1], [0.5, 0.5])
+
+
+def test_simplex_violation_of_a_stack_names_its_first_row_off_the_simplex():
+    # rows 2 and 3 are off; the message shows row 2's sum, as numpy's repr
+    x = np.tile([0.25, 0.25, 0.5], (5, 1))
+    assert simplex_violation(x) is None
+    x[2, 2] = 0.6
+    x[3, 2] = 0.7
+    assert simplex_violation(x, "w") == "w does not sum to 1 (got np.float64(1.1))"
+    assert simplex_violation(x[2]) == "x does not sum to 1 (got np.float64(1.1))"
+    x[4, 0] = np.nan
+    assert simplex_violation(x) == "x has negative entries"

@@ -19,7 +19,7 @@ from sbpd.experiment import (
     write_trace,
 )
 from sbpd.oracle import GradientOracle
-from sbpd import problems
+from sbpd import problems, solver
 from sbpd.problems import (
     ReferenceSolution,
     SimplexTVProblem,
@@ -783,8 +783,14 @@ def test_measured_run_hands_records_python_floats(tmp_path, overrides):
         assert {type(v) for v in cells} == {float}
 
 
-def _measured_run_applies(tmp_path, cert_every, iterations):
-    config = _tiny_config(tmp_path, cert_every=cert_every)
+# bytes of one logged state of the tiny simplex-tv instance: x, log x and
+# the ergodic mean of x (n = 8), mu and its mean (n - 1 = 7)
+_STATE_BYTES = 8 * (3 * 8 + 2 * 7)
+
+
+def _counted_measured_run(tmp_path, cert_every, iterations):
+    # the coupling applies of one exact measured run, and the run
+    config = _tiny_config(tmp_path, cert_every=cert_every, iterations=iterations)
     problem = config.build_problem()
     saddle = problem.saddle_problem()
     reference = compute_reference(problem, 1000, config.seed)
@@ -796,22 +802,52 @@ def _measured_run_applies(tmp_path, cert_every, iterations):
         return apply(x)
 
     problem.coupling.apply = counted  # the saddle shares this LinearMap
-    [(records, _)] = experiment._measured_run(problem, saddle,
-                                              problem.default_schedule(),
-                                              reference, iterations, config)
+    [run] = experiment._measured_run(problem, saddle, problem.default_schedule(),
+                                     reference, iterations, config)
+    del problem.coupling.apply
+    return len(calls), run, (problem, reference, config)
+
+
+def _measured_run_applies(tmp_path, cert_every, iterations):
+    applies, (records, _), _ = _counted_measured_run(tmp_path, cert_every, iterations)
     assert len(records) == iterations
-    return len(calls)
+    return applies
 
 
 def test_carried_certified_row_applies_the_coupling_twice(tmp_path):
     # every step applies T once and the evaluator once for T x_ref; a block
-    # of logged k applies it once to its iterates and once to its ergodic
-    # means, and certifying the block adds one apply, to its previous states
+    # of logged k applies it once to its iterates and ergodic means stacked,
+    # and certifying the block adds one apply, to the previous state of k = 1
+    # (every later certified k takes E_k from the row before)
     n = 12
-    assert n <= experiment._ROW_BLOCK  # one block
+    assert n * _STATE_BYTES <= experiment._BLOCK_BYTES  # one block
     plain = _measured_run_applies(tmp_path, 0, n)
-    assert plain == n + 1 + 2
+    assert plain == n + 1 + 1
     assert _measured_run_applies(tmp_path, 1, n) == plain + 1
+
+
+@pytest.mark.parametrize("cert_every,fresh", [(0, 0), (1, 2), (3, 3)])
+def test_certified_rows_evaluate_e_k_only_off_the_chain(tmp_path, cert_every, fresh):
+    # 1200 steps log k = 1..1000 and every 2nd k after it: 1100 rows, in
+    # blocks of 431, 431 and 238 logged k (the last from k = 863), so
+    # 1200 + 1 + 3 applies without certificates. A certified row takes E_k
+    # from the certified row before when its previous state is that row's;
+    # each block with another certified row applies T once more, to those
+    # previous states: with cert_every 1, the first block (for k = 1) and the
+    # last (for k past 1000), not the second, which starts from the state
+    # the first ended on; with cert_every 3, every block. Every certified
+    # row is still bitwise the per-row evaluation of its own step.
+    assert experiment._BLOCK_BYTES // _STATE_BYTES == 431
+    applies, (records, certificates), (problem, reference, config) = \
+        _counted_measured_run(tmp_path, cert_every, 1200)
+    assert len(records) == 1100
+    assert applies == 1200 + 1 + 3 + fresh
+    replayed, replayed_certificates = _replayed_run(problem, reference, 1200, config, None)
+    assert records == replayed
+    assert [tuple(map(float.hex, c)) for c in certificates] == \
+        [tuple(map(float.hex, c)) for c in replayed_certificates]
+    # cert_every 3: 333 k up to 1000, then the 34 multiples of 6 up to 1200
+    assert len(certificates) == {0: 0, 1: 1100, 3: 333 + 34}[cert_every]
 
 
 def _replayed_run(problem, reference, iterations, config, oracle):
@@ -868,7 +904,7 @@ def _replayed_run(problem, reference, iterations, config, oracle):
         "one-repeat-cert-every-3", "three-repeats", "three-repeats-1100-cert-every-3",
         "stop-gap", "ot-inverse", "ot-inverse-1100-cert-every-3"])
 def test_blocks_of_logged_k_equal_the_per_row_replay(tmp_path, overrides):
-    # logged k are evaluated _ROW_BLOCK at a time as one stack; every record
+    # logged k are evaluated _BLOCK_BYTES at a time as one stack; every record
     # and (slack, scale) pair equals the 1-d evaluation of its own k, across
     # block boundaries, certified rows split between blocks and a last
     # block that is not full
@@ -917,6 +953,29 @@ def test_nan_in_the_last_block_fails_its_feasibility_check(tmp_path, monkeypatch
     assert doc == {"error": "DomainError",
                    "message": "primal part of w violates its constraints"}
     assert len(calls) == 1000 + 300
+
+
+def test_nan_in_an_ergodic_mean_only_fails_its_finiteness_check(tmp_path, monkeypatch):
+    # the iterates stay finite and x_bar turns NaN at stepped k = 1100 (past
+    # the 1000 held steps); the means, stacked with the iterates for one gap,
+    # are checked after the iterates' feasibility, as vectors, as before
+    advance = solver._advance
+
+    def nan_mean(state, x_next, mu_next):
+        new = advance(state, x_next, mu_next)
+        if new.k == 1100 and new.x_bar is not None:
+            new = dataclasses.replace(new, x_bar=np.full_like(new.x_bar, np.nan))
+        return new
+
+    monkeypatch.setattr(solver, "_advance", nan_mean)
+    config = _tiny_config(tmp_path, reference_iterations=1000, iterations=1300)
+    lines = []
+    assert run_experiment(config, log=lines.append) == 1
+    doc = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert doc == {"error": "ValueError",
+                   "message": "coords contains non-finite entries"}
+    assert json.loads(lines[0]) == doc
+    assert not (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_nan_inside_the_held_steps_fails_the_reference(tmp_path, monkeypatch):
@@ -978,7 +1037,7 @@ def test_block_noise_terms_equal_the_per_row_grad_estimate(tmp_path, monkeypatch
     # minus one stacked full gradient, each row bitwise the delta that
     # GradientOracle.grad_estimate gives its own k; blocks of 10 logged k
     # put prev.k 250..259 in one block, across the oracle blocks at k = 256
-    monkeypatch.setattr(experiment, "_ROW_BLOCK", 10)
+    monkeypatch.setattr(experiment, "_BLOCK_BYTES", 10 * repeats * _STATE_BYTES)
     config = _tiny_config(tmp_path, oracle_mode=mode, batch_size=4, repeats=repeats)
     problem = config.build_problem()
     saddle = problem.saddle_problem()
