@@ -4,11 +4,12 @@ A run has two phases. First a long deterministic reference run produces an
 approximate saddle point (cached under its config hash). Then the measured
 phase runs the solver for 80% of the reference budget by default, logging
 Lagrangian gaps against the reference into CSV traces. With the exact
-oracle it is the first steps of the reference trajectory: a computed
-reference hands them over as it steps (log x and mu of each, up to
-``_HELD_BYTES``), the measured phase replays them, and it steps on from the
-last held state only when the cap or a shorter reference budget cut them
-short; a cached reference hands over none, and every step is stepped. A
+oracle it is the first steps of the reference trajectory, so a computed
+reference steps them once: as it steps, its callback carries their ergodic
+means and packs each logged k (``_LoggedSteps``), which the measured phase
+evaluates once the reference exists, and it steps on from the last of them
+only when the reference budget is shorter; a cached reference steps none,
+and the measured phase steps every step. A
 stochastic run draws its batches, so it steps its ``repeats`` runs with
 derived seeds, as one stacked state whose rows are bitwise the repeats' own
 runs. Logged k are evaluated a block of ``_BLOCK_BYTES`` of states at a
@@ -24,12 +25,11 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, get_args, get_type_hints
+from typing import NamedTuple, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .solver import (  # noqa: F401  benchmarks/tracing.py patches the unused na
     LagrangianParts,
     ReferenceEvaluator,
     SolverState,
-    _advance,
+    _moved_means,
     asymptotic_residual,
     certificate_holds,
     ergodic_rate_constant,
@@ -240,9 +240,11 @@ def _differs(value, default):
     return value is not None if default is None else value != default
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One logged row of a trace: its fields, in order, are the CSV columns."""
+class TraceRecord(NamedTuple):
+    """One logged row of a trace: its fields, in order, are the CSV columns.
+
+    A record is the tuple of its fields, and equals that tuple.
+    """
 
     k: int
     gap_pointwise: float
@@ -291,13 +293,9 @@ def write_trace(path, records):
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-# the cells of one record, in column order
-_row_of = operator.attrgetter(*(name for name, _, _ in _COLUMNS))
-
-
 def _columns(records):
-    # one tuple per column, read with one attrgetter call per record
-    return list(zip(*map(_row_of, records))) or [()] * len(_COLUMNS)
+    # one tuple per column: a record is the tuple of its cells
+    return list(zip(*records)) or [()] * len(_COLUMNS)
 
 
 def _cells(values, optional):
@@ -353,48 +351,6 @@ def _mean_records(traces):
     return [TraceRecord(k, *values) for k, values in zip(runs[0][0], zip(*columns))]
 
 
-# bytes of the reference run's first steps (log x and mu of each) that a cold
-# exact run holds to replay as its measured phase; steps past them are stepped
-# again. The 50x50 simplex-tv instance holds 2648 steps in 2 MiB: all of a
-# 2000-iteration run, the first 2648 of the default 20k. Holding whole states
-# instead cost 5 MB more peak memory over 2000 steps and 17 MB over 20k.
-_HELD_BYTES = 2 << 20
-
-
-class _HeldSteps:
-    """The first ``steps`` steps of a reference run, as ``run``'s callback.
-
-    Each step's log x and mu are copied into two float64 columns, allocated
-    on the first step (a cached reference steps none), up to ``_HELD_BYTES``.
-    """
-
-    def __init__(self, steps):
-        self.steps = steps
-        self.log_x = self.mu = None
-
-    def __call__(self, prev, state):
-        if self.log_x is None:
-            n, d = state.x.log_coords.shape[-1], state.mu.shape[-1]
-            rows = min(self.steps, _HELD_BYTES // (8 * (n + d)))
-            self.log_x, self.mu = np.empty((rows, n)), np.empty((rows, d))
-        if state.k <= len(self.log_x):
-            self.log_x[state.k - 1] = state.x.log_coords
-            self.mu[state.k - 1] = state.mu
-
-    def states(self, state):
-        """The held states after ``state``, the run's initial one, in order.
-
-        Each is bitwise its stepped state: x = exp(log x), as
-        ``kl_prox_simplex`` forms it, and the ergodic means by the step's own
-        recursion.
-        """
-        if self.log_x is None:
-            return
-        for log_x, mu in zip(self.log_x, self.mu):
-            state = _advance(state, BregmanPoint(np.exp(log_x), log_x), mu)
-            yield state
-
-
 # bytes of the logged states a block of logged k holds (x, log x, mu and the
 # ergodic means, R rows per k) before it is evaluated as one stack; a larger
 # block dispatches less but holds more states at once. 128 KiB is 66 k of the
@@ -403,17 +359,127 @@ class _HeldSteps:
 _BLOCK_BYTES = 128 << 10
 
 
+def _certified(k, cert_every):
+    return bool(cert_every) and k % cert_every == 0
+
+
+class _Block(NamedTuple):
+    """A block of logged k as stacks of rows, R rows per k in (k, r) order."""
+
+    ks: list
+    x: np.ndarray  # the iterates' coordinates, then the ergodic means'
+    mu: np.ndarray  # the iterates' mu, then the ergodic means'
+    log_x: np.ndarray  # the iterates' log coordinates
+    prev_x: np.ndarray  # the previous states' coordinates, log coordinates and mu
+    prev_log_x: np.ndarray
+    prev_mu: np.ndarray
+    certified: list
+    batches: tuple  # the batch each certified stochastic k's step drew, else None
+    walls: list
+
+
+def _rows(arrays):
+    # one (rows, d) stack of vectors or of (R, d) stacks, in order
+    return np.array(arrays).reshape(-1, arrays[0].shape[-1])
+
+
+def _stacked(block):
+    # the (prev, state, certified, batch, wall) of each logged k as a _Block
+    prevs, states, certified, batches, walls = zip(*block)
+    return _Block([s.k for s in states],
+                  _rows([s.x.coords for s in states] + [s.x_bar for s in states]),
+                  _rows([s.mu for s in states] + [s.mu_bar for s in states]),
+                  _rows([s.x.log_coords for s in states]),
+                  _rows([p.x.coords for p in prevs]), _rows([p.x.log_coords for p in prevs]),
+                  _rows([p.mu for p in prevs]), certified, batches, walls)
+
+
+class _LoggedSteps:
+    """The first ``steps`` steps of a computed reference, as its callback.
+
+    An exact measured phase is the reference run's first steps, which step
+    once: this carries their ergodic means (``_moved_means``, the step's own
+    recursion) and packs each logged k (``should_log`` with the measured
+    phase's ``final`` k) into float64 columns, allocated on the first step (a
+    cached reference steps none): log x, mu, x_bar and mu_bar of its state,
+    after log x and mu of its previous state when that one is not logged.
+    With ``record_timing`` each logged k's wall counts from this object's
+    creation. ``block`` rebuilds x as ``np.exp(log x)``, bitwise as
+    ``kl_prox_simplex`` forms it (the initial state keeps its own x), and
+    ``last`` is the state at k = ``steps`` with its means.
+    """
+
+    def __init__(self, steps, final, record_timing):
+        self.steps, self.final = steps, final
+        self.rows = 0  # the logged k held
+        self.walls = [] if record_timing else None
+        self.t0 = time.perf_counter_ns()
+
+    def _allocate(self, initial, state):
+        self.ks = [k for k in range(1, self.steps + 1) if should_log(k, self.final)]
+        # a logged k takes the slot after its previous state's, which takes
+        # one of its own when k - 1 is not logged (slot 0: the initial state)
+        ks = np.array(self.ks)
+        alone = np.diff(ks, prepend=-1) > 1
+        slots = np.arange(len(ks)) + np.cumsum(alone)
+        self.alone, self.slots = alone.tolist(), slots.tolist()
+        n, d = state.x.log_coords.shape[-1], state.mu.shape[-1]
+        self.log_x, self.mu = np.empty((slots[-1] + 1, n)), np.empty((slots[-1] + 1, d))
+        self.x_bar, self.mu_bar = np.empty((len(ks), n)), np.empty((len(ks), d))
+        self.x0 = initial.x.coords
+        self.means = initial.x.coords, initial.mu  # they start at the initial point
+        self.next = 1
+
+    def __call__(self, prev, state):
+        k = state.k
+        if k > self.steps:
+            return
+        if k == 1:
+            self._allocate(prev, state)
+        self.means = _moved_means(*self.means, k, state.x.coords, state.mu)
+        if k == self.steps:
+            self.last = SolverState(k, state.x, state.mu, *self.means)
+        if k != self.next:
+            return
+        i, j = self.rows, self.slots[self.rows]
+        if self.alone[i]:
+            self.log_x[j - 1], self.mu[j - 1] = prev.x.log_coords, prev.mu
+        self.log_x[j], self.mu[j] = state.x.log_coords, state.mu
+        self.x_bar[i], self.mu_bar[i] = self.means
+        if self.walls is not None:
+            self.walls.append(time.perf_counter_ns() - self.t0)
+        self.rows = i + 1
+        self.next = self.ks[i + 1] if i + 1 < len(self.ks) else None
+
+    def block(self, a, b, cert_every):
+        """The held logged k a to b - 1, in order, as a ``_Block``."""
+        ks = self.ks[a:b]
+        slots = np.array(self.slots[a:b])
+        lo = slots[0] - 1
+        log_x = self.log_x[lo:slots[-1] + 1]
+        x = np.exp(log_x)
+        if lo == 0:
+            x[0] = self.x0
+        now, prev = slots - lo, slots - lo - 1
+        return _Block(ks, np.concatenate((x[now], self.x_bar[a:b])),
+                      np.concatenate((self.mu[slots], self.mu_bar[a:b])), log_x[now],
+                      x[prev], log_x[prev], self.mu[slots - 1],
+                      [_certified(k, cert_every) for k in ks], (None,) * len(ks),
+                      [None] * len(ks) if self.walls is None else self.walls[a:b])
+
+
 def _measured_run(problem, saddle, schedule, reference, iterations, config,
-                  oracles=(None,), held=None):
+                  oracles=(None,), logged=None):
     """The measured phase, one run per oracle (``None`` is the exact one).
 
     Returns one ``(records, certificates)`` pair per run. R > 1 oracles step
-    their R runs as one stacked state over an ``OracleStack``. ``held``, the
-    ``_HeldSteps`` of the reference run of an exact run, is replayed first:
-    its states, rebuilt bitwise, go to the same callback as stepped ones,
-    and ``run`` steps on from the last of them when they end before
-    ``iterations``. ``record_timing``'s walls count from the start of this
-    phase, through replayed and stepped steps alike. The callback
+    their R runs as one stacked state over an ``OracleStack``. ``logged``,
+    the ``_LoggedSteps`` of an exact run's reference, holds the run's first
+    steps when the reference was computed: their logged k are evaluated
+    first, and ``run`` steps on from the last of them when they end before
+    ``iterations``, with walls on the clock they started. Otherwise every
+    step is stepped here, and ``record_timing``'s walls count from the start
+    of this phase. The callback
     only collects each logged k (its states, whether it is certified and the
     batch that the step of a certified stochastic k drew); when the logged
     states collected reach ``_BLOCK_BYTES``, and at the final k, the block
@@ -435,41 +501,43 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
                                          state.x_bar, state.mu_bar))
     block_rows = max(1, _BLOCK_BYTES // state_bytes) if config.stop_gap is None else 1
     block = []  # (prev, state, certified, batch, wall) of each logged k
-    carry = (None, None)  # the last certified state and its E_{k+1}
+    carry = (None, None)  # the k of the last certified state and its E_{k+1}
     t0 = time.perf_counter_ns()
 
-    def observe(prev, state):
+    def evaluate(stacks):
+        # evaluate a block; whether the stop rule stops the run after it
         nonlocal carry
-        if not should_log(state.k, final=iterations):
-            return False
-        certify = bool(config.cert_every) and state.k % config.cert_every == 0
-        # the batch of the step just taken (a block hit), for its noise term
-        batch = oracle.sample_batch(prev.k) if certify and noisy else None
-        wall = time.perf_counter_ns() - t0 if config.record_timing else None
-        block.append((prev, state, certify, batch, wall))
-        # the last block too is evaluated here, before run's final check
-        if len(block) == block_rows or state.k == iterations:
-            carry = _evaluate_block(evaluator, block, runs, carry, noise)
-            block.clear()
+        carry = _evaluate_block(evaluator, stacks, runs, carry, noise)
         if config.stop_gap is None:
             return False
         # stop_gap comes with one run (ExperimentConfig rejects it with repeats)
         tail = runs[0][0][-100:]
         return len(tail) == 100 and all(r.gap_pointwise < config.stop_gap for r in tail)
 
-    for new in () if held is None else held.states(state):
-        stop = observe(state, new)
-        state = new
-        if stop:
-            return runs
+    def observe(prev, state):
+        if not should_log(state.k, final=iterations):
+            return False
+        certify = _certified(state.k, config.cert_every)
+        # the batch of the step just taken (a block hit), for its noise term
+        batch = oracle.sample_batch(prev.k) if certify and noisy else None
+        wall = time.perf_counter_ns() - t0 if config.record_timing else None
+        block.append((prev, state, certify, batch, wall))
+        # the last block too is evaluated here, before run's final check
+        if len(block) < block_rows and state.k < iterations:
+            return False
+        stacks = _stacked(block)
+        block.clear()
+        return evaluate(stacks)
+
+    if logged is not None and logged.rows:
+        t0 = logged.t0
+        for a in range(0, logged.rows, block_rows):
+            if evaluate(logged.block(a, a + block_rows, config.cert_every)):
+                return runs
+        state = logged.last
     if state.k < iterations:
         run(saddle, schedule, state, iterations - state.k, oracle, observe)
     return runs
-
-
-def _rows(arrays):
-    # one (rows, d) stack of vectors or of (R, d) stacks, in order
-    return np.array(arrays).reshape(-1, arrays[0].shape[-1])
 
 
 def _estimate_errors(saddle, oracle, batches, x, ks):
@@ -491,7 +559,7 @@ def _estimate_errors(saddle, oracle, batches, x, ks):
 
 
 def _evaluate_block(evaluator, block, runs, carry, noise=None):
-    """Append the records and certificates of a block of logged k to ``runs``.
+    """Append the records and certificates of a ``_Block`` of logged k to ``runs``.
 
     The block is one stack of rows, R per k in (k, r) order, each row
     bitwise its 1-d value and made a Python float by one ``tolist`` per
@@ -499,21 +567,17 @@ def _evaluate_block(evaluator, block, runs, carry, noise=None):
     checked as ``gap`` checks each, the iterates first. One ``certificate``
     covers the certified rows: their noise terms (``noise(batches, x, ks)``
     on a stochastic run, formed before the checks) and their E_{k+1}, from
-    their parts. ``carry`` is the state of the last certified k before the
+    their parts. ``carry`` is the k of the last certified state before the
     block and its E_{k+1}: a certified row whose previous state is the
     certified state before it takes that state's E_{k+1} as its E_k, and
     the other rows evaluate theirs. Returns the carry after the block.
     """
-    prevs, states, certified, batches, walls = zip(*block)
+    ks, x, mu, certified = block.ks, block.x, block.mu, block.certified
     repeats = len(runs)
-    n = len(states) * repeats
-    # the iterates' rows, then the ergodic means'
-    x = _rows([s.x.coords for s in states] + [s.x_bar for s in states])
-    mu = _rows([s.mu for s in states] + [s.mu_bar for s in states])
-    now = SolverState(None, BregmanPoint(x[:n], _rows([s.x.log_coords for s in states])),
-                      mu[:n], None, None)
-    prev = SolverState(None, BregmanPoint(_rows([s.x.coords for s in prevs])),
-                       _rows([s.mu for s in prevs]), None, None)
+    n = len(ks) * repeats
+    now = SolverState(None, BregmanPoint(x[:n], block.log_x), mu[:n], None, None)
+    prev = SolverState(None, BregmanPoint(block.prev_x, block.prev_log_x), block.prev_mu,
+                       None, None)
     # the certified rows; a view of all of them when every k is certified
     rows = slice(None) if all(certified) else np.repeat(certified, repeats)
 
@@ -522,8 +586,8 @@ def _evaluate_block(evaluator, block, runs, carry, noise=None):
 
     delta = None
     if noise is not None and any(certified):
-        delta = noise(_rows([b for b, c in zip(batches, certified) if c]),
-                      pick(prev.x.coords), np.repeat([s.k for s in prevs], repeats)[rows])
+        delta = noise(_rows([b for b, c in zip(block.batches, certified) if c]),
+                      pick(prev.x.coords), np.repeat([k - 1 for k in ks], repeats)[rows])
     evaluator.check((now.x, now.mu))
     evaluator.check((x[n:], mu[n:]))
     gap, parts = evaluator.gap((BregmanPoint(x), mu), check=False)
@@ -531,22 +595,21 @@ def _evaluate_block(evaluator, block, runs, carry, noise=None):
     parts = LagrangianParts(*(None if a is None else a[:n] for a in parts))
     columns = [c.tolist() for c in (gap, gap_bar, evaluator.lagrangian(parts),
                                     asymptotic_residual(prev, now))]
-    slacks = np.full((len(states), repeats), None, dtype=object)
+    slacks = np.full((len(ks), repeats), None, dtype=object)
     certificates = [()] * repeats
     if any(certified):
         w_next = (BregmanPoint(pick(now.x.coords), pick(now.x.log_coords)), pick(now.mu))
         e_next = evaluator._energy(w_next, LagrangianParts(*map(pick, parts)))
         last, e_last = carry
-        starts, ends = zip(*((p, s) for p, s, c in zip(prevs, states, certified) if c))
-        fresh = [p is not s for p, s in zip(starts, (last,) + ends[:-1])]
+        ends = [k for k, c in zip(ks, certified) if c]
+        fresh = [k - 1 != before for k, before in zip(ends, [last] + ends[:-1])]
         # E_{k+1} shifted by one certified k; the fresh rows are replaced
         e_k = np.concatenate([np.zeros(repeats) if e_last is None else e_last,
                               e_next[:-repeats]])
         if any(fresh):
             again = np.repeat(fresh, repeats)
             e_k[again] = evaluator._energy((
-                BregmanPoint(pick(prev.x.coords)[again],
-                             _rows([p.x.log_coords for p, f in zip(starts, fresh) if f])),
+                BregmanPoint(*(pick(a)[again] for a in (prev.x.coords, prev.x.log_coords))),
                 pick(prev.mu)[again]))
         slack, scale = evaluator.certificate(None, w_next, gap[rows], primal_delta=delta,
                                              e_k=e_k, e_next=e_next)
@@ -554,10 +617,9 @@ def _evaluate_block(evaluator, block, runs, carry, noise=None):
         slacks[list(certified)] = np.array(slack, dtype=object).reshape(-1, repeats)
         certificates = [zip(slack[r::repeats], scale[r::repeats]) for r in range(repeats)]
         carry = ends[-1], e_next[-repeats:]
-    ks = [s.k for s in states]
     for r, (records, certs) in enumerate(runs):
         records.extend(map(TraceRecord, ks, *(c[r::repeats] for c in columns),
-                           slacks[:, r].tolist(), walls))
+                           slacks[:, r].tolist(), block.walls))
         certs.extend(certificates[r])
     return carry
 
@@ -635,10 +697,11 @@ def run_phases(config, problem, output_dir):
     ref_budget = config.resolved_reference_budget()
     stochastic = config.is_stochastic()
     # an exact measured phase is the reference run's first steps: a computed
-    # reference hands them over to be replayed, not stepped again
-    held = None if stochastic else _HeldSteps(min(config.iterations, ref_budget))
+    # reference steps them once, and holds their logged k for the evaluation
+    logged = None if stochastic else _LoggedSteps(
+        min(config.iterations, ref_budget), config.iterations, config.record_timing)
     reference = compute_reference(problem, ref_budget, config.seed,
-                                  cache_dir=output_dir, callback=held)
+                                  cache_dir=output_dir, callback=logged)
 
     oracle_seeds = ([config.seed + r for r in range(config.repeats)]
                     if stochastic else [])
@@ -646,7 +709,7 @@ def run_phases(config, problem, output_dir):
     oracles = tuple(GradientOracle(config.oracle_mode, config.batch_size, seed,
                                    problem.m) for seed in oracle_seeds) or (None,)
     runs = _measured_run(problem, saddle, schedule, reference,
-                         config.iterations, config, oracles, held)
+                         config.iterations, config, oracles, logged)
     traces = [records for records, _ in runs]
     final_gap = float(np.mean([t[-1].gap_ergodic for t in traces]))
     if stochastic:

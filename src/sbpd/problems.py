@@ -548,9 +548,12 @@ def compute_reference(problem, budget, seed, cache_dir=None, callback=None):
     hashed through ``problem.descriptor()`` already.
 
     ``callback(prev_state, new_state)``, when given, sees each step of a
-    computed reference (a returned cached file steps none) on states that
-    carry no ergodic means, as the reference is the last iterate; its return
-    value is ignored, as the reference always runs its whole budget.
+    computed reference in order, k = 1 to ``budget``, from the initial
+    point's state on (a returned cached file steps none). The states carry
+    no ergodic means, as the reference is the last iterate: a caller that
+    needs them forms them, as a cold exact experiment does for the steps it
+    measures. Its return value is ignored, as the reference always runs its
+    whole budget.
     """
     if budget < 1000:
         raise ValueError("reference budget must be at least 1000 iterations")

@@ -218,9 +218,13 @@ def _advance(state, x_next, mu_next):
     k1 = state.k + 1
     if state.x_bar is None:
         return SolverState(k1, x_next, mu_next, None, None)
-    x_bar = state.x_bar + (x_next.coords - state.x_bar) / k1
-    mu_bar = state.mu_bar + (mu_next - state.mu_bar) / k1
-    return SolverState(k1, x_next, mu_next, x_bar, mu_bar)
+    return SolverState(k1, x_next, mu_next,
+                       *_moved_means(state.x_bar, state.mu_bar, k1, x_next.coords, mu_next))
+
+
+def _moved_means(x_bar, mu_bar, k, x, mu):
+    """The ergodic means after step ``k`` to (x, mu), from those before it."""
+    return x_bar + (x - x_bar) / k, mu_bar + (mu - mu_bar) / k
 
 
 def run(problem, schedule, state, iterations, oracle=None, callback=None):

@@ -116,11 +116,37 @@ def test_trace_round_trip(tmp_path):
     assert back[:-1] == records[:-1] and np.isnan(back[-1].estimate_slack)
     for r in back:
         assert type(r.k) is int
-        assert all(type(v) is float for v in dataclasses.astuple(r)[1:5])
+        assert all(type(v) is float for v in r[1:5])
         assert r.estimate_slack is None or type(r.estimate_slack) is float
         assert r.wall_nanos is None or type(r.wall_nanos) is int
     write_trace(tmp_path / "again.csv", back)
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_trace_record_is_the_tuple_of_its_cells(tmp_path):
+    # a NamedTuple: the fields, in order, are the header; the two optional
+    # cells default to None; a record equals the tuple of its fields and
+    # cannot be changed in place
+    assert CSV_HEADER == ("k,gap_pointwise,gap_ergodic,lagrangian,residual,"
+                          "estimate_slack,wall_nanos")
+    assert ",".join(TraceRecord._fields) == CSV_HEADER
+    record = TraceRecord(3, 0.25, 0.5, -1.0, 1e-3)
+    assert record == (3, 0.25, 0.5, -1.0, 1e-3, None, None)
+    assert record.estimate_slack is None and record.wall_nanos is None
+    assert not dataclasses.is_dataclass(record)
+    with pytest.raises(AttributeError):
+        record.k = 4
+    records = [record, TraceRecord(4, float("nan"), -0.0, 2.0, 0.5, float("nan"), 11),
+               TraceRecord(5, 1.0, 2.0, 3.0, 4.0, None, 12)]
+    path = tmp_path / "t.csv"
+    write_trace(path, records)
+    assert path.read_text() == (f"{CSV_HEADER}\n3,0.25,0.5,-1.0,0.001,,\n"
+                                "4,nan,-0.0,2.0,0.5,nan,11\n5,1.0,2.0,3.0,4.0,,12\n")
+    back = read_trace(path)
+    assert all(type(r) is TraceRecord for r in back)
+    assert [back[0], back[2]] == [records[0], records[2]]
+    assert all(np.isnan(v) for v in (back[1].gap_pointwise, back[1].estimate_slack))
+    assert back[1][2:5] + back[1][6:] == (-0.0, 2.0, 0.5, 11)
 
 
 def test_trace_rejects_foreign_header(tmp_path):
@@ -240,7 +266,7 @@ def test_mean_trace_bytes_match_the_per_row_mean(tmp_path, repeats, missing):
 def test_mean_records_rejects_runs_off_one_grid():
     a = [TraceRecord(k=k, gap_pointwise=0.0, gap_ergodic=0.0, lagrangian=0.0,
                      residual=0.0) for k in (1, 2, 3)]
-    shifted = [dataclasses.replace(r, k=r.k + 1) for r in a]
+    shifted = [r._replace(k=r.k + 1) for r in a]
     # rows at different k, or a run that stops early
     for traces in ([a, shifted], [a, a[:2]], [a[:2], a]):
         with pytest.raises(RuntimeError, match="logging grid"):
@@ -552,17 +578,19 @@ def test_cert_every_zero_leaves_slack_empty(tmp_path):
     assert all(r.estimate_slack is None for r in records)
 
 
-def test_record_timing_populates_wall_nanos(tmp_path, monkeypatch):
-    # every step replayed, then 40 replayed and 20 stepped: the walls of both
-    # kinds of step share the measured phase's clock
-    for held_bytes in (2 << 20, 8 * 15 * 40):
-        monkeypatch.setattr(experiment, "_HELD_BYTES", held_bytes)
-        config = _tiny_config(tmp_path / str(held_bytes), record_timing=True,
-                              iterations=60)
-        assert run_experiment(config, log=lambda s: None) == 0
-        walls = [r.wall_nanos for r in read_trace(Path(config.output_dir) / "trace.csv")]
-        assert len(walls) == 60 and all(isinstance(w, int) and w > 0 for w in walls)
-        assert walls == sorted(walls)
+def test_record_timing_populates_wall_nanos(tmp_path):
+    # cold, the walls of the held steps, and of the steps past a shorter
+    # reference, share the clock that starts with the reference; warm, every
+    # step is stepped on the measured phase's clock
+    for name, overrides, rows in (
+            ("held", {"iterations": 60}, 60),
+            ("held-then-stepped", {"reference_iterations": 1000, "iterations": 1100}, 1050)):
+        config = _tiny_config(tmp_path / name, record_timing=True, **overrides)
+        for _ in ("cold", "warm"):
+            assert run_experiment(config, log=lambda s: None) == 0
+            walls = [r.wall_nanos for r in read_trace(Path(config.output_dir) / "trace.csv")]
+            assert len(walls) == rows and all(isinstance(w, int) and w > 0 for w in walls)
+            assert walls == sorted(walls)
 
 
 @pytest.mark.parametrize("value", ["no", 1, None], ids=["string", "int", "null"])
@@ -1124,24 +1152,32 @@ def test_non_finite_full_gradient_at_a_certified_row_fails_with_its_k(tmp_path,
 
 @pytest.mark.parametrize("experiment_name", ["simplex-tv", "ot-inverse", "custom"])
 def test_held_steps_rebuild_the_stepped_states_bitwise(tmp_path, experiment_name):
+    # 1200 of 1500 reference steps are the measured phase: k = 1..1000 and
+    # every 2nd k after it are logged, so past k = 1000 each previous state is
+    # held on its own; every block, across its bounds, stacks each logged
+    # state and its previous state bitwise as the means-keeping run steps them
     overrides = {"ot-inverse": {"n": 12}, "custom": CUSTOM_DATA}.get(experiment_name, {})
     config = _tiny_config(tmp_path, experiment=experiment_name, **overrides)
     problem = config.build_problem()
-    held, stepped = experiment._HeldSteps(300), []
-    compute_reference(problem, 1000, config.seed, callback=held)
-    # the reference's states carry no means: a means-keeping run steps the
-    # states to compare with
-    run(problem.saddle_problem(), problem.default_schedule(),
-        initial_state(*problem.initial_point()), 300,
-        callback=lambda prev, state: stepped.append(state))
-    rebuilt = list(held.states(initial_state(*problem.initial_point())))
-    assert [s.k for s in rebuilt] == [s.k for s in stepped] == list(range(1, 301))
-
-    def bits(state):
-        return [a.tobytes() for a in (state.x.coords, state.x.log_coords, state.mu,
-                                      state.x_bar, state.mu_bar)]
-
-    assert all(bits(r) == bits(s) for r, s in zip(rebuilt, stepped))
+    held, stepped = experiment._LoggedSteps(1200, 1200, False), {}
+    compute_reference(problem, 1500, config.seed, callback=held)
+    last = run(problem.saddle_problem(), problem.default_schedule(),
+               initial_state(*problem.initial_point()), 1200,
+               callback=lambda prev, state: stepped.update({state.k: (prev, state)}))
+    assert held.ks == [k for k in range(1, 1201) if should_log(k)]
+    assert held.rows == 1100
+    for a, b in ((0, 1100), (0, 7), (7, 1000), (999, 1003), (1050, 1100)):
+        block = held.block(a, b, config.cert_every)
+        expected = experiment._stacked([stepped[k] + (True, None, None)
+                                        for k in held.ks[a:b]])
+        assert block.ks == expected.ks == held.ks[a:b]
+        for name in ("x", "mu", "log_x", "prev_x", "prev_log_x", "prev_mu"):
+            assert getattr(block, name).tobytes() == getattr(expected, name).tobytes(), name
+    kept = held.last
+    assert kept.k == last.k == 1200
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(
+        (kept.x.coords, kept.x.log_coords, kept.mu, kept.x_bar, kept.mu_bar),
+        (last.x.coords, last.x.log_coords, last.mu, last.x_bar, last.mu_bar)))
 
 
 @pytest.mark.parametrize("experiment_name", ["simplex-tv", "ot-inverse", "custom"])
@@ -1179,27 +1215,28 @@ def test_a_reference_ignores_what_its_callback_returns():
     assert np.float64(ref.ref_tol).tobytes() == np.float64(plain.ref_tol).tobytes()
 
 
-def test_held_steps_stop_at_the_byte_cap(monkeypatch):
-    problem = build_simplex_tv(8, 10, 5)  # 8 + 7 floats a step
-    monkeypatch.setattr(experiment, "_HELD_BYTES", 8 * 15 * 40 + 119)
-    held = experiment._HeldSteps(300)
-    compute_reference(problem, 1000, 5, callback=held)
-    assert held.log_x.shape == (40, 8) and held.mu.shape == (40, 7)
-    assert len(list(held.states(initial_state(*problem.initial_point())))) == 40
+def test_held_columns_fit_the_logged_k():
+    # 2500 measured steps log 1000 + 500 + 167 k and the final one, each
+    # held once with its means; the previous states that are not logged
+    # (500 + 166 past k = 1000, and the initial one) are held on their own
+    problem = build_simplex_tv(8, 10, 5)  # 8 + 7 floats a state
+    held = experiment._LoggedSteps(2500, 2500, False)
+    compute_reference(problem, 3000, 5, callback=held)
+    logged = [k for k in range(1, 2501) if should_log(k, final=2500)]
+    alone = [k - 1 for k in logged if k - 1 not in set(logged)]
+    assert (len(logged), len(alone)) == (1668, 667)
+    assert held.ks == logged and held.rows == 1668
+    assert held.log_x.shape == (1668 + 667, 8) and held.mu.shape == (1668 + 667, 7)
+    assert held.x_bar.shape == (1668, 8) and held.mu_bar.shape == (1668, 7)
 
 
 def test_a_cached_reference_allocates_no_held_columns(tmp_path):
     problem = build_simplex_tv(8, 10, 5)
     compute_reference(problem, 1000, 5, cache_dir=str(tmp_path))
-    held = experiment._HeldSteps(300)
+    held = experiment._LoggedSteps(300, 300, False)
     assert compute_reference(problem, 1000, 5, cache_dir=str(tmp_path),
                              callback=held).from_cache
-    assert held.log_x is None and held.mu is None
-    assert list(held.states(initial_state(*problem.initial_point()))) == []
-
-
-# the cap holds no step, 40 steps (so the rest are stepped) or every step
-HELD_CAPS = {"stepped": 0, "resumed": 8 * 15 * 40, "replayed": 2 << 20}
+    assert held.rows == 0 and not hasattr(held, "log_x")
 
 
 @pytest.mark.parametrize("overrides", [
@@ -1207,19 +1244,49 @@ HELD_CAPS = {"stepped": 0, "resumed": 8 * 15 * 40, "replayed": 2 << 20}
     {"reference_iterations": 1000, "iterations": 1300},
     {"iterations": 1200, "stop_gap": 0.05},
 ], ids=["cert-every-2", "reference-shorter-than-run", "stop-gap"])
-def test_held_cap_leaves_every_output_byte_identical(tmp_path, monkeypatch, overrides):
-    # a cold exact run replays what the cap held of the reference's first
-    # steps and steps the rest: whatever the cap, each file is the same
-    outputs = {}
-    for name, cap in HELD_CAPS.items():
-        monkeypatch.setattr(experiment, "_HELD_BYTES", cap)
-        monkeypatch.setenv(experiment.ENV_OUTPUT_DIR, str(tmp_path / name))
-        assert run_experiment(_tiny_config(tmp_path, **overrides),
-                              log=lambda s: None) == 0
-        outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
-    assert outputs["stepped"] == outputs["resumed"] == outputs["replayed"]
-    assert ([name.split("_")[0] for name in sorted(outputs["stepped"])]
-            == ["meta.json", "reference", "trace.csv"])
-    k = read_trace(tmp_path / "replayed" / "trace.csv")[-1].k
-    iterations = overrides.get("iterations", 300)
+def test_cold_and_warm_runs_write_the_same_bytes(tmp_path, overrides):
+    # a cold exact run steps the reference once and evaluates its held
+    # steps, stepping on past a shorter reference; a warm one steps its
+    # measured phase: each file is the same, and meta.json differs only in
+    # reference_cache
+    config = _tiny_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    outputs = []
+    for _ in range(2):
+        assert run_experiment(config, log=lambda s: None) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    cold, warm = outputs
+    assert sorted(name.split("_")[0] for name in cold) == ["meta.json", "reference", "trace.csv"]
+    metas = [json.loads(files.pop("meta.json")) for files in outputs]
+    assert [meta.pop("reference_cache") for meta in metas] == ["miss", "hit"]
+    assert cold == warm and metas[0] == metas[1]
+    k = read_trace(out / "trace.csv")[-1].k
+    iterations = config.iterations
     assert k < iterations if "stop_gap" in overrides else k == iterations
+
+
+@pytest.mark.parametrize("overrides,cold_steps", [
+    ({}, 1000),
+    ({"reference_iterations": 1000, "iterations": 1300}, 1300),
+    ({"iterations": 1200, "stop_gap": 0.05}, 1500),
+], ids=["reference-longer", "reference-shorter", "stop-gap"])
+def test_a_cold_exact_run_steps_each_step_once(tmp_path, monkeypatch, overrides,
+                                               cold_steps):
+    # max(budget, iterations) steps cold, the measured phase's alone warm
+    step, steps = solver.sbpd_step, []
+
+    def counted(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(solver, "sbpd_step", counted)
+    config = _tiny_config(tmp_path, **overrides)
+    counts = []
+    for _ in range(2):
+        steps.clear()
+        assert run_experiment(config, log=lambda s: None) == 0
+        counts.append(len(steps))
+    measured = read_trace(tmp_path / "out" / "trace.csv")[-1].k
+    assert counts == [cold_steps, measured]
+    assert measured < config.iterations if "stop_gap" in overrides else \
+        measured == config.iterations

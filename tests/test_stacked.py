@@ -6,8 +6,6 @@ test here compares the stacked run against the 1-d runs of the same seeds,
 bit for bit.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -35,7 +33,7 @@ def _bits(records):
     """Every cell of ``records``, each float as its hex, so that -0.0, 0.0,
     NaN and every other float differ."""
     return [tuple(v.hex() if isinstance(v, float) else v
-                  for v in dataclasses.astuple(record)) for record in records]
+                  for v in record) for record in records]
 
 
 def _history(problem, steps, oracle, rows=None):
