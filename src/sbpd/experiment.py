@@ -3,20 +3,21 @@
 A run has two phases. First a long deterministic reference run produces an
 approximate saddle point (cached under its config hash). Then the measured
 phase runs the solver for 80% of the reference budget by default, logging
-Lagrangian gaps against the reference into CSV traces. With the exact
-oracle it is the first steps of the reference trajectory, so a computed
-reference steps them once: as it steps, its callback carries their ergodic
-means and packs each logged k (``_LoggedSteps``), which the measured phase
-evaluates once the reference exists, and it steps on from the last of them
-only when the reference budget is shorter; a cached reference steps none,
-and the measured phase steps every step. A
-stochastic run draws its batches, so it steps its ``repeats`` runs with
-derived seeds, as one stacked state whose rows are bitwise the repeats' own
-runs. Logged k are evaluated a block of ``_BLOCK_BYTES`` of states at a
-time, as one stack of rows (one per repeat of each k) that holds the
-iterates and the ergodic means, each bitwise the row the k's own state
-gives alone; a certified k whose previous state is the certified state
-before it takes that state's energy E_{k+1} as its E_k.
+Lagrangian gaps against the reference into CSV traces. Every measured step
+is stepped without ergodic means into one producer of logged k,
+``_LoggedSteps``: the callback of a window of logged k, which carries the
+means of each step and packs each logged k into float64 columns. With the
+exact oracle the measured phase is the first steps of the reference
+trajectory, so a computed reference steps them once, into one window; the
+measured phase steps on from its last state only when the reference budget
+is shorter, and steps every step after a cached reference. A stochastic
+run steps its ``repeats`` runs with derived seeds, as one stacked state
+whose rows are bitwise the repeats' own runs. Windows are evaluated in
+blocks of ``_BLOCK_BYTES`` of logged states, each as one stack of rows (one
+per repeat of each k) that holds the iterates and the ergodic means, each
+bitwise the row the k's own state gives alone; a certified k whose previous
+state is the certified state before it takes that state's energy E_{k+1}
+as its E_k.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ from .solver import (  # noqa: F401  benchmarks/tracing.py patches the unused na
     LagrangianParts,
     ReferenceEvaluator,
     SolverState,
+    _bare_state,
     _moved_means,
     asymptotic_residual,
     certificate_holds,
     ergodic_rate_constant,
     estimate_inequality_terms,
-    initial_state,
     lagrangian_gap,
     run,
     sbpd_step,
@@ -359,10 +360,6 @@ def _mean_records(traces):
 _BLOCK_BYTES = 128 << 10
 
 
-def _certified(k, cert_every):
-    return bool(cert_every) and k % cert_every == 0
-
-
 class _Block(NamedTuple):
     """A block of logged k as stacks of rows, R rows per k in (k, r) order."""
 
@@ -374,97 +371,90 @@ class _Block(NamedTuple):
     prev_log_x: np.ndarray
     prev_mu: np.ndarray
     certified: list
-    batches: tuple  # the batch each certified stochastic k's step drew, else None
+    batches: list  # the batch each certified stochastic k's step drew, else None
     walls: list
 
 
 def _rows(arrays):
     # one (rows, d) stack of vectors or of (R, d) stacks, in order
-    return np.array(arrays).reshape(-1, arrays[0].shape[-1])
+    return np.reshape(arrays, (-1, arrays[0].shape[-1]))
 
 
-def _stacked(block):
-    # the (prev, state, certified, batch, wall) of each logged k as a _Block
-    prevs, states, certified, batches, walls = zip(*block)
-    return _Block([s.k for s in states],
-                  _rows([s.x.coords for s in states] + [s.x_bar for s in states]),
-                  _rows([s.mu for s in states] + [s.mu_bar for s in states]),
-                  _rows([s.x.log_coords for s in states]),
-                  _rows([p.x.coords for p in prevs]), _rows([p.x.log_coords for p in prevs]),
-                  _rows([p.mu for p in prevs]), certified, batches, walls)
+def _logged_ks(final, end=None):
+    # should_log's k of a run of final steps, up to end, in one numpy pass
+    k = np.arange(1, (final if end is None else end) + 1)
+    return k[(k <= 1000) | (k % -(-k // 1000) == 0) | (k == final)].tolist()
 
 
 class _LoggedSteps:
-    """The first ``steps`` steps of a computed reference, as its callback.
-
-    An exact measured phase is the reference run's first steps, which step
-    once: this carries their ergodic means (``_moved_means``, the step's own
-    recursion) and packs each logged k (``should_log`` with the measured
-    phase's ``final`` k) into float64 columns, allocated on the first step (a
-    cached reference steps none): log x, mu, x_bar and mu_bar of its state,
-    after log x and mu of its previous state when that one is not logged.
-    With ``record_timing`` each logged k's wall counts from this object's
-    creation. ``block`` rebuilds x as ``np.exp(log x)``, bitwise as
-    ``kl_prox_simplex`` forms it (the initial state keeps its own x), and
-    ``last`` is the state at k = ``steps`` with its means.
+    """A window of logged k ``ks``, as the callback of ``run``: the one
+    producer of ``_Block``s. Each measured step, stepped without ergodic
+    means, is seen by one window, which moves the means (``_moved_means``,
+    ``solver._advance``'s recursion) from ``means`` (``None``: the initial
+    point) through each step up to ``final`` and packs each of its k into
+    float64 columns, allocated at its first step, R rows per k for a stacked
+    state: log x, mu, x_bar and mu_bar of its state, after log x and mu of
+    its previous state when that one is not logged; with a noisy ``oracle``
+    a certified k's batch (a block hit), with a clock ``t0`` its wall. A call
+    returns whether the last k was packed; ``last`` is the last state seen.
+    ``block`` rebuilds x as ``np.exp(log x)``, bitwise as ``kl_prox_simplex``
+    forms it (the initial state keeps its own x).
     """
 
-    def __init__(self, steps, final, record_timing):
-        self.steps, self.final = steps, final
-        self.rows = 0  # the logged k held
-        self.walls = [] if record_timing else None
-        self.t0 = time.perf_counter_ns()
+    def __init__(self, ks, final, cert_every, t0=None, oracle=None, means=None):
+        self.ks, self.final, self.means, self.t0, self.oracle = ks, final, means, t0, oracle
+        self.certified = [bool(cert_every) and k % cert_every == 0 for k in ks]
+        self.batches = [None] * len(ks)
+        self.walls = None if t0 is None else []
+        self.rows, self.next, self.slots = 0, ks[0], None  # rows: the logged k packed
 
-    def _allocate(self, initial, state):
-        self.ks = [k for k in range(1, self.steps + 1) if should_log(k, self.final)]
-        # a logged k takes the slot after its previous state's, which takes
-        # one of its own when k - 1 is not logged (slot 0: the initial state)
-        ks = np.array(self.ks)
-        alone = np.diff(ks, prepend=-1) > 1
-        slots = np.arange(len(ks)) + np.cumsum(alone)
-        self.alone, self.slots = alone.tolist(), slots.tolist()
-        n, d = state.x.log_coords.shape[-1], state.mu.shape[-1]
-        self.log_x, self.mu = np.empty((slots[-1] + 1, n)), np.empty((slots[-1] + 1, d))
-        self.x_bar, self.mu_bar = np.empty((len(ks), n)), np.empty((len(ks), d))
-        self.x0 = initial.x.coords
-        self.means = initial.x.coords, initial.mu  # they start at the initial point
-        self.next = 1
+    def _allocate(self, prev, state):
+        # a k's slot follows its previous state's, its own when k - 1 is not logged here
+        ks = self.ks
+        self.alone = [k - 1 != before for k, before in zip(ks, [None] + ks[:-1])]
+        self.slots = [i + s for i, s in enumerate(itertools.accumulate(self.alone))]
+        x, mu, rows = state.x.log_coords.shape, state.mu.shape, self.slots[-1] + 1
+        self.log_x, self.mu = np.empty((rows, *x)), np.empty((rows, *mu))
+        self.x_bar, self.mu_bar = np.empty((len(ks), *x)), np.empty((len(ks), *mu))
+        self.x0 = prev.x.coords  # the initial state's, if the window starts at k = 1
+        self.means = self.means or (prev.x.coords, prev.mu)
 
     def __call__(self, prev, state):
         k = state.k
-        if k > self.steps:
-            return
-        if k == 1:
+        if k > self.final:
+            return False
+        if self.slots is None:
             self._allocate(prev, state)
         self.means = _moved_means(*self.means, k, state.x.coords, state.mu)
-        if k == self.steps:
-            self.last = SolverState(k, state.x, state.mu, *self.means)
-        if k != self.next:
-            return
-        i, j = self.rows, self.slots[self.rows]
-        if self.alone[i]:
-            self.log_x[j - 1], self.mu[j - 1] = prev.x.log_coords, prev.mu
-        self.log_x[j], self.mu[j] = state.x.log_coords, state.mu
-        self.x_bar[i], self.mu_bar[i] = self.means
-        if self.walls is not None:
-            self.walls.append(time.perf_counter_ns() - self.t0)
-        self.rows = i + 1
-        self.next = self.ks[i + 1] if i + 1 < len(self.ks) else None
+        if k == self.next:
+            i, j = self.rows, self.slots[self.rows]
+            if self.alone[i]:
+                self.log_x[j - 1], self.mu[j - 1] = prev.x.log_coords, prev.mu
+            self.log_x[j], self.mu[j] = state.x.log_coords, state.mu
+            self.x_bar[i], self.mu_bar[i] = self.means
+            if self.oracle is not None and self.certified[i]:
+                self.batches[i] = self.oracle.sample_batch(prev.k)
+            if self.walls is not None:
+                self.walls.append(time.perf_counter_ns() - self.t0)
+            self.rows = i + 1
+            self.next = self.ks[i + 1] if i + 1 < len(self.ks) else None
+        self.last = state
+        return self.next is None
 
-    def block(self, a, b, cert_every):
-        """The held logged k a to b - 1, in order, as a ``_Block``."""
+    def block(self, a, b):
+        """The packed logged k a to b - 1, in order, as a ``_Block``."""
         ks = self.ks[a:b]
         slots = np.array(self.slots[a:b])
         lo = slots[0] - 1
         log_x = self.log_x[lo:slots[-1] + 1]
         x = np.exp(log_x)
-        if lo == 0:
+        if ks[0] == 1:
             x[0] = self.x0
         now, prev = slots - lo, slots - lo - 1
-        return _Block(ks, np.concatenate((x[now], self.x_bar[a:b])),
-                      np.concatenate((self.mu[slots], self.mu_bar[a:b])), log_x[now],
-                      x[prev], log_x[prev], self.mu[slots - 1],
-                      [_certified(k, cert_every) for k in ks], (None,) * len(ks),
+        return _Block(ks, _rows(np.concatenate((x[now], self.x_bar[a:b]))),
+                      _rows(np.concatenate((self.mu[slots], self.mu_bar[a:b]))),
+                      _rows(log_x[now]), _rows(x[prev]), _rows(log_x[prev]),
+                      _rows(self.mu[slots - 1]), self.certified[a:b], self.batches[a:b],
                       [None] * len(ks) if self.walls is None else self.walls[a:b])
 
 
@@ -472,69 +462,70 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
                   oracles=(None,), logged=None):
     """The measured phase, one run per oracle (``None`` is the exact one).
 
-    Returns one ``(records, certificates)`` pair per run. R > 1 oracles step
-    their R runs as one stacked state over an ``OracleStack``. ``logged``,
-    the ``_LoggedSteps`` of an exact run's reference, holds the run's first
-    steps when the reference was computed: their logged k are evaluated
-    first, and ``run`` steps on from the last of them when they end before
-    ``iterations``, with walls on the clock they started. Otherwise every
-    step is stepped here, and ``record_timing``'s walls count from the start
-    of this phase. The callback
-    only collects each logged k (its states, whether it is certified and the
-    batch that the step of a certified stochastic k drew); when the logged
-    states collected reach ``_BLOCK_BYTES``, and at the final k, the block
-    is evaluated as one stack of rows (``_evaluate_block``). The energy
-    E_{k+1} of the last certified k is carried from block to block. A run
-    with ``stop_gap`` evaluates each logged k on its own, as the stop rule
-    reads each gap before the next step. The certificates are the
-    ``(slack, scale)`` pairs of the certified rows.
+    Returns one ``(records, certificates)`` pair per run: the certificates
+    are the ``(slack, scale)`` pairs of its certified rows. R > 1 oracles
+    step their R runs as one stacked state over an ``OracleStack``. Every
+    step goes, without ergodic means, into a ``_LoggedSteps`` window:
+    ``logged``, the reference's window of an exact run, holds its first
+    steps when the reference was computed, and the steps after them are
+    stepped here into windows of ``_BLOCK_BYTES`` of logged states (one
+    logged k with ``stop_gap``, whose rule reads each gap before the next
+    step). A window is evaluated in blocks of that size (``_evaluate_block``)
+    once its last k is packed and hands its means to the next; the energy
+    E_{k+1} of the last certified k carries from block to block. Walls
+    count from the start of this phase, or from ``logged``'s clock.
     """
     repeats = len(oracles)
     stacked = repeats > 1
     oracle = OracleStack(oracles) if stacked else oracles[0]
     evaluator = ReferenceEvaluator(saddle, schedule, reference.w_star)
     runs = [([], []) for _ in range(repeats)]
-    noisy = oracle is not None and not oracle.is_exact
+    noisy = oracle if oracle is not None and not oracle.is_exact else None
     noise = functools.partial(_estimate_errors, saddle, oracle) if noisy else None
-    state = initial_state(*problem.initial_point(), rows=repeats if stacked else None)
-    state_bytes = sum(a.nbytes for a in (state.x.coords, state.x.log_coords, state.mu,
-                                         state.x_bar, state.mu_bar))
+    state = _bare_state(*problem.initial_point(), rows=repeats if stacked else None)
+    # x, log x, mu and the ergodic means of x and mu of a logged state
+    state_bytes = 2 * (state.x.coords.nbytes + state.mu.nbytes) + state.x.log_coords.nbytes
     block_rows = max(1, _BLOCK_BYTES // state_bytes) if config.stop_gap is None else 1
-    block = []  # (prev, state, certified, batch, wall) of each logged k
+    ks, means = _logged_ks(iterations), None
     carry = (None, None)  # the k of the last certified state and its E_{k+1}
-    t0 = time.perf_counter_ns()
+    t0 = time.perf_counter_ns() if config.record_timing else None
 
-    def evaluate(stacks):
-        # evaluate a block; whether the stop rule stops the run after it
+    def evaluated(window):
+        # evaluate a window's blocks; whether the stop rule stops the run
         nonlocal carry
-        carry = _evaluate_block(evaluator, stacks, runs, carry, noise)
-        if config.stop_gap is None:
-            return False
-        # stop_gap comes with one run (ExperimentConfig rejects it with repeats)
-        tail = runs[0][0][-100:]
-        return len(tail) == 100 and all(r.gap_pointwise < config.stop_gap for r in tail)
-
-    def observe(prev, state):
-        if not should_log(state.k, final=iterations):
-            return False
-        certify = _certified(state.k, config.cert_every)
-        # the batch of the step just taken (a block hit), for its noise term
-        batch = oracle.sample_batch(prev.k) if certify and noisy else None
-        wall = time.perf_counter_ns() - t0 if config.record_timing else None
-        block.append((prev, state, certify, batch, wall))
-        # the last block too is evaluated here, before run's final check
-        if len(block) < block_rows and state.k < iterations:
-            return False
-        stacks = _stacked(block)
-        block.clear()
-        return evaluate(stacks)
+        for a in range(0, window.rows, block_rows):
+            carry = _evaluate_block(evaluator, window.block(a, a + block_rows), runs,
+                                    carry, noise)
+            # stop_gap comes with one run (ExperimentConfig rejects it with repeats)
+            tail = runs[0][0][-100:] if config.stop_gap is not None else ()
+            if len(tail) == 100 and all(r.gap_pointwise < config.stop_gap for r in tail):
+                return True
+        return False
 
     if logged is not None and logged.rows:
-        t0 = logged.t0
-        for a in range(0, logged.rows, block_rows):
-            if evaluate(logged.block(a, a + block_rows, config.cert_every)):
-                return runs
-        state = logged.last
+        if evaluated(logged):
+            return runs
+        state, means, t0, ks = logged.last, logged.means, logged.t0, ks[logged.rows:]
+
+    def windows(means):
+        for a in range(0, len(ks), block_rows):
+            window = _LoggedSteps(ks[a:a + block_rows], iterations, config.cert_every, t0,
+                                  noisy, means)
+            yield window
+            means = window.means
+
+    chain = windows(means)
+    window = next(chain, None)
+
+    def observe(prev, state):
+        # the last window too is evaluated here, before run's final check
+        nonlocal window
+        if not window(prev, state):
+            return False
+        stop = evaluated(window)
+        window = next(chain, None)
+        return stop
+
     if state.k < iterations:
         run(saddle, schedule, state, iterations - state.k, oracle, observe)
     return runs
@@ -697,9 +688,11 @@ def run_phases(config, problem, output_dir):
     ref_budget = config.resolved_reference_budget()
     stochastic = config.is_stochastic()
     # an exact measured phase is the reference run's first steps: a computed
-    # reference steps them once, and holds their logged k for the evaluation
+    # reference steps them once, and packs their logged k in one window
     logged = None if stochastic else _LoggedSteps(
-        min(config.iterations, ref_budget), config.iterations, config.record_timing)
+        _logged_ks(config.iterations, min(config.iterations, ref_budget)),
+        config.iterations, config.cert_every,
+        time.perf_counter_ns() if config.record_timing else None)
     reference = compute_reference(problem, ref_budget, config.seed,
                                   cache_dir=output_dir, callback=logged)
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
 
@@ -60,9 +60,9 @@ from .linalg import (
 from .solver import (
     SaddleProblem,
     StepSchedule,
+    _bare_state,
     asymptotic_residual,
     default_step_sizes,
-    initial_state,
     run,
 )
 
@@ -551,9 +551,8 @@ def compute_reference(problem, budget, seed, cache_dir=None, callback=None):
     computed reference in order, k = 1 to ``budget``, from the initial
     point's state on (a returned cached file steps none). The states carry
     no ergodic means, as the reference is the last iterate: a caller that
-    needs them forms them, as a cold exact experiment does for the steps it
-    measures. Its return value is ignored, as the reference always runs its
-    whole budget.
+    needs them forms them, as an experiment's measured phase does. Its
+    return value is ignored, as the reference always runs its whole budget.
     """
     if budget < 1000:
         raise ValueError("reference budget must be at least 1000 iterations")
@@ -576,7 +575,7 @@ def compute_reference(problem, budget, seed, cache_dir=None, callback=None):
             return ref
 
     schedule = problem.default_schedule()
-    state = replace(initial_state(x0, mu0), x_bar=None, mu_bar=None)
+    state = _bare_state(x0, mu0)
     last = []
 
     def track(prev, new):

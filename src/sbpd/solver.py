@@ -179,12 +179,18 @@ def initial_state(x0, mu0, rows=None):
     the state stacks R copies of the point, for ``run`` to step R runs
     (with an ``OracleStack`` of R oracles) as one.
     """
+    state = _bare_state(x0, mu0, rows)
+    return SolverState(0, state.x, state.mu, state.x.coords.copy(), state.mu.copy())
+
+
+def _bare_state(x0, mu0, rows=None):
+    """``initial_state`` without ergodic means, whose steps form none."""
     mu0 = as_vector(mu0, name="mu0")
     if rows is not None:
         x0 = BregmanPoint(*(None if a is None else np.tile(a, (rows, 1))
                             for a in (x0.coords, x0.log_coords)))
         mu0 = np.tile(mu0, (rows, 1))
-    return SolverState(0, x0, mu0, x0.coords.copy(), mu0.copy())
+    return SolverState(0, x0, mu0, None, None)
 
 
 def sbpd_step(problem, schedule, state, oracle=None):

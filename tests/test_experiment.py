@@ -28,6 +28,7 @@ from sbpd.problems import (
 )
 from sbpd.solver import (
     ReferenceEvaluator,
+    SolverState,
     asymptotic_residual,
     estimate_inequality_terms,
     initial_state,
@@ -985,17 +986,18 @@ def test_nan_in_the_last_block_fails_its_feasibility_check(tmp_path, monkeypatch
 
 def test_nan_in_an_ergodic_mean_only_fails_its_finiteness_check(tmp_path, monkeypatch):
     # the iterates stay finite and x_bar turns NaN at stepped k = 1100 (past
-    # the 1000 held steps); the means, stacked with the iterates for one gap,
-    # are checked after the iterates' feasibility, as vectors, as before
-    advance = solver._advance
+    # the 1000 held steps), in the means a window carries; the means, stacked
+    # with the iterates for one gap, are checked after the iterates'
+    # feasibility, as vectors, as before
+    moved_means = experiment._moved_means
 
-    def nan_mean(state, x_next, mu_next):
-        new = advance(state, x_next, mu_next)
-        if new.k == 1100 and new.x_bar is not None:
-            new = dataclasses.replace(new, x_bar=np.full_like(new.x_bar, np.nan))
-        return new
+    def nan_mean(x_bar, mu_bar, k, x, mu):
+        x_bar, mu_bar = moved_means(x_bar, mu_bar, k, x, mu)
+        if k == 1100:
+            x_bar = np.full_like(x_bar, np.nan)
+        return x_bar, mu_bar
 
-    monkeypatch.setattr(solver, "_advance", nan_mean)
+    monkeypatch.setattr(experiment, "_moved_means", nan_mean)
     config = _tiny_config(tmp_path, reference_iterations=1000, iterations=1300)
     lines = []
     assert run_experiment(config, log=lines.append) == 1
@@ -1150,6 +1152,21 @@ def test_non_finite_full_gradient_at_a_certified_row_fails_with_its_k(tmp_path,
     assert json.loads(lines[0]) == doc
 
 
+def _stacked(pairs):
+    # the (prev, state) of each logged k, states of a means-keeping run, as
+    # the row stacks of a _Block: the iterates, then the ergodic means
+    prevs, states = zip(*pairs)
+
+    def rows(arrays):
+        return np.array(arrays).reshape(-1, arrays[0].shape[-1])
+
+    return experiment._Block(
+        [s.k for s in states], rows([s.x.coords for s in states] + [s.x_bar for s in states]),
+        rows([s.mu for s in states] + [s.mu_bar for s in states]),
+        rows([s.x.log_coords for s in states]), rows([p.x.coords for p in prevs]),
+        rows([p.x.log_coords for p in prevs]), rows([p.mu for p in prevs]), None, None, None)
+
+
 @pytest.mark.parametrize("experiment_name", ["simplex-tv", "ot-inverse", "custom"])
 def test_held_steps_rebuild_the_stepped_states_bitwise(tmp_path, experiment_name):
     # 1200 of 1500 reference steps are the measured phase: k = 1..1000 and
@@ -1159,7 +1176,8 @@ def test_held_steps_rebuild_the_stepped_states_bitwise(tmp_path, experiment_name
     overrides = {"ot-inverse": {"n": 12}, "custom": CUSTOM_DATA}.get(experiment_name, {})
     config = _tiny_config(tmp_path, experiment=experiment_name, **overrides)
     problem = config.build_problem()
-    held, stepped = experiment._LoggedSteps(1200, 1200, False), {}
+    held = experiment._LoggedSteps(experiment._logged_ks(1200), 1200, config.cert_every)
+    stepped = {}
     compute_reference(problem, 1500, config.seed, callback=held)
     last = run(problem.saddle_problem(), problem.default_schedule(),
                initial_state(*problem.initial_point()), 1200,
@@ -1167,13 +1185,12 @@ def test_held_steps_rebuild_the_stepped_states_bitwise(tmp_path, experiment_name
     assert held.ks == [k for k in range(1, 1201) if should_log(k)]
     assert held.rows == 1100
     for a, b in ((0, 1100), (0, 7), (7, 1000), (999, 1003), (1050, 1100)):
-        block = held.block(a, b, config.cert_every)
-        expected = experiment._stacked([stepped[k] + (True, None, None)
-                                        for k in held.ks[a:b]])
+        block = held.block(a, b)
+        expected = _stacked([stepped[k] for k in held.ks[a:b]])
         assert block.ks == expected.ks == held.ks[a:b]
         for name in ("x", "mu", "log_x", "prev_x", "prev_log_x", "prev_mu"):
             assert getattr(block, name).tobytes() == getattr(expected, name).tobytes(), name
-    kept = held.last
+    kept = SolverState(held.last.k, held.last.x, held.last.mu, *held.means)
     assert kept.k == last.k == 1200
     assert all(a.tobytes() == b.tobytes() for a, b in zip(
         (kept.x.coords, kept.x.log_coords, kept.mu, kept.x_bar, kept.mu_bar),
@@ -1220,7 +1237,7 @@ def test_held_columns_fit_the_logged_k():
     # held once with its means; the previous states that are not logged
     # (500 + 166 past k = 1000, and the initial one) are held on their own
     problem = build_simplex_tv(8, 10, 5)  # 8 + 7 floats a state
-    held = experiment._LoggedSteps(2500, 2500, False)
+    held = experiment._LoggedSteps(experiment._logged_ks(2500), 2500, 1)
     compute_reference(problem, 3000, 5, callback=held)
     logged = [k for k in range(1, 2501) if should_log(k, final=2500)]
     alone = [k - 1 for k in logged if k - 1 not in set(logged)]
@@ -1233,7 +1250,7 @@ def test_held_columns_fit_the_logged_k():
 def test_a_cached_reference_allocates_no_held_columns(tmp_path):
     problem = build_simplex_tv(8, 10, 5)
     compute_reference(problem, 1000, 5, cache_dir=str(tmp_path))
-    held = experiment._LoggedSteps(300, 300, False)
+    held = experiment._LoggedSteps(experiment._logged_ks(300), 300, 1)
     assert compute_reference(problem, 1000, 5, cache_dir=str(tmp_path),
                              callback=held).from_cache
     assert held.rows == 0 and not hasattr(held, "log_x")
@@ -1290,3 +1307,50 @@ def test_a_cold_exact_run_steps_each_step_once(tmp_path, monkeypatch, overrides,
     assert counts == [cold_steps, measured]
     assert measured < config.iterations if "stop_gap" in overrides else \
         measured == config.iterations
+
+
+@pytest.mark.parametrize("final", [1, 2, 999, 1000, 1001, 1999, 2000, 2001, 20000, 25000])
+def test_logged_ks_are_should_log_s(final):
+    assert experiment._logged_ks(final) == [k for k in range(1, final + 1)
+                                            if should_log(k, final=final)]
+    assert all(type(k) is int for k in experiment._logged_ks(final))
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"reference_iterations": 1000, "iterations": 1300},
+    {"oracle_mode": "paper-partial", "batch_size": 4, "repeats": 3},
+    {"iterations": 1200, "stop_gap": 0.05},
+], ids=["exact", "reference-shorter", "stochastic-three-repeats", "stop-gap"])
+def test_a_run_steps_no_means_and_moves_them_once_per_measured_step(tmp_path, monkeypatch,
+                                                                    overrides):
+    # cold, then warm: no state a run steps carries ergodic means, and the
+    # measured phase's windows move them once per measured step, in order; a
+    # cold exact run moves them through the reference's first `iterations`
+    # steps, which it measures (all of them, even when stop_gap stops early)
+    step, moved_means = solver.sbpd_step, experiment._moved_means
+    means_free, moves = [], []
+
+    def stepped(problem, schedule, state, oracle=None):
+        new = step(problem, schedule, state, oracle)
+        means_free.extend(s.x_bar is None and s.mu_bar is None for s in (state, new))
+        return new
+
+    def moved(x_bar, mu_bar, k, x, mu):
+        moves.append(k)
+        return moved_means(x_bar, mu_bar, k, x, mu)
+
+    monkeypatch.setattr(solver, "sbpd_step", stepped)
+    monkeypatch.setattr(experiment, "_moved_means", moved)
+    config = _tiny_config(tmp_path, **overrides)
+    trace = "run_000.csv" if config.is_stochastic() else "trace.csv"
+    for cold in (True, False):
+        means_free.clear()
+        moves.clear()
+        assert run_experiment(config, log=lambda s: None) == 0
+        measured = read_trace(tmp_path / "out" / trace)[-1].k
+        assert means_free and all(means_free)
+        expected = config.iterations if cold and not config.is_stochastic() else measured
+        assert moves == list(range(1, expected + 1))
+        assert measured < config.iterations if "stop_gap" in overrides else \
+            measured == config.iterations

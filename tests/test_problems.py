@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -337,6 +338,14 @@ def test_semidual_rejects_non_finite_cost(bad):
     broken = dataclasses.replace(p, C=C)
     with pytest.raises(ValueError, match="non-finite"):
         broken.h_star_grad(np.zeros(19))
+
+
+@pytest.mark.parametrize("C", [np.zeros(3), np.zeros((1, 3, 3)), np.float64(0.0)],
+                         ids=["1-d", "3-d", "scalar"])
+def test_semidual_rejects_a_cost_that_is_not_a_matrix(C):
+    shape = re.escape(str(np.shape(C)))
+    with pytest.raises(ValueError, match=f"^cost matrix must be 2-d, got shape {shape}$"):
+        ot_semidual_value_grad(np.zeros(3), np.full(3, 1.0 / 3.0), C, 1.0)
 
 
 # ----------------------------------------------------------------- builders
