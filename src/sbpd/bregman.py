@@ -35,9 +35,9 @@ class DomainError(ValueError):
     """Raised when a point lies outside a divergence's (interior) domain."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BregmanPoint:
-    """An iterate, optionally carrying log coordinates.
+    """An iterate with optional log coordinates; slotted, treated as a value.
 
     ``log_coords`` is present exactly for simplex iterates; the
     multiplicative prox works on the logarithms and the coordinates are the

@@ -5,19 +5,19 @@ approximate saddle point (cached under its config hash). Then the measured
 phase runs the solver for 80% of the reference budget by default, logging
 Lagrangian gaps against the reference into CSV traces. Every measured step
 is stepped without ergodic means into one producer of logged k,
-``_LoggedSteps``: the callback of a window of logged k, which carries the
-means of each step and packs each logged k into float64 columns. With the
-exact oracle the measured phase is the first steps of the reference
-trajectory, so a computed reference steps them once, into one window; the
-measured phase steps on from its last state only when the reference budget
-is shorter, and steps every step after a cached reference. A stochastic
-run steps its ``repeats`` runs with derived seeds, as one stacked state
-whose rows are bitwise the repeats' own runs. Windows are evaluated in
-blocks of ``_BLOCK_BYTES`` of logged states, each as one stack of rows (one
-per repeat of each k) that holds the iterates and the ergodic means, each
-bitwise the row the k's own state gives alone; a certified k whose previous
-state is the certified state before it takes that state's energy E_{k+1}
-as its E_k.
+``_LoggedSteps``: the callback of a window of logged k, which moves the
+means in place as one (x | mu) row and packs each logged k into float64
+columns. With the exact oracle the measured phase is the first steps of the
+reference trajectory, so a computed reference steps them once, into one
+window; the measured phase steps on from its last state only when the
+reference budget is shorter, and steps every step after a cached reference.
+A stochastic run steps its ``repeats`` runs with derived seeds, as one
+stacked state whose rows are bitwise the repeats' own runs. Windows are
+evaluated in blocks of ``_BLOCK_BYTES`` of logged states, each as one stack
+of rows (one per repeat of each k) that holds the iterates and the ergodic
+means, each bitwise the row the k's own state gives alone; a certified k
+whose previous state is the certified state before it takes that state's
+energy E_{k+1} as its E_k.
 """
 
 from __future__ import annotations
@@ -389,16 +389,19 @@ def _logged_ks(final, end=None):
 class _LoggedSteps:
     """A window of logged k ``ks``, as the callback of ``run``: the one
     producer of ``_Block``s. Each measured step, stepped without ergodic
-    means, is seen by one window, which moves the means (``_moved_means``,
-    ``solver._advance``'s recursion) from ``means`` (``None``: the initial
-    point) through each step up to ``final`` and packs each of its k into
-    float64 columns, allocated at its first step, R rows per k for a stacked
-    state: log x, mu, x_bar and mu_bar of its state, after log x and mu of
-    its previous state when that one is not logged; with a noisy ``oracle``
-    a certified k's batch (a block hit), with a clock ``t0`` its wall. A call
-    returns whether the last k was packed; ``last`` is the last state seen.
-    ``block`` rebuilds x as ``np.exp(log x)``, bitwise as ``kl_prox_simplex``
-    forms it (the initial state keeps its own x).
+    means, is seen by one window, which carries the means as one (x | mu)
+    row (R rows for a stacked state) from ``means`` (``None``: the initial
+    point) through each step up to ``final``: it copies the step's x and mu
+    into a scratch row and moves the means in place (``_moved_means``,
+    ``solver._advance``'s recursion) into its logged k's row of the means
+    column, else into one of two scratch rows. It packs each of its k into
+    float64 columns, allocated at its first step: the means, log x and mu of
+    its state, after log x and mu of its previous state when that one is not
+    logged; with a noisy ``oracle`` a certified k's batch (a block hit), with
+    a clock ``t0`` its wall. A call returns whether the last k was packed;
+    ``last`` is the last state seen. ``block`` rebuilds x as ``np.exp(log
+    x)``, bitwise as ``kl_prox_simplex`` forms it (the initial state keeps
+    its own x), and splits the means into x_bar and mu_bar.
     """
 
     def __init__(self, ks, final, cert_every, t0=None, oracle=None, means=None):
@@ -415,9 +418,12 @@ class _LoggedSteps:
         self.slots = [i + s for i, s in enumerate(itertools.accumulate(self.alone))]
         x, mu, rows = state.x.log_coords.shape, state.mu.shape, self.slots[-1] + 1
         self.log_x, self.mu = np.empty((rows, *x)), np.empty((rows, *mu))
-        self.x_bar, self.mu_bar = np.empty((len(ks), *x)), np.empty((len(ks), *mu))
+        self.n, self.bar = x[-1], np.empty((len(ks), *x[:-1], x[-1] + mu[-1]))
+        *self.spare, self.now = np.empty((3, *self.bar.shape[1:]))
+        self.now_x, self.now_mu = self.now[..., :self.n], self.now[..., self.n:]
         self.x0 = prev.x.coords  # the initial state's, if the window starts at k = 1
-        self.means = self.means or (prev.x.coords, prev.mu)
+        if self.means is None:
+            self.means = np.concatenate((prev.x.coords, prev.mu), axis=-1)
 
     def __call__(self, prev, state):
         k = state.k
@@ -425,13 +431,16 @@ class _LoggedSteps:
             return False
         if self.slots is None:
             self._allocate(prev, state)
-        self.means = _moved_means(*self.means, k, state.x.coords, state.mu)
-        if k == self.next:
-            i, j = self.rows, self.slots[self.rows]
+        self.now_x[...], self.now_mu[...] = state.x.coords, state.mu
+        i, logged = self.rows, k == self.next
+        # k - 1's means lie in a logged row, the other scratch row or before the window
+        self.means = _moved_means(self.means, k, self.now,
+                                  self.bar[i] if logged else self.spare[k & 1])
+        if logged:
+            j = self.slots[i]
             if self.alone[i]:
                 self.log_x[j - 1], self.mu[j - 1] = prev.x.log_coords, prev.mu
             self.log_x[j], self.mu[j] = state.x.log_coords, state.mu
-            self.x_bar[i], self.mu_bar[i] = self.means
             if self.oracle is not None and self.certified[i]:
                 self.batches[i] = self.oracle.sample_batch(prev.k)
             if self.walls is not None:
@@ -450,9 +459,9 @@ class _LoggedSteps:
         x = np.exp(log_x)
         if ks[0] == 1:
             x[0] = self.x0
-        now, prev = slots - lo, slots - lo - 1
-        return _Block(ks, _rows(np.concatenate((x[now], self.x_bar[a:b]))),
-                      _rows(np.concatenate((self.mu[slots], self.mu_bar[a:b]))),
+        now, prev, bar = slots - lo, slots - lo - 1, self.bar[a:b]
+        return _Block(ks, _rows(np.concatenate((x[now], bar[..., :self.n]))),
+                      _rows(np.concatenate((self.mu[slots], bar[..., self.n:]))),
                       _rows(log_x[now]), _rows(x[prev]), _rows(log_x[prev]),
                       _rows(self.mu[slots - 1]), self.certified[a:b], self.batches[a:b],
                       [None] * len(ks) if self.walls is None else self.walls[a:b])

@@ -151,11 +151,13 @@ def default_step_sizes(L_p, L_d, opnorm):
     return float(1.0 / (L_p + opnorm)), float(1.0 / (L_d + opnorm))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SolverState:
     """Iterate pair plus running ergodic means after ``k`` steps.
 
-    A state may carry no means (``x_bar`` and ``mu_bar`` both ``None``); its
+    Slotted, not frozen (each frozen field costs an ``object.__setattr__``);
+    treated as a value: ``dataclasses.replace`` makes a changed copy. A
+    state may carry no means (``x_bar`` and ``mu_bar`` both ``None``); its
     steps then form none. Reproducibility needs no generator state here:
     batches are pure functions of the oracle seed and the iteration
     counter. A stacked state holds R runs as the rows of its arrays (x and
@@ -224,13 +226,16 @@ def _advance(state, x_next, mu_next):
     k1 = state.k + 1
     if state.x_bar is None:
         return SolverState(k1, x_next, mu_next, None, None)
-    return SolverState(k1, x_next, mu_next,
-                       *_moved_means(state.x_bar, state.mu_bar, k1, x_next.coords, mu_next))
+    return SolverState(k1, x_next, mu_next, _moved_means(state.x_bar, k1, x_next.coords),
+                       _moved_means(state.mu_bar, k1, mu_next))
 
 
-def _moved_means(x_bar, mu_bar, k, x, mu):
-    """The ergodic means after step ``k`` to (x, mu), from those before it."""
-    return x_bar + (x - x_bar) / k, mu_bar + (mu - mu_bar) / k
+def _moved_means(bar, k, new, out=None):
+    """The ergodic mean after step ``k`` to ``new``: bitwise ``bar + (new -
+    bar) / k`` (k < 2**53 is a float exactly), in ``out`` if given (not bar)."""
+    out = np.subtract(new, bar, out)
+    np.divide(out, float(k), out)
+    return np.add(bar, out, out)
 
 
 def run(problem, schedule, state, iterations, oracle=None, callback=None):

@@ -985,20 +985,21 @@ def test_nan_in_the_last_block_fails_its_feasibility_check(tmp_path, monkeypatch
 
 
 def test_nan_in_an_ergodic_mean_only_fails_its_finiteness_check(tmp_path, monkeypatch):
-    # the iterates stay finite and x_bar turns NaN at stepped k = 1100 (past
-    # the 1000 held steps), in the means a window carries; the means, stacked
-    # with the iterates for one gap, are checked after the iterates'
-    # feasibility, as vectors, as before
+    # the iterates stay finite and x_bar (the first n entries of the (x | mu)
+    # means row) turns NaN at stepped k = 1100 (past the 1000 held steps), in
+    # the means a window carries; the means, stacked with the iterates for
+    # one gap, are checked after the iterates' feasibility, as vectors, as
+    # before
     moved_means = experiment._moved_means
+    config = _tiny_config(tmp_path, reference_iterations=1000, iterations=1300)
 
-    def nan_mean(x_bar, mu_bar, k, x, mu):
-        x_bar, mu_bar = moved_means(x_bar, mu_bar, k, x, mu)
+    def nan_mean(bar, k, new, out):
+        out = moved_means(bar, k, new, out)
         if k == 1100:
-            x_bar = np.full_like(x_bar, np.nan)
-        return x_bar, mu_bar
+            out[..., :config.n] = np.nan
+        return out
 
     monkeypatch.setattr(experiment, "_moved_means", nan_mean)
-    config = _tiny_config(tmp_path, reference_iterations=1000, iterations=1300)
     lines = []
     assert run_experiment(config, log=lines.append) == 1
     doc = json.loads((tmp_path / "out" / "error.json").read_text())
@@ -1190,7 +1191,8 @@ def test_held_steps_rebuild_the_stepped_states_bitwise(tmp_path, experiment_name
         assert block.ks == expected.ks == held.ks[a:b]
         for name in ("x", "mu", "log_x", "prev_x", "prev_log_x", "prev_mu"):
             assert getattr(block, name).tobytes() == getattr(expected, name).tobytes(), name
-    kept = SolverState(held.last.k, held.last.x, held.last.mu, *held.means)
+    kept = SolverState(held.last.k, held.last.x, held.last.mu,
+                       *np.split(held.means, [problem.n], axis=-1))
     assert kept.k == last.k == 1200
     assert all(a.tobytes() == b.tobytes() for a, b in zip(
         (kept.x.coords, kept.x.log_coords, kept.mu, kept.x_bar, kept.mu_bar),
@@ -1234,8 +1236,9 @@ def test_a_reference_ignores_what_its_callback_returns():
 
 def test_held_columns_fit_the_logged_k():
     # 2500 measured steps log 1000 + 500 + 167 k and the final one, each
-    # held once with its means; the previous states that are not logged
-    # (500 + 166 past k = 1000, and the initial one) are held on their own
+    # held once with its (x | mu) means row; the previous states that are not
+    # logged (500 + 166 past k = 1000, and the initial one) are held on their
+    # own; the means of the other k go to two scratch rows beside the step's
     problem = build_simplex_tv(8, 10, 5)  # 8 + 7 floats a state
     held = experiment._LoggedSteps(experiment._logged_ks(2500), 2500, 1)
     compute_reference(problem, 3000, 5, callback=held)
@@ -1244,7 +1247,66 @@ def test_held_columns_fit_the_logged_k():
     assert (len(logged), len(alone)) == (1668, 667)
     assert held.ks == logged and held.rows == 1668
     assert held.log_x.shape == (1668 + 667, 8) and held.mu.shape == (1668 + 667, 7)
-    assert held.x_bar.shape == (1668, 8) and held.mu_bar.shape == (1668, 7)
+    assert held.bar.shape == (1668, 8 + 7)
+    assert [a.shape for a in (*held.spare, held.now)] == [(8 + 7,)] * 3
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"reference_iterations": 2000},
+    {"oracle_mode": "paper-partial", "batch_size": 4, "repeats": 3},
+], ids=["exact", "reference-shorter", "stochastic-three-repeats"])
+def test_window_means_rows_are_bitwise_a_means_keeping_run(tmp_path, monkeypatch, overrides):
+    # 2500 steps, cold then warm, in windows of 7 logged k: past k = 2000
+    # every 3rd k is logged, so a third of those steps are neither logged nor
+    # a logged k's previous state and move the means through the two scratch
+    # rows. The means row of every packed k of every window (the cold
+    # reference's one, the windows it hands over to, and those of a warm or
+    # stochastic run) is bitwise (x_bar | mu_bar) of a means-keeping run, and
+    # so is a block's means half, even for a block whose end lies past rows
+    repeats = overrides.get("repeats", 1)
+    monkeypatch.setattr(experiment, "_BLOCK_BYTES", 7 * repeats * _STATE_BYTES)
+    windows = []
+
+    class Recorded(experiment._LoggedSteps):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            windows.append(self)
+
+    monkeypatch.setattr(experiment, "_LoggedSteps", Recorded)
+    config = _tiny_config(tmp_path, iterations=2500, **overrides)
+    problem = config.build_problem()
+    oracle = experiment.OracleStack([
+        GradientOracle(config.oracle_mode, config.batch_size, config.seed + r, problem.m)
+        for r in range(repeats)]) if repeats > 1 else None
+    kept = {}
+    run(problem.saddle_problem(), problem.default_schedule(),
+        initial_state(*problem.initial_point(), rows=repeats if repeats > 1 else None),
+        2500, oracle, lambda prev, state: kept.update({state.k: state}))
+
+    def means(ks):
+        return np.array([np.concatenate((kept[k].x_bar, kept[k].mu_bar), axis=-1)
+                         for k in ks])
+
+    for cold in (True, False):
+        windows.clear()
+        assert run_experiment(config, log=lambda s: None) == 0
+        budget = min(2500, config.resolved_reference_budget())
+        reference_window = cold and not config.is_stochastic()
+        used = [w for w in windows if w.rows]  # a cached reference steps no window
+        assert len(used[0].ks) == (len(experiment._logged_ks(2500, budget))
+                                   if reference_window else 7)
+        assert [k for w in used for k in w.ks[:w.rows]] == experiment._logged_ks(2500)
+        for w in used:
+            assert w.bar.tobytes() == means(w.ks).tobytes()
+            assert w.means.tobytes() == means([w.last.k]).tobytes()
+            a = max(0, w.rows - 4)
+            block = w.block(a, w.rows + 5)
+            rows = (w.rows - a) * repeats
+            bar = means(w.ks[a:]).reshape(rows, -1)
+            assert block.ks == w.ks[a:]
+            assert block.x[rows:].tobytes() == bar[:, :problem.n].tobytes()
+            assert block.mu[rows:].tobytes() == bar[:, problem.n:].tobytes()
 
 
 def test_a_cached_reference_allocates_no_held_columns(tmp_path):
@@ -1336,9 +1398,9 @@ def test_a_run_steps_no_means_and_moves_them_once_per_measured_step(tmp_path, mo
         means_free.extend(s.x_bar is None and s.mu_bar is None for s in (state, new))
         return new
 
-    def moved(x_bar, mu_bar, k, x, mu):
+    def moved(bar, k, new, out):
         moves.append(k)
-        return moved_means(x_bar, mu_bar, k, x, mu)
+        return moved_means(bar, k, new, out)
 
     monkeypatch.setattr(solver, "sbpd_step", stepped)
     monkeypatch.setattr(experiment, "_moved_means", moved)

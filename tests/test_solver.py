@@ -26,7 +26,9 @@ from sbpd.problems import build_ot_inverse
 from sbpd.solver import (
     ReferenceEvaluator,
     SaddleProblem,
+    SolverState,
     StepSchedule,
+    _moved_means,
     asymptotic_residual,
     certificate_holds,
     default_step_sizes,
@@ -203,6 +205,41 @@ def test_a_state_without_means_steps_to_states_without_means():
     problem.f_grad = _nan_from_call(problem.f_grad, 30)
     with pytest.raises(DomainError, match="^x has non-finite entries at k = 50"):
         run(problem, schedule, bare, 50)
+
+
+def test_slotted_states_and_points_replace_and_compare_as_values():
+    # benchmarks/test_benchmark.py shifts a state with dataclasses.replace
+    _, _, state = tv_problem(4, 5, seed=4)
+    shifted = dataclasses.replace(state, k=7)
+    assert type(shifted) is SolverState and shifted.k == 7 and state.k == 0
+    assert all(getattr(shifted, name) is getattr(state, name)
+               for name in ("x", "mu", "x_bar", "mu_bar"))
+    point = dataclasses.replace(state.x, log_coords=None)
+    assert type(point) is BregmanPoint and point.coords is state.x.coords
+    assert point.log_coords is None and state.x.log_coords is not None
+    # equality compares the field tuples, as for the frozen types before
+    assert state == dataclasses.replace(state) and state != shifted
+    assert state.x == BregmanPoint(state.x.coords, state.x.log_coords)
+    assert point == BregmanPoint(state.x.coords)
+    for value in (state, point):
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 1000, 2**40 + 1, 2**53 - 1])
+def test_moved_means_in_place_are_the_recursion_bitwise(k):
+    rng = np.random.default_rng(k % 1000)
+    bar, new = rng.standard_normal((2, 3, 11)) * [[1.0], [1e-3], [1e8]]
+    expected = bar + (new - bar) / k
+    for out in (None, np.empty_like(bar), new.copy()):
+        before = bar.copy()
+        given = new if out is None else out
+        given[...] = new
+        moved = _moved_means(bar, k, given, out)
+        assert moved.tobytes() == expected.tobytes()
+        assert out is None or moved is out
+        assert bar.tobytes() == before.tobytes()
 
 
 def test_run_rejects_a_non_finite_state_at_an_early_stop():
