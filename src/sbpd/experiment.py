@@ -395,25 +395,26 @@ class _LoggedSteps:
     into a scratch row and moves the means in place (``_moved_means``,
     ``solver._advance``'s recursion) into its logged k's row of the means
     column, else into one of two scratch rows. It packs each of its k into
-    float64 columns, allocated at its first step: the means, log x and mu of
-    its state, after log x and mu of its previous state when that one is not
-    logged; with a noisy ``oracle`` a certified k's batch (a block hit), with
-    a clock ``t0`` its wall. A call returns whether the last k was packed;
-    ``last`` is the last state seen. ``block`` rebuilds x as ``np.exp(log
-    x)``, bitwise as ``kl_prox_simplex`` forms it (the initial state keeps
-    its own x), and splits the means into x_bar and mu_bar.
+    float64 columns, allocated with its per-k lists at its first step: the
+    means, log x and mu of its state, after log x and mu of its previous
+    state when that one is not logged; with a noisy ``oracle`` a certified
+    k's batch (a block hit), with a clock ``t0`` its wall. A call returns
+    whether the last k was packed; ``last`` is the last state seen.
+    ``block`` rebuilds x as ``np.exp(log x)``, bitwise as
+    ``kl_prox_simplex`` forms it (the initial state keeps its own x), and
+    splits the means into x_bar and mu_bar.
     """
 
     def __init__(self, ks, final, cert_every, t0=None, oracle=None, means=None):
         self.ks, self.final, self.means, self.t0, self.oracle = ks, final, means, t0, oracle
-        self.certified = [bool(cert_every) and k % cert_every == 0 for k in ks]
-        self.batches = [None] * len(ks)
-        self.walls = None if t0 is None else []
+        self.cert_every, self.walls = cert_every, None if t0 is None else []
         self.rows, self.next, self.slots = 0, ks[0], None  # rows: the logged k packed
 
     def _allocate(self, prev, state):
         # a k's slot follows its previous state's, its own when k - 1 is not logged here
-        ks = self.ks
+        ks, cert_every = self.ks, self.cert_every
+        self.certified = [bool(cert_every) and k % cert_every == 0 for k in ks]
+        self.batches = [None] * len(ks)
         self.alone = [k - 1 != before for k, before in zip(ks, [None] + ks[:-1])]
         self.slots = [i + s for i, s in enumerate(itertools.accumulate(self.alone))]
         x, mu, rows = state.x.log_coords.shape, state.mu.shape, self.slots[-1] + 1
@@ -495,7 +496,9 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
     # x, log x, mu and the ergodic means of x and mu of a logged state
     state_bytes = 2 * (state.x.coords.nbytes + state.mu.nbytes) + state.x.log_coords.nbytes
     block_rows = max(1, _BLOCK_BYTES // state_bytes) if config.stop_gap is None else 1
-    ks, means = _logged_ks(iterations), None
+    # the reference's window lists every logged k when it covers the run
+    covered = logged is not None and logged.ks[-1] == iterations
+    ks, means = logged.ks if covered else _logged_ks(iterations), None
     carry = (None, None)  # the k of the last certified state and its E_{k+1}
     t0 = time.perf_counter_ns() if config.record_timing else None
 

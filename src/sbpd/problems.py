@@ -90,7 +90,7 @@ def kl_fidelity_value(A, b, x):
     A stack ``x`` of shape (R, n) gives the R values as an array, each
     bitwise its vector's (``linalg.matvec``, sums along the last axis).
     """
-    u = matvec(A, x)
+    u = A @ x if x.ndim == 1 else matvec(A, x)
     if (u <= 0).any():
         raise DomainError("Ax has nonpositive entries")
     return (u * np.log(u / b) - u + b).sum(axis=-1)
@@ -102,10 +102,12 @@ def kl_fidelity_grad(A, b, x):
     A stack ``x`` of shape (R, n) gives the R gradients, each row bitwise
     its vector's (``linalg.matvec``).
     """
-    u = matvec(A, x)
+    vector = x.ndim == 1
+    u = A @ x if vector else matvec(A, x)
     if (u <= 0).any():
         raise DomainError("Ax has nonpositive entries")
-    return matvec(A.T, np.log(u / b))
+    r = np.log(u / b)
+    return A.T @ r if vector else matvec(A.T, r)
 
 
 def kl_rel_smooth_constant(A):
@@ -171,29 +173,30 @@ def _check_theta(theta, C, tau_dim):
     return theta
 
 
-def _semidual(tau, theta, C, gamma, kernel, value=True, grad=True):
+def _semidual(tau, theta, C, gamma, kernel, value=True, grad=True, out=None):
     # (value or None, gradient or None) of h* at tau, through the kernel
     # (K, c) = semidual_kernel(C, gamma) while the spread of tau over gamma
     # stays within _KERNEL_SPREAD, in the log domain beyond it; the inputs
     # are checked by the caller (ot_semidual_value_grad, or OTInverseProblem
-    # at construction)
+    # at construction). The gradient goes into ``out`` (float64, tau's length)
+    # when given; the reductions are those ndarray.max, .min and .sum call.
     K, c = kernel
-    top = tau.max()
-    if (top - tau.min()) / gamma <= _KERNEL_SPREAD:
+    top = np.maximum.reduce(tau)
+    if (top - np.minimum.reduce(tau)) / gamma <= _KERNEL_SPREAD:
         # u >= exp(-_KERNEL_SPREAD) and K is 1 at each column's cheapest row,
         # so every column sum s is at least exp(-_KERNEL_SPREAD)
         u = np.exp((tau - top) / gamma)
         s = u @ K
         return (float(theta @ (top - c + gamma * np.log(s))) if value else None,
-                u * (K @ (theta / s)) if grad else None)
+                np.multiply(u, K @ (theta / s), out) if grad else None)
     # shift each column of Z = (tau - C) / gamma by its max so exp never
     # overflows
     Z = (tau[:, None] - C) / gamma
-    top = Z.max(axis=0)
+    top = np.maximum.reduce(Z)
     E = np.exp(Z - top)
-    s = E.sum(axis=0)
+    s = np.add.reduce(E)
     return (float(gamma * (theta @ (top + np.log(s)))) if value else None,
-            E @ (theta / s) if grad else None)
+            np.matmul(E, theta / s, out) if grad else None)
 
 
 def _semidual_rows(tau, theta, C, gamma, kernel):
@@ -274,11 +277,11 @@ class SimplexTVProblem(_SimplexPrimal):
             raise ValueError("A and b must have strictly positive entries")
         super().__post_init__()
 
-    @property
+    @cached_property
     def n(self):
         return self.A.shape[1]
 
-    @property
+    @cached_property
     def m(self):
         return self.A.shape[0]
 
@@ -373,7 +376,7 @@ class OTInverseProblem(_SimplexPrimal):
         _check_gamma(self.gamma)
         super().__post_init__()
 
-    @property
+    @cached_property
     def n(self):
         return self.F.shape[1]
 
@@ -398,13 +401,16 @@ class OTInverseProblem(_SimplexPrimal):
                               self.kernel)
 
     def h_star_grad(self, mu):
-        # the step takes one potential: ot-inverse cannot step a stack
+        """Gradient of h* at one dual vector (ot-inverse cannot step a stack):
+        a fresh (2n - 1) array per call, +0.0 in its zeta block."""
         if mu.ndim != 1:
             raise ShapeError(f"ot-inverse takes one dual vector, not a stack "
                              f"of shape {mu.shape}")
-        grad = _semidual(mu[:self.n], self.theta, self.C, self.gamma,
-                         self.kernel, value=False)[1]
-        return np.concatenate([grad, np.zeros(self.n - 1)])
+        n = self.n
+        grad = np.zeros(2 * n - 1)
+        _semidual(mu[:n], self.theta, self.C, self.gamma, self.kernel,
+                  value=False, out=grad[:n])
+        return grad
 
     def dual_feasible(self, mu):
         return bool(mu.shape[-1] == 2 * self.n - 1

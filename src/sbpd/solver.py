@@ -217,15 +217,15 @@ def sbpd_step(problem, schedule, state, oracle=None):
     drift_d = problem.h_star_grad(state.mu) - problem.coupling.apply(x_tilde)
     mu_next = problem.l_star_prox(state.mu, drift_d, schedule.nu)
 
+    if state.x_bar is None:
+        return SolverState(k + 1, x_next, mu_next, None, None)
     return _advance(state, x_next, mu_next)
 
 
 def _advance(state, x_next, mu_next):
-    """The state after ``state`` at (x_next, mu_next): k + 1, and its means
-    (if any) moved by the one new term (the initial point is excluded)."""
+    """The state after a means-keeping ``state`` at (x_next, mu_next): k + 1,
+    and its means moved by the one new term (the initial point is excluded)."""
     k1 = state.k + 1
-    if state.x_bar is None:
-        return SolverState(k1, x_next, mu_next, None, None)
     return SolverState(k1, x_next, mu_next, _moved_means(state.x_bar, k1, x_next.coords),
                        _moved_means(state.mu_bar, k1, mu_next))
 

@@ -1318,6 +1318,33 @@ def test_a_cached_reference_allocates_no_held_columns(tmp_path):
     assert held.rows == 0 and not hasattr(held, "log_x")
 
 
+@pytest.mark.parametrize("overrides,passes", [
+    ({}, 1),
+    ({"reference_iterations": 1000, "iterations": 1300}, 2),
+], ids=["reference-longer", "reference-shorter"])
+def test_an_exact_run_lists_its_logged_k_once(tmp_path, monkeypatch, overrides, passes):
+    # the measured phase takes its logged k from the reference's window when
+    # that window covers the run, cold or warm; after a cached reference the
+    # window sees no step and builds no per-k lists
+    listed, calls, windows = experiment._logged_ks, [], []
+
+    class Recorded(experiment._LoggedSteps):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            windows.append(self)
+
+    monkeypatch.setattr(experiment, "_logged_ks", lambda *a: calls.append(a) or listed(*a))
+    monkeypatch.setattr(experiment, "_LoggedSteps", Recorded)
+    config = _tiny_config(tmp_path, **overrides)
+    for cold in (True, False):
+        calls.clear()
+        windows.clear()
+        assert run_experiment(config, log=lambda s: None) == 0
+        assert len(calls) == passes
+        assert windows[0].rows == (len(windows[0].ks) if cold else 0)
+        assert all(hasattr(windows[0], name) == cold for name in ("certified", "batches"))
+
+
 @pytest.mark.parametrize("overrides", [
     {"cert_every": 2},
     {"reference_iterations": 1000, "iterations": 1300},

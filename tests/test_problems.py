@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from sbpd.bregman import DomainError
+from sbpd.bregman import BregmanPoint, DomainError
 from sbpd.experiment import ExperimentConfig
 from sbpd.linalg import ShapeError
 from sbpd.problems import (
@@ -23,7 +23,7 @@ from sbpd.problems import (
     semidual_kernel,
     simplex_tv_from_arrays,
 )
-from sbpd.solver import initial_state, run
+from sbpd.solver import SolverState, _advance, _bare_state, initial_state, run, sbpd_step
 
 
 # ----------------------------------------------------------------- fidelity
@@ -570,14 +570,70 @@ def test_ot_kernel_is_built_at_the_first_semidual_call():
 
 
 def test_h_star_grad_is_bitwise_the_semidual_gradient():
+    # one fresh zero-padded array per call, byte for byte the semidual
+    # gradient and n - 1 zeros: tau spreads of 299 and 301 take the kernel
+    # form and the log-domain form
     p = build_ot_inverse(24, seed=3)
     rng = np.random.default_rng(5)
-    for scale in (1.0, 50.0):
-        mu = scale * rng.standard_normal(47)
+    mus = [scale * rng.standard_normal(47) for scale in (1.0, 50.0)]
+    for spread in (299.0, 301.0):
+        tau = _tau_with_spread(rng, 24, spread, p.gamma)
+        assert ((tau.max() - tau.min()) / p.gamma > 300.0) == (spread > 300.0)
+        mus.append(np.concatenate([tau, rng.standard_normal(23)]))
+    for mu in mus:
         _, grad = ot_semidual_value_grad(mu[:24], p.theta, p.C, p.gamma)
         out = p.h_star_grad(mu)
-        assert np.array_equal(out[:24], grad)
-        assert np.array_equal(out[24:], np.zeros(23))
+        assert out.tobytes() == np.concatenate([grad, np.zeros(23)]).tobytes()
+        assert not np.signbit(out[24:]).any()
+        again = p.h_star_grad(mu)
+        assert again is not out and not np.shares_memory(again, out)
+        assert again.tobytes() == out.tobytes()
+
+
+def _textbook_step(problem, saddle, schedule, state):
+    # one step as the update reads, with ndarray.max and .sum, the dual
+    # gradient padded by np.concatenate and a means-keeping successor from
+    # _advance
+    x, mu, T = state.x, state.mu, saddle.coupling.matrix
+    if isinstance(problem, SimplexTVProblem):
+        grad_p = problem.A.T @ np.log((problem.A @ x.coords) / problem.b)
+        grad_d = np.zeros(problem.n - 1)
+    else:
+        grad_p = np.zeros(problem.n)
+        tau, (K, _) = mu[:problem.n], problem.kernel
+        assert (tau.max() - tau.min()) / problem.gamma <= 300.0  # the kernel form
+        u = np.exp((tau - tau.max()) / problem.gamma)
+        grad_d = np.concatenate([u * (K @ (problem.theta / (u @ K))),
+                                 np.zeros(problem.n - 1)])
+    z = x.log_coords - schedule.lam * (grad_p + T.T @ mu)
+    top = z.max()
+    z = z - (top + np.log(np.exp(z - top).sum()))
+    x_next = BregmanPoint(np.exp(z), z)
+    drift_d = grad_d - T @ (2.0 * x_next.coords - x.coords)
+    mu_next = saddle.l_star_prox(mu, drift_d, schedule.nu)
+    if state.x_bar is None:
+        return SolverState(state.k + 1, x_next, mu_next, None, None)
+    return _advance(state, x_next, mu_next)
+
+
+@pytest.mark.parametrize("means", [False, True], ids=["means-free", "means-keeping"])
+@pytest.mark.parametrize("problem", [build_simplex_tv(20, 30, seed=3),
+                                     build_ot_inverse(108, seed=3)],
+                         ids=["simplex-tv", "ot-inverse"])
+def test_steps_are_bitwise_the_textbook_update(problem, means):
+    saddle, schedule = problem.saddle_problem(), problem.default_schedule()
+    start = (initial_state if means else _bare_state)(*problem.initial_point())
+    stepped = textbook = start
+    for k in range(1, 301):
+        stepped = sbpd_step(saddle, schedule, stepped)
+        textbook = _textbook_step(problem, saddle, schedule, textbook)
+        assert stepped.k == textbook.k == k
+        assert (stepped.x_bar is None) == (stepped.mu_bar is None) == (not means)
+        for a, b in zip((stepped.x.coords, stepped.x.log_coords, stepped.mu,
+                         stepped.x_bar, stepped.mu_bar),
+                        (textbook.x.coords, textbook.x.log_coords, textbook.mu,
+                         textbook.x_bar, textbook.mu_bar)):
+            assert a is b is None or a.tobytes() == b.tobytes()
 
 
 # ------------------------------------------------------------- coupling norm
