@@ -180,7 +180,8 @@ def kl_prox_simplex(x, v, lam):
     z = x.log_coords - lam * np.asarray(v, dtype=np.float64)
     # a stack keeps the reduced axis to broadcast it; a vector's max and
     # log-sum-exp stay scalars, whose arithmetic costs less than that of
-    # one-entry arrays (the reductions are those ndarray.max and .sum call)
+    # one-entry arrays; max and sum reduce through the ufuncs that ndarray.max
+    # and .sum call, a method frame less per step
     keep = z.ndim > 1
     top = np.maximum.reduce(z, axis=-1, keepdims=keep)
     z = z - (top + np.log(np.add.reduce(np.exp(z - top), axis=-1, keepdims=keep)))

@@ -22,6 +22,7 @@ energy E_{k+1} as its E_k.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -380,9 +381,9 @@ def _rows(arrays):
     return np.reshape(arrays, (-1, arrays[0].shape[-1]))
 
 
-def _logged_ks(final, end=None):
-    # should_log's k of a run of final steps, up to end, in one numpy pass
-    k = np.arange(1, (final if end is None else end) + 1)
+def _logged_ks(final):
+    # should_log's k of a run of final steps, in one numpy pass
+    k = np.arange(1, final + 1)
     return k[(k <= 1000) | (k % -(-k // 1000) == 0) | (k == final)].tolist()
 
 
@@ -468,9 +469,10 @@ class _LoggedSteps:
                       [None] * len(ks) if self.walls is None else self.walls[a:b])
 
 
-def _measured_run(problem, saddle, schedule, reference, iterations, config,
+def _measured_run(problem, saddle, schedule, reference, ks, config,
                   oracles=(None,), logged=None):
-    """The measured phase, one run per oracle (``None`` is the exact one).
+    """The measured phase, one run per oracle (``None`` is the exact one),
+    of ``ks[-1]`` steps logged at ``ks`` (``_logged_ks``).
 
     Returns one ``(records, certificates)`` pair per run: the certificates
     are the ``(slack, scale)`` pairs of its certified rows. R > 1 oracles
@@ -496,9 +498,7 @@ def _measured_run(problem, saddle, schedule, reference, iterations, config,
     # x, log x, mu and the ergodic means of x and mu of a logged state
     state_bytes = 2 * (state.x.coords.nbytes + state.mu.nbytes) + state.x.log_coords.nbytes
     block_rows = max(1, _BLOCK_BYTES // state_bytes) if config.stop_gap is None else 1
-    # the reference's window lists every logged k when it covers the run
-    covered = logged is not None and logged.ks[-1] == iterations
-    ks, means = logged.ks if covered else _logged_ks(iterations), None
+    iterations, means = ks[-1], None
     carry = (None, None)  # the k of the last certified state and its E_{k+1}
     t0 = time.perf_counter_ns() if config.record_timing else None
 
@@ -699,11 +699,11 @@ def run_phases(config, problem, output_dir):
     schedule = problem.default_schedule()
     ref_budget = config.resolved_reference_budget()
     stochastic = config.is_stochastic()
+    ks = _logged_ks(config.iterations)
     # an exact measured phase is the reference run's first steps: a computed
     # reference steps them once, and packs their logged k in one window
     logged = None if stochastic else _LoggedSteps(
-        _logged_ks(config.iterations, min(config.iterations, ref_budget)),
-        config.iterations, config.cert_every,
+        ks[:bisect.bisect_right(ks, ref_budget)], config.iterations, config.cert_every,
         time.perf_counter_ns() if config.record_timing else None)
     reference = compute_reference(problem, ref_budget, config.seed,
                                   cache_dir=output_dir, callback=logged)
@@ -713,8 +713,8 @@ def run_phases(config, problem, output_dir):
     # None is the exact oracle; repeats step as one stacked state
     oracles = tuple(GradientOracle(config.oracle_mode, config.batch_size, seed,
                                    problem.m) for seed in oracle_seeds) or (None,)
-    runs = _measured_run(problem, saddle, schedule, reference,
-                         config.iterations, config, oracles, logged)
+    runs = _measured_run(problem, saddle, schedule, reference, ks, config,
+                         oracles, logged)
     traces = [records for records, _ in runs]
     final_gap = float(np.mean([t[-1].gap_ergodic for t in traces]))
     if stochastic:

@@ -90,7 +90,7 @@ def kl_fidelity_value(A, b, x):
     A stack ``x`` of shape (R, n) gives the R values as an array, each
     bitwise its vector's (``linalg.matvec``, sums along the last axis).
     """
-    u = A @ x if x.ndim == 1 else matvec(A, x)
+    u = matvec(A, x)
     if (u <= 0).any():
         raise DomainError("Ax has nonpositive entries")
     return (u * np.log(u / b) - u + b).sum(axis=-1)
@@ -102,12 +102,10 @@ def kl_fidelity_grad(A, b, x):
     A stack ``x`` of shape (R, n) gives the R gradients, each row bitwise
     its vector's (``linalg.matvec``).
     """
-    vector = x.ndim == 1
-    u = A @ x if vector else matvec(A, x)
+    u = matvec(A, x)
     if (u <= 0).any():
         raise DomainError("Ax has nonpositive entries")
-    r = np.log(u / b)
-    return A.T @ r if vector else matvec(A.T, r)
+    return matvec(A.T, np.log(u / b))
 
 
 def kl_rel_smooth_constant(A):
@@ -173,13 +171,13 @@ def _check_theta(theta, C, tau_dim):
     return theta
 
 
-def _semidual(tau, theta, C, gamma, kernel, value=True, grad=True, out=None):
+def _semidual(tau, theta, C, gamma, kernel, value=True, grad=True):
     # (value or None, gradient or None) of h* at tau, through the kernel
     # (K, c) = semidual_kernel(C, gamma) while the spread of tau over gamma
     # stays within _KERNEL_SPREAD, in the log domain beyond it; the inputs
     # are checked by the caller (ot_semidual_value_grad, or OTInverseProblem
-    # at construction). The gradient goes into ``out`` (float64, tau's length)
-    # when given; the reductions are those ndarray.max, .min and .sum call.
+    # at construction). tau's max and min reduce through the ufuncs that
+    # ndarray.max and .min call, a method frame less per step.
     K, c = kernel
     top = np.maximum.reduce(tau)
     if (top - np.minimum.reduce(tau)) / gamma <= _KERNEL_SPREAD:
@@ -188,15 +186,15 @@ def _semidual(tau, theta, C, gamma, kernel, value=True, grad=True, out=None):
         u = np.exp((tau - top) / gamma)
         s = u @ K
         return (float(theta @ (top - c + gamma * np.log(s))) if value else None,
-                np.multiply(u, K @ (theta / s), out) if grad else None)
+                u * (K @ (theta / s)) if grad else None)
     # shift each column of Z = (tau - C) / gamma by its max so exp never
     # overflows
     Z = (tau[:, None] - C) / gamma
-    top = np.maximum.reduce(Z)
+    top = Z.max(axis=0)
     E = np.exp(Z - top)
-    s = np.add.reduce(E)
+    s = E.sum(axis=0)
     return (float(gamma * (theta @ (top + np.log(s)))) if value else None,
-            np.matmul(E, theta / s, out) if grad else None)
+            E @ (theta / s) if grad else None)
 
 
 def _semidual_rows(tau, theta, C, gamma, kernel):
@@ -408,8 +406,8 @@ class OTInverseProblem(_SimplexPrimal):
                              f"of shape {mu.shape}")
         n = self.n
         grad = np.zeros(2 * n - 1)
-        _semidual(mu[:n], self.theta, self.C, self.gamma, self.kernel,
-                  value=False, out=grad[:n])
+        grad[:n] = _semidual(mu[:n], self.theta, self.C, self.gamma,
+                             self.kernel, value=False)[1]
         return grad
 
     def dual_feasible(self, mu):

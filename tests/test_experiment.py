@@ -693,7 +693,7 @@ def test_infeasible_reference_fails_before_any_step(tmp_path):
                                   ref_tol=0.0, config_hash="", iterations=1000)
     with pytest.raises(DomainError, match="w_ref"):
         experiment._measured_run(problem, saddle, problem.default_schedule(),
-                                 reference, 10, config)
+                                 reference, experiment._logged_ks(10), config)
     assert steps == []
 
 
@@ -801,7 +801,8 @@ def test_measured_run_hands_records_python_floats(tmp_path, overrides):
     runs = experiment._measured_run(problem, problem.saddle_problem(),
                                     problem.default_schedule(),
                                     compute_reference(problem, 1000, config.seed),
-                                    config.iterations, config, oracles)
+                                    experiment._logged_ks(config.iterations), config,
+                                    oracles)
     assert len(runs) == config.repeats
     for records, certificates in runs:
         assert len(records) == len(certificates) == 50
@@ -832,7 +833,8 @@ def _counted_measured_run(tmp_path, cert_every, iterations):
 
     problem.coupling.apply = counted  # the saddle shares this LinearMap
     [run] = experiment._measured_run(problem, saddle, problem.default_schedule(),
-                                     reference, iterations, config)
+                                     reference, experiment._logged_ks(iterations),
+                                     config)
     del problem.coupling.apply
     return len(calls), run, (problem, reference, config)
 
@@ -947,7 +949,8 @@ def test_blocks_of_logged_k_equal_the_per_row_replay(tmp_path, overrides):
                         for r in range(config.repeats))
     runs = experiment._measured_run(problem, problem.saddle_problem(),
                                     problem.default_schedule(), reference,
-                                    config.iterations, config, oracles)
+                                    experiment._logged_ks(config.iterations), config,
+                                    oracles)
     assert len(runs) == config.repeats
     for r, (records, certificates) in enumerate(runs):
         oracle = oracles[r] and GradientOracle(config.oracle_mode, config.batch_size,
@@ -1084,7 +1087,7 @@ def test_block_noise_terms_equal_the_per_row_grad_estimate(tmp_path, monkeypatch
                     for r in range(repeats))
     experiment._measured_run(problem, saddle, problem.default_schedule(),
                              compute_reference(problem, 1000, config.seed),
-                             config.iterations, config, oracles)
+                             experiment._logged_ks(config.iterations), config, oracles)
     expected = []
     for r in range(repeats):
         oracle, deltas = GradientOracle(mode, 4, config.seed + r, problem.m), {}
@@ -1294,7 +1297,7 @@ def test_window_means_rows_are_bitwise_a_means_keeping_run(tmp_path, monkeypatch
         budget = min(2500, config.resolved_reference_budget())
         reference_window = cold and not config.is_stochastic()
         used = [w for w in windows if w.rows]  # a cached reference steps no window
-        assert len(used[0].ks) == (len(experiment._logged_ks(2500, budget))
+        assert len(used[0].ks) == (sum(k <= budget for k in experiment._logged_ks(2500))
                                    if reference_window else 7)
         assert [k for w in used for k in w.ks[:w.rows]] == experiment._logged_ks(2500)
         for w in used:
@@ -1318,13 +1321,13 @@ def test_a_cached_reference_allocates_no_held_columns(tmp_path):
     assert held.rows == 0 and not hasattr(held, "log_x")
 
 
-@pytest.mark.parametrize("overrides,passes", [
-    ({}, 1),
-    ({"reference_iterations": 1000, "iterations": 1300}, 2),
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"reference_iterations": 1000, "iterations": 1300},
 ], ids=["reference-longer", "reference-shorter"])
-def test_an_exact_run_lists_its_logged_k_once(tmp_path, monkeypatch, overrides, passes):
-    # the measured phase takes its logged k from the reference's window when
-    # that window covers the run, cold or warm; after a cached reference the
+def test_an_exact_run_lists_its_logged_k_once(tmp_path, monkeypatch, overrides):
+    # run_phases lists the logged k once, cold or warm, and the reference's
+    # window takes those up to its budget; after a cached reference the
     # window sees no step and builds no per-k lists
     listed, calls, windows = experiment._logged_ks, [], []
 
@@ -1340,7 +1343,7 @@ def test_an_exact_run_lists_its_logged_k_once(tmp_path, monkeypatch, overrides, 
         calls.clear()
         windows.clear()
         assert run_experiment(config, log=lambda s: None) == 0
-        assert len(calls) == passes
+        assert calls == [(config.iterations,)]
         assert windows[0].rows == (len(windows[0].ks) if cold else 0)
         assert all(hasattr(windows[0], name) == cold for name in ("certified", "batches"))
 
