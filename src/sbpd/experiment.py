@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .bregman import BregmanPoint
-from .oracle import ORACLE_MODES, GradientOracle, OracleError, OracleStack
+from .oracle import ORACLE_MODES, GradientOracle, OracleError
 from .problems import (
     build_ot_inverse,
     build_simplex_tv,
@@ -476,7 +476,8 @@ def _measured_run(problem, saddle, schedule, reference, ks, config,
 
     Returns one ``(records, certificates)`` pair per run: the certificates
     are the ``(slack, scale)`` pairs of its certified rows. R > 1 oracles
-    step their R runs as one stacked state over an ``OracleStack``. Every
+    step their R runs as one stacked state, over one oracle of their R
+    seeds, whose batch of a k is the (R, q) stack of theirs. Every
     step goes, without ergodic means, into a ``_LoggedSteps`` window:
     ``logged``, the reference's window of an exact run, holds its first
     steps when the reference was computed, and the steps after them are
@@ -489,7 +490,10 @@ def _measured_run(problem, saddle, schedule, reference, ks, config,
     """
     repeats = len(oracles)
     stacked = repeats > 1
-    oracle = OracleStack(oracles) if stacked else oracles[0]
+    oracle = oracles[0]
+    if stacked:
+        oracle = GradientOracle(oracle.mode, oracle.batch_size,
+                                [o.seed for o in oracles], oracle.m)
     evaluator = ReferenceEvaluator(saddle, schedule, reference.w_star)
     runs = [([], []) for _ in range(repeats)]
     noisy = oracle if oracle is not None and not oracle.is_exact else None

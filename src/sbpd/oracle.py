@@ -10,27 +10,29 @@ the noise term of any iteration after the fact.
 
 Since a batch is a pure function of its key and counter, an oracle draws
 the batches of ``_BLOCK`` consecutive iterations in one vectorized pass:
-``_draw_batches`` runs Philox in uint64 numpy arithmetic, splits each
-64-bit output into two 32-bit words as numpy does, and runs Floyd's
-sampling with Lemire's bounded draw ("Fast random integer generation in an
-interval", ACM TOMACS 2019) on all lanes at once, bitwise the generator;
-the lanes it cannot reproduce, or would draw more slowly, go to the
-generator itself, one per thread, re-keyed for each batch. Where the
-generator draws every lane (q > _FLOYD_Q or m >= 2**32) a block holds one
-k, so nothing is drawn ahead. A k outside the block refills it from k. A k
-inside it returns the same read-only array to every caller, so a
-certificate that asks for the noise of the step just taken reuses that
-step's batch.
+``_draw_batches`` runs Philox in uint64 numpy arithmetic (both 64x64-bit
+products of a round in one ``_mulhilo``), splits each 64-bit output into
+two 32-bit words as numpy does, and runs Floyd's sampling with Lemire's
+bounded draw ("Fast random integer generation in an interval", ACM TOMACS
+2019) on all lanes at once, bitwise the generator; the lanes it cannot
+reproduce, or would draw more slowly, go to the generator itself, one per
+thread, re-keyed for each batch. Where the generator draws every lane
+(q > _FLOYD_Q or m >= 2**32) a block holds one k, so nothing is drawn
+ahead. A k outside the block refills it from k, into a new array, so a
+batch that a caller holds stays valid. A k inside it returns the same
+read-only array to every caller, so a certificate that asks for the noise
+of the step just taken reuses that step's batch.
+
+An oracle of R seeds serves R runs stepped as one stacked state
+(``solver.run`` on states of R rows): its batch of iteration k is an
+(R, q) array whose row r is the batch of the 1-d oracle of seed r, so each
+row sees the batch stream of its own 1-d run. Its block is one
+(len, R, q) array, filled in one pass over all R lanes of each k.
 
 An oracle swaps its block in as one tuple, so an oracle shared across
 threads still returns the right batch of every k; but such threads may
 redraw each other's blocks, and a repeated k then need not return the same
 array, so give each thread its own oracle.
-
-An ``OracleStack`` of R oracles serves R runs stepped as one stacked state
-(``solver.run`` on states of R rows): row r draws from oracle r, so each
-row sees the batch stream of its own 1-d run. A miss fills the blocks of
-all R oracles in one pass.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OracleError", "GradientOracle", "OracleStack", "ORACLE_MODES"]
+__all__ = ["OracleError", "GradientOracle", "ORACLE_MODES"]
 
 ORACLE_MODES = ("exact", "paper-partial", "scaled-unbiased")
 _WORD = (1 << 64) - 1
@@ -51,13 +53,15 @@ _FLOYD_Q = 128  # largest batch drawn by _floyd
 _PASS = 1 << 16  # words per _floyd pass (lanes * q), which bounds its memory
 _LOW = np.uint64(0xFFFFFFFF)
 _thread = threading.local()  # each thread's generator, see _generator_batch
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+# Philox4x64's two multipliers and two key bumps, shaped (2, 1, 1) to meet the
+# (2, blocks, lanes) counter-word pairs of _philox_uint32
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)[:, None, None]
 
 
 def _words(ints, count):
     # the `count` little-endian 64-bit words of each nonnegative int
-    return [((ints >> 64 * i) & _WORD).astype(np.uint64) for i in range(count)]
+    return [np.asarray((ints >> 64 * i) & _WORD, np.uint64) for i in range(count)]
 
 
 def _mulhilo(a, b):
@@ -77,20 +81,23 @@ def _philox_uint32(keys, counters, count):
     an array over lanes; counter word 0 starts at 0, and numpy increments
     it before each block of four 64-bit outputs. Returns a (lanes, count)
     uint64 array of 32-bit words, in the order ``next_uint32`` gives them.
+    A round multiplies counter words 0 and 2 by the two multipliers, so
+    ``even`` holds those words and ``odd`` words 1 and 3, each as a
+    (2, blocks, lanes) array, and one ``_mulhilo`` forms both products.
     """
-    blocks = -(-count // 8)
-    shape = (counters[0].shape[0], blocks)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    c1, c2, c3 = (np.broadcast_to(c[:, None], shape) for c in counters)
-    k0, k1 = (k[:, None] for k in keys)
+    lanes, blocks = counters[0].shape[0], -(-count // 8)
+    even, odd = np.empty((2, 2, blocks, lanes), np.uint64)
+    even[0], even[1] = np.arange(1, blocks + 1, dtype=np.uint64)[:, None], counters[1]
+    odd[0], odd[1] = counters[0], counters[2]
+    key = np.stack(keys)[:, None]
     for r in range(10):  # Philox4x64-10
         if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    out = np.stack([c0, c1, c2, c3], axis=-1).reshape(shape[0], -1)
-    return np.stack([out & _LOW, out >> 32], axis=-1).reshape(shape[0], -1)[:, :count]
+            key = key + _PHILOX_W
+        hi, lo = _mulhilo(_PHILOX_M, even)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    # words 0-3 of a block are even[0], odd[0], even[1], odd[1]
+    out = np.stack([even, odd], axis=-1).transpose(2, 1, 0, 3).reshape(lanes, -1)
+    return np.stack([out & _LOW, out >> 32], axis=-1).reshape(lanes, -1)[:, :count]
 
 
 def _vectorized(m, q):
@@ -179,27 +186,6 @@ def _draw_batches(seeds, ks, m, q):
     return out
 
 
-def _fill_blocks(oracles, k):
-    """Draw the blocks of ``oracles`` (of one batch size and m) from ``k``.
-
-    Returns each oracle's new block, ``(k, batches)``, after storing it.
-    """
-    if not 0 <= k < _K_END:
-        raise ValueError(f"iteration index {k} out of range")
-    m, q = oracles[0].m, oracles[0].batch_size
-    if _vectorized(m, q):
-        ks = np.array(range(k, min(k + _BLOCK, _K_END)), dtype=object)
-        seeds = np.array([[int(o.seed)] for o in oracles], dtype=object)
-        batches = _draw_batches(seeds, ks, m, q).reshape(len(oracles), -1, q)
-        batches.flags.writeable = False
-    else:  # the generator draws one batch at a time, so a block holds k alone
-        batches = [[_generator_batch(int(o.seed), k, m, q)] for o in oracles]
-    blocks = [(k, tuple(rows)) for rows in batches]
-    for oracle, block in zip(oracles, blocks):
-        object.__setattr__(oracle, "_block", block)
-    return blocks
-
-
 def _integer(value, name):
     # an int or numpy integer: a float, bool or string would pick other batches
     if value.__class__ is not bool:
@@ -228,28 +214,42 @@ class GradientOracle:
     batch_size : int
         Number q of summands per draw, 1 <= q <= m. With q = m every mode
         collapses to the exact gradient.
-    seed : int
+    seed : int or sequence of int
         Base seed; together with the iteration index it determines the batch.
+        A sequence of R seeds (kept as a tuple) makes an oracle for R runs
+        stepped as one stacked state: its batches are (R, q) arrays whose
+        row r is the batch of seed r.
     m : int
         Total number of summands.
     """
 
     mode: str
     batch_size: int
-    seed: int
+    seed: int | tuple[int, ...]
     m: int
 
     def __post_init__(self):
         if self.mode not in ORACLE_MODES:
             raise ValueError(f"unknown oracle mode {self.mode!r}")
-        for name in ("batch_size", "seed", "m"):
+        for name in ("batch_size", "m"):
             _integer(getattr(self, name), name)
         if self.m < 1:
             raise ValueError("m must be positive")
         if not 1 <= self.batch_size <= self.m:
             raise ValueError(
                 f"batch_size must lie in [1, {self.m}], got {self.batch_size}")
-        np.random.Philox(key=self.seed)  # rejects a key outside [0, 2**128)
+        if isinstance(self.seed, str) or not np.iterable(self.seed):
+            seeds = _integer(self.seed, "seed")
+        else:
+            seeds = tuple(_integer(s, "seed") for s in self.seed)
+            if not seeds:
+                raise ValueError("seed must hold at least one seed")
+            object.__setattr__(self, "seed", seeds)
+        # the seed of each lane of a k, as Python ints, of shape () or (R,)
+        lanes = np.array(seeds, dtype=object)
+        for s in lanes.flat:
+            np.random.Philox(key=s)  # rejects a key outside [0, 2**128)
+        object.__setattr__(self, "_seeds", lanes)
         # (first k, the batches of _BLOCK iterations from it), swapped as one
         object.__setattr__(self, "_block", (0, ()))
 
@@ -261,13 +261,22 @@ class GradientOracle:
         """The q distinct uniform indices of iteration ``k`` (sorted, read-only).
 
         Bitwise the draw of a fresh generator on Philox with key ``seed``
-        and counter ``k << 64``. A k outside the block refills the block
-        from k; a k inside it returns the block's array again.
+        and counter ``k << 64``; with R seeds, the (R, q) array of their
+        draws. A k outside the block draws a new block from k; a k inside
+        it returns the block's view of k again.
         """
         k = _integer(k, "iteration index")
         start, batches = self._block
         if not 0 <= k - start < len(batches):
-            [(start, batches)] = _fill_blocks((self,), k)
+            if not 0 <= k < _K_END:
+                raise ValueError(f"iteration index {k} out of range")
+            m, q, seeds = self.m, self.batch_size, self._seeds
+            end = min(k + _BLOCK, _K_END) if _vectorized(m, q) else k + 1
+            ks = np.array(range(k, end), dtype=object).reshape(-1, *(1,) * seeds.ndim)
+            block = _draw_batches(seeds, ks, m, q).reshape(end - k, *seeds.shape, q)
+            block.flags.writeable = False
+            start, batches = k, tuple(block)
+            object.__setattr__(self, "_block", (start, batches))
         return batches[k - start]
 
     def estimate(self, full_grad_fn, partial_grad_fn, x, k):
@@ -298,41 +307,3 @@ class GradientOracle:
         if not np.isfinite(full).all():
             raise OracleError(f"non-finite full gradient at iteration {k}")
         return est, est - full
-
-
-class OracleStack:
-    """R oracles of one mode, batch size and m, for a stacked state of R rows.
-
-    ``sample_batch(k)`` stacks the R oracles' own batches of iteration k
-    into an (R, q) array, so row r keeps the batch stream and the block of
-    oracle r. A k outside the blocks the stack last filled fills all R in
-    one pass. The estimate is that of ``GradientOracle``, taken on that
-    array and on an (R, n) stack of points, whose partial gradient gives
-    each row the gradient of its own batch.
-    """
-
-    def __init__(self, oracles):
-        self.oracles = tuple(oracles)
-        kinds = {(o.mode, o.batch_size, o.m) for o in self.oracles}
-        if len(kinds) != 1:
-            raise ValueError("an oracle stack needs oracles of one mode, "
-                             "batch size and m")
-        [(self.mode, self.batch_size, self.m)] = kinds
-        self._filled = range(0)  # the k of the last fill
-
-    is_exact = GradientOracle.is_exact
-
-    def sample_batch(self, k):
-        k = _integer(k, "iteration index")
-        if k not in self._filled:
-            start, batches = _fill_blocks(self.oracles, k)[0]
-            self._filled = range(start, start + len(batches))
-        # each row through GradientOracle.sample_batch, so a wrapper patched
-        # onto that class (benchmarks/tracing.py) counts every row's draw;
-        # a row whose block has moved since refills it alone
-        return np.array([oracle.sample_batch(k) for oracle in self.oracles])
-
-    # GradientOracle's estimate, looked up on every call, so a wrapper
-    # patched onto that class (benchmarks/tracing.py) sees these calls too
-    def estimate(self, full_grad_fn, partial_grad_fn, x, k):
-        return GradientOracle.estimate(self, full_grad_fn, partial_grad_fn, x, k)

@@ -179,7 +179,7 @@ def initial_state(x0, mu0, rows=None):
     ``x0`` is a checked ``BregmanPoint`` and ``mu0`` must be a finite
     vector: the step path does not check its inputs again. With ``rows`` = R
     the state stacks R copies of the point, for ``run`` to step R runs
-    (with an ``OracleStack`` of R oracles) as one.
+    (with a ``GradientOracle`` of R seeds) as one.
     """
     state = _bare_state(x0, mu0, rows)
     return SolverState(0, state.x, state.mu, state.x.coords.copy(), state.mu.copy())

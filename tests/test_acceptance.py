@@ -19,7 +19,7 @@ from sbpd.bregman import (
 )
 from sbpd.experiment import ExperimentConfig, run_experiment, should_log
 from sbpd.linalg import LinearMap
-from sbpd.oracle import GradientOracle, OracleStack
+from sbpd.oracle import GradientOracle
 from sbpd.problems import (
     build_simplex_tv,
     compute_reference,
@@ -139,8 +139,7 @@ def test_03_batch_size_monotonicity(desk_problem, cache_dir, capsys):
     means = {}
     for q in (5, 25, 45):
         # the 20 repeats (seeds 7 + rep) step as one stacked state
-        oracles = OracleStack(GradientOracle("paper-partial", q, 7 + rep, 50)
-                              for rep in range(20))
+        oracles = GradientOracle("paper-partial", q, [7 + rep for rep in range(20)], 50)
         state = run(saddle, schedule,
                     initial_state(*desk_problem.initial_point(), rows=20),
                     iterations, oracles)

@@ -1107,10 +1107,11 @@ def test_block_noise_terms_equal_the_per_row_grad_estimate(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("cert_every,certified", [(1, 200), (3, 66)])
-def test_a_run_draws_once_per_row_per_step_and_per_certified_k(tmp_path, monkeypatch,
-                                                                cert_every, certified):
-    # each row of each step draws its batch, and each certified k takes the
-    # batch of its step again (a block hit), for its noise term
+def test_a_run_draws_once_per_step_and_per_certified_k(tmp_path, monkeypatch,
+                                                       cert_every, certified):
+    # each stacked step draws the (R, q) batch of its k in one call, and each
+    # certified k takes the batch of its step again (a block hit), for its
+    # noise term
     sample_batch, calls = GradientOracle.sample_batch, []
 
     def counted(self, k):
@@ -1121,7 +1122,7 @@ def test_a_run_draws_once_per_row_per_step_and_per_certified_k(tmp_path, monkeyp
     config = _tiny_config(tmp_path, iterations=200, oracle_mode="paper-partial",
                           batch_size=4, repeats=2, cert_every=cert_every)
     assert run_experiment(config, log=lambda s: None) == 0
-    assert len(calls) == 2 * 200 + 2 * certified
+    assert len(calls) == 200 + certified
 
 
 def test_non_finite_full_gradient_at_a_certified_row_fails_with_its_k(tmp_path,
@@ -1279,9 +1280,9 @@ def test_window_means_rows_are_bitwise_a_means_keeping_run(tmp_path, monkeypatch
     monkeypatch.setattr(experiment, "_LoggedSteps", Recorded)
     config = _tiny_config(tmp_path, iterations=2500, **overrides)
     problem = config.build_problem()
-    oracle = experiment.OracleStack([
-        GradientOracle(config.oracle_mode, config.batch_size, config.seed + r, problem.m)
-        for r in range(repeats)]) if repeats > 1 else None
+    oracle = GradientOracle(config.oracle_mode, config.batch_size,
+                            [config.seed + r for r in range(repeats)],
+                            problem.m) if repeats > 1 else None
     kept = {}
     run(problem.saddle_problem(), problem.default_schedule(),
         initial_state(*problem.initial_point(), rows=repeats if repeats > 1 else None),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbpd import oracle as oracle_module
-from sbpd.oracle import GradientOracle, OracleError, OracleStack
+from sbpd.oracle import GradientOracle, OracleError
 
 
 def toy_instance(seed=7, n=6, m=8):
@@ -121,17 +121,46 @@ def test_oracle_stack_fills_rows_of_mixed_seeds_in_one_pass(monkeypatch):
     lanes = _count_fills(monkeypatch)
     block = oracle_module._BLOCK
     seeds = (2**128 - 1, 0, 2**64 + 5, 26)
-    oracles = [GradientOracle("scaled-unbiased", 7, seed, 30) for seed in seeds]
-    stack = OracleStack(oracles)
+    oracle = GradientOracle("scaled-unbiased", 7, seeds, 30)
     for k in (5, 6, 4 + block, 4, 2**64 + 1):
-        for row, seed in zip(stack.sample_batch(k), seeds):
+        for row, seed in zip(oracle.sample_batch(k), seeds):
             assert np.array_equal(row, _fresh_generator_batch(seed, 30, 7, k))
     assert lanes == [4 * block] * 3
-    # a row whose block has moved refills it alone
-    oracles[2].sample_batch(0)
-    for row, seed in zip(stack.sample_batch(2**64 + 2), seeds):
-        assert np.array_equal(row, _fresh_generator_batch(seed, 30, 7, 2**64 + 2))
-    assert lanes == [4 * block] * 3 + [block, block]
+
+
+def test_held_batches_survive_refills():
+    # a refill draws a new block, so a batch taken from the old one keeps its
+    # values and stays read-only
+    flat = GradientOracle("paper-partial", 5, 26, 50)
+    stacked = GradientOracle("paper-partial", 5, (26, 3, 2**64 + 5), 50)
+    held = flat.sample_batch(0), stacked.sample_batch(0)
+    for k in (300, 600):
+        flat.sample_batch(k), stacked.sample_batch(k)
+    assert flat.sample_batch(0) is not held[0]
+    assert np.array_equal(held[0], _fresh_generator_batch(26, 50, 5, 0))
+    for row, seed in zip(held[1], stacked.seed):
+        assert np.array_equal(row, _fresh_generator_batch(seed, 50, 5, 0))
+    for batch in held:
+        assert not batch.flags.writeable
+        with pytest.raises(ValueError):
+            batch[0] = 0
+
+
+@pytest.mark.parametrize("count", [1, 8, 9, 45])
+def test_philox_words_equal_numpys_stream(count):
+    # word for word numpy's Philox at key seed and counter k << 64: each
+    # 64-bit output split into two 32-bit words, the low half first
+    lanes = list(product(_WIDE_SEEDS, _WIDE_KS))
+    seeds, ks = (np.array(column, dtype=object) for column in zip(*lanes))
+    words = oracle_module._philox_uint32(oracle_module._words(seeds, 2),
+                                         oracle_module._words(ks, 3), count)
+    assert words.shape == (len(lanes), count)
+    assert words.dtype == np.uint64
+    for row, (seed, k) in zip(words, lanes):
+        raw = np.random.Philox(key=seed, counter=k << 64).random_raw(-(-count // 2))
+        expected = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1).ravel()[:count]
+        wrong = np.flatnonzero(row != expected)
+        assert wrong.size == 0, (seed, k, "first wrong word", wrong[0])
 
 
 def _spy_generator(monkeypatch):
@@ -181,14 +210,13 @@ def test_generator_blocks_hold_one_k(monkeypatch):
     # past _FLOYD_Q the generator draws every batch, so nothing is drawn ahead
     lanes, calls = _count_fills(monkeypatch), _spy_generator(monkeypatch)
     seeds = (2**128 - 1, 4243, 2**64 + 5)
-    oracles = [GradientOracle("paper-partial", 129, seed, 300) for seed in seeds]
-    stack = OracleStack(oracles)
+    oracle = GradientOracle("paper-partial", 129, seeds, 300)
     for k in (7, 7, 8, 2**64 + 1, 3):
-        for row, seed in zip(stack.sample_batch(k), seeds):
+        for row, seed in zip(oracle.sample_batch(k), seeds):
             assert np.array_equal(row, _fresh_generator_batch(seed, 300, 129, k))
-    assert oracles[0].sample_batch(3) is oracles[0].sample_batch(3)
+    assert oracle.sample_batch(3) is oracle.sample_batch(3)
     assert calls == [(seed, k) for k in (7, 8, 2**64 + 1, 3) for seed in seeds]
-    assert lanes == []
+    assert lanes == [len(seeds)] * 4  # one block of one k per miss
 
 
 def test_reused_generator_carries_no_state_between_draws():
@@ -244,33 +272,30 @@ def test_grad_estimate_after_estimate_reuses_the_draw(mode):
 
 def test_oracle_stack_draws_each_row_from_its_own_oracle():
     seeds = (26, 3, 26, 1234)
+    stack = GradientOracle("paper-partial", 5, list(seeds), 50)
     oracles = [GradientOracle("paper-partial", 5, seed, 50) for seed in seeds]
-    stack = OracleStack(oracles)
-    assert not stack.is_exact
+    assert stack.seed == seeds and not stack.is_exact
     for k in (0, 7, 7, 3, 2**40):
         batches = stack.sample_batch(k)
         assert batches.shape == (4, 5)
+        assert stack.sample_batch(k) is batches
         for row, seed, oracle in zip(batches, seeds, oracles):
             assert np.array_equal(row, _fresh_generator_batch(seed, 50, 5, k))
-            # the draw is the row oracle's own, kept in its memo
-            assert oracle.sample_batch(k) is oracle.sample_batch(k)
             assert np.array_equal(oracle.sample_batch(k), row)
     with pytest.raises(ValueError):
         stack.sample_batch(-1)
-    assert OracleStack([GradientOracle("paper-partial", 9, s, 9)
-                        for s in (1, 2)]).is_exact
+    assert GradientOracle("paper-partial", 9, (1, 2), 9).is_exact
 
 
-@pytest.mark.parametrize("oracles", [
-    [],
-    [GradientOracle("paper-partial", 5, 1, 50),
-     GradientOracle("scaled-unbiased", 5, 2, 50)],
-    [GradientOracle("paper-partial", 5, 1, 50),
-     GradientOracle("paper-partial", 4, 2, 50)],
-], ids=["empty", "modes", "batch-sizes"])
-def test_oracle_stack_needs_oracles_of_one_kind(oracles):
-    with pytest.raises(ValueError, match="one mode"):
-        OracleStack(oracles)
+@pytest.mark.parametrize("seeds, message", [
+    ([], "at least one seed"),
+    ([1, 2.0], "seed must be an integer"),
+    ((1, True), "seed must be an integer"),
+    ((1, 2**128), "key must be positive and less than 2"),
+], ids=["empty", "float", "bool", "key-range"])
+def test_stacked_oracle_needs_integer_seeds(seeds, message):
+    with pytest.raises(ValueError, match=message):
+        GradientOracle("paper-partial", 5, seeds, 50)
 
 
 def test_negative_iteration_index_is_rejected():
@@ -374,8 +399,7 @@ def test_numpy_integer_parameters_accepted():
 @pytest.mark.parametrize("stacked", [False, True], ids=["oracle", "stack"])
 def test_non_integral_iteration_rejected(stacked, k):
     # 3.9 once drew batch 3, True batch 1 and "4" batch 4
-    oracles = [GradientOracle("paper-partial", 3, seed, 10) for seed in (1, 2)]
-    sampler = OracleStack(oracles) if stacked else oracles[0]
+    sampler = GradientOracle("paper-partial", 3, (1, 2) if stacked else 1, 10)
     with pytest.raises(ValueError, match="iteration index must be an integer"):
         sampler.sample_batch(k)
     assert np.array_equal(sampler.sample_batch(np.int64(4)), sampler.sample_batch(4))

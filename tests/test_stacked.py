@@ -1,7 +1,7 @@
 """Stacked repeats: R runs stepped as one state equal the R looped 1-d runs.
 
-A stacked state holds R runs as the rows of its arrays, and an
-``OracleStack`` of R oracles gives row r the batches of oracle r. Every
+A stacked state holds R runs as the rows of its arrays, and an oracle of
+R seeds gives row r the batches of seed r. Every
 test here compares the stacked run against the 1-d runs of the same seeds,
 bit for bit.
 """
@@ -13,7 +13,7 @@ from sbpd import experiment
 from sbpd.bregman import BregmanPoint, DomainError
 from sbpd.experiment import ExperimentConfig, read_trace, run_experiment
 from sbpd.linalg import ShapeError
-from sbpd.oracle import GradientOracle, OracleError, OracleStack
+from sbpd.oracle import GradientOracle, OracleError
 from sbpd.problems import build_ot_inverse, build_simplex_tv, compute_reference
 from sbpd.solver import (
     ReferenceEvaluator,
@@ -45,13 +45,9 @@ def _history(problem, steps, oracle, rows=None):
     return states
 
 
-def _stack(mode, q, seeds, m):
-    return OracleStack(GradientOracle(mode, q, seed, m) for seed in seeds)
-
-
 def _assert_stacked_is_looped(problem, mode, q, seed, rows, steps):
     seeds = [seed + r for r in range(rows)]
-    stacked = _history(problem, steps, _stack(mode, q, seeds, problem.m), rows)
+    stacked = _history(problem, steps, GradientOracle(mode, q, seeds, problem.m), rows)
     assert len(stacked) == steps
     for r, s in enumerate(seeds):
         looped = _history(problem, steps, GradientOracle(mode, q, s, problem.m))
@@ -71,7 +67,7 @@ def test_stacked_run_is_bitwise_the_looped_runs(mode, rows):
 def test_stacked_run_with_the_exact_oracle_of_q_equal_m():
     # q = m makes the oracle exact: the stacked full gradient takes the step
     problem = build_simplex_tv(12, 9, 4)
-    assert _stack("paper-partial", 9, (1, 2, 3), 9).is_exact
+    assert GradientOracle("paper-partial", 9, (1, 2, 3), 9).is_exact
     _assert_stacked_is_looped(problem, "paper-partial", 9, 1, 3, 200)
 
 
@@ -102,7 +98,7 @@ def test_non_finite_estimate_in_one_repeat_raises_at_the_k_of_its_1d_run():
     ks = [int(message.rsplit(" ", 1)[1]) for message in messages]
     assert len(set(ks)) == len(ks) and max(ks) < 500
     stacked = _raised(OracleError, problem, 500,
-                      _stack("paper-partial", 2, seeds, 20), rows=len(seeds))
+                      GradientOracle("paper-partial", 2, seeds, 20), rows=len(seeds))
     assert stacked == messages[ks.index(min(ks))]
 
 
@@ -119,7 +115,7 @@ def test_non_finite_entry_in_one_repeat_raises_the_domain_error_of_its_1d_run():
     with pytest.raises(DomainError) as from_1d:
         run(saddle, schedule, single, 7, GradientOracle("paper-partial", 5, 1, 5))
     with pytest.raises(DomainError) as from_stack:
-        run(saddle, schedule, stacked, 7, _stack("paper-partial", 5, (0, 1, 2), 5))
+        run(saddle, schedule, stacked, 7, GradientOracle("paper-partial", 5, (0, 1, 2), 5))
     assert str(from_stack.value) == str(from_1d.value)
 
 
@@ -217,7 +213,7 @@ def _stacked_steps(steps, rows=3):
     saddle, schedule = problem.saddle_problem(), problem.default_schedule()
     x0, mu0 = problem.initial_point()
     state = initial_state(x0, mu0, rows=rows)
-    oracle = _stack("paper-partial", 3, range(1, rows + 1), 8)
+    oracle = GradientOracle("paper-partial", 3, range(1, rows + 1), 8)
     ws = []
     for _ in range(steps):
         state = sbpd_step(saddle, schedule, state, oracle)
