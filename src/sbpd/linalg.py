@@ -5,9 +5,11 @@ holds it: ``LinearMap`` applies a matrix and its transpose, to a vector or
 row by row to a stack of vectors (``matvec``). Vectors are
 checked for shape and finiteness where they enter (``as_vector``), not on
 every apply, so the solver's step runs on plain arrays. The
-forward-difference and convolution builders return plain arrays, and
-``operator_norm`` is the exact spectral norm of the matrix, so the step
-sizes rest on the true norm rather than an estimate.
+forward-difference and convolution builders return plain arrays.
+``operator_norm`` is LAPACK's largest singular value, which rounding can
+put below the true spectral norm; the problems' step sizes do not use it,
+but a rigorous bound on the largest column norm (``coupling_norm`` in
+``sbpd.problems``).
 """
 
 from __future__ import annotations

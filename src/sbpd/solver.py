@@ -142,7 +142,8 @@ class StepSchedule:
 def default_step_sizes(L_p, L_d, opnorm):
     """Symmetric step sizes 1/(L_p + ||T||) and 1/(L_d + ||T||).
 
-    Both meet the step-size bound behind the ergodic rate with equality.
+    With ``opnorm`` a rho >= ||T||_{1->2} (``coupling_norm`` of a simplex
+    problem), both meet the step-size bound behind the ergodic rate.
     """
     if opnorm <= 0:
         raise ValueError("opnorm must be positive")

@@ -8,6 +8,7 @@ import pytest
 
 from sbpd import experiment
 from sbpd.bregman import DomainError
+from sbpd.cli import main
 from sbpd.experiment import (
     CSV_HEADER,
     ConfigError,
@@ -459,6 +460,32 @@ def test_non_finite_gradient_mid_run_fails_the_run(tmp_path, monkeypatch, bad_st
     assert not (tmp_path / "out" / "trace.csv").exists()
     cached = list((tmp_path / "out").glob("reference_*.json"))
     assert len(cached) == (bad_step > 1000)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"experiment": "custom", "A": [[1.0, 0.2, 0.7]] * 4, "b": [0.5] * 4},
+    {"experiment": "ot-inverse", "n": 12, "iterations": 50},
+], ids=["simplex-tv", "custom", "ot-inverse"])
+def test_no_run_computes_an_svd(tmp_path, monkeypatch, overrides):
+    # the steps take the closed-form column bound of coupling_norm, so a
+    # run, cold and warm, and a reference never reach LAPACK's SVD (which
+    # np.linalg.norm(M, 2) calls through the name in numpy.linalg._linalg)
+    def svd(*args, **kwargs):
+        raise AssertionError("a run computed an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg._linalg, "svd", svd)
+    config = _tiny_config(tmp_path, **overrides)
+    for cache in ("miss", "hit"):
+        assert run_experiment(config, log=lambda s: None) == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["reference_cache"] == cache
+    if not overrides:
+        path = tmp_path / "reference.json"
+        path.write_text(json.dumps(dict(asdict(config), iterations=50,
+                                        output_dir=str(tmp_path / "ref"))))
+        assert main(["reference", "--config", str(path)]) == 0
 
 
 def test_stochastic_oracle_on_ot_inverse_is_rejected(tmp_path):

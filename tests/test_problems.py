@@ -2,13 +2,14 @@ import dataclasses
 import hashlib
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sbpd.bregman import BregmanPoint, DomainError
 from sbpd.experiment import ExperimentConfig
-from sbpd.linalg import ShapeError
+from sbpd.linalg import ShapeError, operator_norm
 from sbpd.problems import (
     SimplexTVProblem,
     build_ot_inverse,
@@ -638,23 +639,32 @@ def test_steps_are_bitwise_the_textbook_update(problem, means):
 
 # ------------------------------------------------------------- coupling norm
 
-def _difference_norm(n):
-    return 2.0 * np.cos(np.pi / (2 * n))
+def _assert_column_bound(problem, spectral_norm):
+    # rho >= ||T||_{1->2}: rho^2 against each column's exact sum of squares
+    # (zero entries add nothing); rho <= ||T||_2 (1 + 1e-12)
+    rho = problem.coupling_norm
+    M = problem.coupling.matrix
+    sums = [Fraction(0)] * M.shape[1]
+    for i, j in zip(*np.nonzero(M)):
+        sums[j] += Fraction(M[i, j]) ** 2
+    assert Fraction(rho) ** 2 >= max(sums)
+    assert rho <= spectral_norm * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("config,expected", [
-    (ExperimentConfig(experiment="simplex-tv", n=50, m=50, seed=3),
-     lambda p: _difference_norm(50)),
-    (ExperimentConfig(experiment="custom", A=[[1.0, 0.2, 0.7]] * 4,
-                      b=[0.5] * 4),
-     lambda p: _difference_norm(3)),
-    (ExperimentConfig(experiment="ot-inverse", n=108, seed=3),
-     lambda p: np.linalg.norm(np.vstack([
-         p.F, np.diff(np.eye(108), axis=0)]), 2)),
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(experiment="simplex-tv", n=50, m=50, seed=3),
+    ExperimentConfig(experiment="custom", A=[[1.0, 0.2, 0.7]] * 4, b=[0.5] * 4),
+    ExperimentConfig(experiment="ot-inverse", n=108, seed=3),
 ], ids=["simplex-tv", "custom", "ot-inverse"])
-def test_coupling_norm_matches_independent_value(config, expected):
+def test_coupling_norm_bounds_the_largest_column_norm(config):
     problem = config.build_problem()
-    assert problem.coupling_norm == pytest.approx(expected(problem), rel=1e-12)
+    _assert_column_bound(problem, operator_norm(problem.coupling))
+
+
+def test_coupling_norm_bounds_every_forward_difference_column():
+    for n in range(2, 400):
+        problem = SimplexTVProblem(A=np.ones((1, n)), b=np.ones(1), beta=1.0)
+        _assert_column_bound(problem, operator_norm(problem.coupling))
 
 
 # ---------------------------------------------------------------- reference
