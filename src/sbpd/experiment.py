@@ -15,9 +15,10 @@ A stochastic run steps its ``repeats`` runs with derived seeds, as one
 stacked state whose rows are bitwise the repeats' own runs. Windows are
 evaluated in blocks of ``_BLOCK_BYTES`` of logged states, each as one stack
 of rows (one per repeat of each k) that holds the iterates and the ergodic
-means, each bitwise the row the k's own state gives alone; a certified k
-whose previous state is the certified state before it takes that state's
-energy E_{k+1} as its E_k.
+means, each bitwise the row the k's own state gives alone. A block
+certifies itself: a certified k whose previous state is the certified state
+before it in the block takes that state's energy E_{k+1} as its E_k, and
+one energy pass gives every other E_k and E_{k+1} of the block.
 """
 
 from __future__ import annotations
@@ -270,12 +271,11 @@ CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
 
 
 def should_log(k, final=None):
-    """Dense early logging, then every ceil(k/1000)-th iteration."""
-    if k == final:
-        return True
-    if k <= 1000:
-        return True
-    return k % math.ceil(k / 1000.0) == 0
+    """Dense early logging, then every ceil(k/1000)-th iteration, and ``final``.
+
+    ``k`` >= 1 is an int, or an int array (``_logged_ks``), compared elementwise.
+    """
+    return (k % -(-k // 1000) == 0) | (k == final)
 
 
 # rows of a trace formed per write; a chunk's cells are held at once (all
@@ -384,7 +384,7 @@ def _rows(arrays):
 def _logged_ks(final):
     # should_log's k of a run of final steps, in one numpy pass
     k = np.arange(1, final + 1)
-    return k[(k <= 1000) | (k % -(-k // 1000) == 0) | (k == final)].tolist()
+    return k[should_log(k, final)].tolist()
 
 
 class _LoggedSteps:
@@ -484,9 +484,9 @@ def _measured_run(problem, saddle, schedule, reference, ks, config,
     stepped here into windows of ``_BLOCK_BYTES`` of logged states (one
     logged k with ``stop_gap``, whose rule reads each gap before the next
     step). A window is evaluated in blocks of that size (``_evaluate_block``)
-    once its last k is packed and hands its means to the next; the energy
-    E_{k+1} of the last certified k carries from block to block. Walls
-    count from the start of this phase, or from ``logged``'s clock.
+    once its last k is packed and hands its means to the next; a block
+    reads nothing of the blocks before it. Walls count from the start of
+    this phase, or from ``logged``'s clock.
     """
     repeats = len(oracles)
     stacked = repeats > 1
@@ -503,15 +503,12 @@ def _measured_run(problem, saddle, schedule, reference, ks, config,
     state_bytes = 2 * (state.x.coords.nbytes + state.mu.nbytes) + state.x.log_coords.nbytes
     block_rows = max(1, _BLOCK_BYTES // state_bytes) if config.stop_gap is None else 1
     iterations, means = ks[-1], None
-    carry = (None, None)  # the k of the last certified state and its E_{k+1}
     t0 = time.perf_counter_ns() if config.record_timing else None
 
     def evaluated(window):
         # evaluate a window's blocks; whether the stop rule stops the run
-        nonlocal carry
         for a in range(0, window.rows, block_rows):
-            carry = _evaluate_block(evaluator, window.block(a, a + block_rows), runs,
-                                    carry, noise)
+            _evaluate_block(evaluator, window.block(a, a + block_rows), runs, noise)
             # stop_gap comes with one run (ExperimentConfig rejects it with repeats)
             tail = runs[0][0][-100:] if config.stop_gap is not None else ()
             if len(tail) == 100 and all(r.gap_pointwise < config.stop_gap for r in tail):
@@ -565,19 +562,19 @@ def _estimate_errors(saddle, oracle, batches, x, ks):
     return estimate - full
 
 
-def _evaluate_block(evaluator, block, runs, carry, noise=None):
+def _evaluate_block(evaluator, block, runs, noise=None):
     """Append the records and certificates of a ``_Block`` of logged k to ``runs``.
 
     The block is one stack of rows, R per k in (k, r) order, each row
     bitwise its 1-d value and made a Python float by one ``tolist`` per
     column. The iterates and the ergodic means go through one ``gap``,
-    checked as ``gap`` checks each, the iterates first. One ``certificate``
-    covers the certified rows: their noise terms (``noise(batches, x, ks)``
-    on a stochastic run, formed before the checks) and their E_{k+1}, from
-    their parts. ``carry`` is the k of the last certified state before the
-    block and its E_{k+1}: a certified row whose previous state is the
-    certified state before it takes that state's E_{k+1} as its E_k, and
-    the other rows evaluate theirs. Returns the carry after the block.
+    checked as ``gap`` checks each, the iterates first. The certified rows
+    take their noise terms from ``noise(batches, x, ks)`` on a stochastic
+    run, formed before the checks, and their energies from one ``energy``
+    call: E_{k+1} of each, with T x from its parts, and E_k of each previous
+    state that is not the certified state before it in the block, with T x
+    from one apply; a row whose previous state is that state takes its
+    E_{k+1} as its E_k.
     """
     ks, x, mu, certified = block.ks, block.x, block.mu, block.certified
     repeats = len(runs)
@@ -587,14 +584,10 @@ def _evaluate_block(evaluator, block, runs, carry, noise=None):
                        None, None)
     # the certified rows; a view of all of them when every k is certified
     rows = slice(None) if all(certified) else np.repeat(certified, repeats)
-
-    def pick(a):
-        return None if a is None else a[rows]
-
     delta = None
     if noise is not None and any(certified):
         delta = noise(_rows([b for b, c in zip(block.batches, certified) if c]),
-                      pick(prev.x.coords), np.repeat([k - 1 for k in ks], repeats)[rows])
+                      prev.x.coords[rows], np.repeat([k - 1 for k in ks], repeats)[rows])
     evaluator.check((now.x, now.mu))
     evaluator.check((x[n:], mu[n:]))
     gap, parts = evaluator.gap((BregmanPoint(x), mu), check=False)
@@ -605,30 +598,28 @@ def _evaluate_block(evaluator, block, runs, carry, noise=None):
     slacks = np.full((len(ks), repeats), None, dtype=object)
     certificates = [()] * repeats
     if any(certified):
-        w_next = (BregmanPoint(pick(now.x.coords), pick(now.x.log_coords)), pick(now.mu))
-        e_next = evaluator._energy(w_next, LagrangianParts(*map(pick, parts)))
-        last, e_last = carry
         ends = [k for k, c in zip(ks, certified) if c]
-        fresh = [k - 1 != before for k, before in zip(ends, [last] + ends[:-1])]
-        # E_{k+1} shifted by one certified k; the fresh rows are replaced
-        e_k = np.concatenate([np.zeros(repeats) if e_last is None else e_last,
-                              e_next[:-repeats]])
-        if any(fresh):
-            again = np.repeat(fresh, repeats)
-            e_k[again] = evaluator._energy((
-                BregmanPoint(*(pick(a)[again] for a in (prev.x.coords, prev.x.log_coords))),
-                pick(prev.mu)[again]))
-        slack, scale = evaluator.certificate(None, w_next, gap[rows], primal_delta=delta,
-                                             e_k=e_k, e_next=e_next)
+        # the certified rows whose previous state is not the certified state before them
+        fresh = np.repeat([k - 1 != before for k, before in zip(ends, [None] + ends[:-1])],
+                          repeats)
+        w_next = [a[rows] for a in (now.x.coords, now.x.log_coords, now.mu, parts.Tx)]
+        w_prev = [a[rows][fresh] for a in (prev.x.coords, prev.x.log_coords, prev.mu)]
+        w_prev.append(evaluator.problem.coupling.apply(w_prev[0]))
+        # one energy pass over the certified states, then the fresh previous states
+        x_w, log_x_w, mu_w, Tx_w = map(np.concatenate, zip(w_next, w_prev))
+        energy = evaluator.energy((BregmanPoint(x_w, log_x_w), mu_w), Tx_w)
+        e_next, e_prev = energy[:len(fresh)], energy[len(fresh):]
+        # E_{k+1} of the certified row before; the first certified row is fresh
+        e_k = np.concatenate((e_prev[:repeats], e_next[:-repeats]))
+        e_k[fresh] = e_prev
+        slack, scale = evaluator.slack(e_k, e_next, (w_next[0], w_next[2]), gap[rows], delta)
         slack, scale = slack.tolist(), scale.tolist()
         slacks[list(certified)] = np.array(slack, dtype=object).reshape(-1, repeats)
         certificates = [zip(slack[r::repeats], scale[r::repeats]) for r in range(repeats)]
-        carry = ends[-1], e_next[-repeats:]
     for r, (records, certs) in enumerate(runs):
         records.extend(map(TraceRecord, ks, *(c[r::repeats] for c in columns),
                            slacks[:, r].tolist(), block.walls))
         certs.extend(certificates[r])
-    return carry
 
 
 def _certificate_summary(certificates):

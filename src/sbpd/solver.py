@@ -313,10 +313,10 @@ class ReferenceEvaluator:
     each result depends only on its arguments. ``gap`` evaluates a point's
     parts once and returns them with the gap, so the point's own Lagrangian
     and the certificate's gap term and cross term reuse them. ``schedule``
-    is needed only by the energy and ``certificate``.
+    is needed only by ``energy`` and ``certificate``.
 
     A stacked w (x, log x and mu of shape (R, .)) is evaluated in one pass:
-    ``gap``, ``lagrangian``, the energy and ``certificate`` then return one
+    ``gap``, ``lagrangian``, ``energy`` and ``certificate`` then return one
     value per row as arrays, each bitwise the value of its row's vectors,
     and every check applies to every row.
     """
@@ -362,8 +362,8 @@ class ReferenceEvaluator:
         """L(x, mu) at the point whose parts ``gap`` returned."""
         return _lagrangian(parts, parts)
 
-    def _energy(self, w, parts=None):
-        """E(w_ref) against w = (x, mu), with T x from ``parts`` when given:
+    def energy(self, w, Tx=None):
+        """E(w_ref) against w = (x, mu), with ``Tx`` as T x when given:
 
             KL(x_ref, x)/lam + |mu_ref - mu|^2/(2 nu) - <T x_ref - T x, mu_ref - mu>.
 
@@ -375,30 +375,28 @@ class ReferenceEvaluator:
         if mu.shape[-1:] != self.mu_ref.shape:
             raise ShapeError(f"mu must have the length of mu_ref, got shapes "
                              f"{self.mu_ref.shape} and {mu.shape}")
-        Tx = self.problem.coupling.apply(point.coords) if parts is None else parts.Tx
+        Tx = self.problem.coupling.apply(point.coords) if Tx is None else Tx
         dp = _kl_to_point(self.x_ref, *(self._kl_ref or _kl_terms(self.x_ref)), point)
         d = self.mu_ref - mu
         return (dp / self.schedule.lam + 0.5 * np.vecdot(d, d) / self.schedule.nu
                 - np.vecdot(self.ref.Tx - Tx, d))
 
-    def certificate(self, w_k, w_next, gap, primal_delta=None, parts=None,
-                    e_k=None, e_next=None):
+    def certificate(self, w_k, w_next, gap, primal_delta=None, parts=None):
         """``(slack, scale)`` of the step from ``w_k`` to ``w_next``.
 
         ``gap`` is the gap of ``w_next`` and ``parts`` its parts, as ``gap``
-        returns them; without ``parts``, T x_next is applied here. ``e_k``
-        and ``e_next``, when the caller knows them, are the energies E_k and
-        E_{k+1} of ``w_k`` and ``w_next``; an energy not given is evaluated.
+        returns them; without ``parts``, T x_next is applied here.
         """
-        e_k = self._energy(w_k) if e_k is None else e_k
-        e_next = self._energy(w_next, parts) if e_next is None else e_next
-        return self._slack(e_k, e_next, w_next, gap, primal_delta)
+        e_k = self.energy(w_k)
+        e_next = self.energy(w_next, None if parts is None else parts.Tx)
+        return self.slack(e_k, e_next, w_next, gap, primal_delta)
 
-    def _slack(self, e_k, e_next, w_next, gap, primal_delta):
-        # (slack, scale) of the step to w_next, given E_k and E_{k+1}
+    def slack(self, e_k, e_next, w_next, gap, primal_delta):
+        """``(slack, scale)`` of the step to ``w_next``, given its E_k, E_{k+1}
+        and gap (``energy``, ``gap``); ``w_next`` is not checked here."""
         noise = 0.0
         if primal_delta is not None:
-            x_n = w_next[0]  # checked by the energy of w_next
+            x_n = w_next[0]
             if isinstance(x_n, BregmanPoint):
                 x_n = x_n.coords
             noise += np.vecdot(np.asarray(primal_delta), self.x_ref - x_n)
@@ -427,7 +425,7 @@ def ergodic_rate_constant(problem, schedule, w_ref, w0):
     C0 = D_p(x_ref, x0)/lam + D_d(mu_ref, mu0)/nu - <T(x_ref - x0),
     mu_ref - mu0>, the energy E_0(w_ref). ``w_ref`` must be feasible.
     """
-    return float(ReferenceEvaluator(problem, schedule, w_ref)._energy(w0))
+    return float(ReferenceEvaluator(problem, schedule, w_ref).energy(w0))
 
 
 # (problem, schedule, reference key, evaluator, key of the last w_next, its
@@ -474,10 +472,10 @@ def estimate_inequality_terms(problem, schedule, w_k, w_next, w_ref,
         evaluator = ReferenceEvaluator(problem, schedule, w_ref)
     gap, parts = evaluator.gap(w_next, check=False)
     if not hit or _state_key(*w_k) != last_key:
-        e_k = evaluator._energy(w_k)
-    e_next = evaluator._energy(w_next, parts)
+        e_k = evaluator.energy(w_k)
+    e_next = evaluator.energy(w_next, parts.Tx)
     _memo = (problem, schedule, ref_key, evaluator, _state_key(*w_next), e_next)
-    return evaluator._slack(e_k, e_next, w_next, gap, primal_delta)
+    return evaluator.slack(e_k, e_next, w_next, gap, primal_delta)
 
 
 def certificate_holds(slack, scale):
@@ -498,8 +496,8 @@ def symmetrized_energy_slack(problem, schedule, w1, w2):
     admissible points, which is what lets the noise pairing of inexact
     updates be controlled. Both points must be feasible.
     """
-    return float(ReferenceEvaluator(problem, schedule, w1)._energy(w2)
-                 + ReferenceEvaluator(problem, schedule, w2)._energy(w1))
+    return float(ReferenceEvaluator(problem, schedule, w1).energy(w2)
+                 + ReferenceEvaluator(problem, schedule, w2).energy(w1))
 
 
 def asymptotic_residual(state_k, state_next):

@@ -790,20 +790,19 @@ def test_meta_reference_cache_reads_miss_then_hit(tmp_path):
 
 
 def test_meta_certificate_counts_a_violation_and_exits_0(tmp_path, monkeypatch):
-    certificate = experiment.ReferenceEvaluator.certificate
+    slack_of = experiment.ReferenceEvaluator.slack
     broken = []
 
-    def breaks_the_first_two_rows(self, w_k, w_next, gap, **kwargs):
+    def breaks_the_first_two_rows(self, *args):
         # a block of logged k is certified in one call, one slack per row
-        slack, scale = certificate(self, w_k, w_next, gap, **kwargs)
+        slack, scale = slack_of(self, *args)
         slack = slack.copy()
         first = slice(0, 2 - len(broken))
         broken.extend(slack[first].tolist())
         slack[first] = -1e-6 * scale[first]
         return slack, scale
 
-    monkeypatch.setattr(experiment.ReferenceEvaluator, "certificate",
-                        breaks_the_first_two_rows)
+    monkeypatch.setattr(experiment.ReferenceEvaluator, "slack", breaks_the_first_two_rows)
     config = _tiny_config(tmp_path)
     assert run_experiment(config, log=lambda s: None) == 0
     cert = json.loads((tmp_path / "out" / "meta.json").read_text())["certificate"]
@@ -884,22 +883,34 @@ def test_carried_certified_row_applies_the_coupling_twice(tmp_path):
     assert _measured_run_applies(tmp_path, 1, n) == plain + 1
 
 
-@pytest.mark.parametrize("cert_every,fresh", [(0, 0), (1, 2), (3, 3)])
-def test_certified_rows_evaluate_e_k_only_off_the_chain(tmp_path, cert_every, fresh):
+@pytest.mark.parametrize("cert_every,fresh", [(0, 0), (1, 3), (3, 3)])
+def test_a_block_applies_the_coupling_once_to_its_fresh_previous_states(
+        tmp_path, monkeypatch, cert_every, fresh):
     # 1200 steps log k = 1..1000 and every 2nd k after it: 1100 rows, in
     # blocks of 431, 431 and 238 logged k (the last from k = 863), so
-    # 1200 + 1 + 3 applies without certificates. A certified row takes E_k
-    # from the certified row before when its previous state is that row's;
-    # each block with another certified row applies T once more, to those
-    # previous states: with cert_every 1, the first block (for k = 1) and the
-    # last (for k past 1000), not the second, which starts from the state
-    # the first ended on; with cert_every 3, every block. Every certified
-    # row is still bitwise the per-row evaluation of its own step.
+    # 1200 + 1 + 3 applies without certificates. A block certifies itself:
+    # a certified row takes E_k from the certified row before it in its
+    # block when its previous state is that row's, and every block with a
+    # certified row applies T once more, to the other previous states: the
+    # first certified row's, those of the rows past k = 1000 and, with
+    # cert_every 3, every row's. With cert_every 1 the second block's first
+    # row, k = 432, applies T to the state the first block ended on, which no
+    # block hands on (1206 applies when blocks carried E_{k+1}). Each such
+    # block makes one energy call, and every certified row is still bitwise
+    # the per-row evaluation of its own step.
     assert experiment._BLOCK_BYTES // _STATE_BYTES == 431
+    energy, energies = ReferenceEvaluator.energy, []
+
+    def counted(self, *args):
+        energies.append(1)
+        return energy(self, *args)
+
+    monkeypatch.setattr(ReferenceEvaluator, "energy", counted)
     applies, (records, certificates), (problem, reference, config) = \
         _counted_measured_run(tmp_path, cert_every, 1200)
     assert len(records) == 1100
     assert applies == 1200 + 1 + 3 + fresh
+    assert len(energies) == (3 if cert_every else 0)
     replayed, replayed_certificates = _replayed_run(problem, reference, 1200, config, None)
     assert records == replayed
     assert [tuple(map(float.hex, c)) for c in certificates] == \
@@ -967,6 +978,37 @@ def test_blocks_of_logged_k_equal_the_per_row_replay(tmp_path, overrides):
     # block boundaries, certified rows split between blocks and a last
     # block that is not full
     config = _tiny_config(tmp_path, **overrides)
+    for (records, certificates), (replayed, replayed_certificates) in \
+            _runs_and_replays(config):
+        assert records == replayed
+        assert certificates == replayed_certificates
+    if config.stop_gap is not None:  # the run stopped early
+        assert 100 < len(records) < config.iterations
+
+
+@pytest.mark.parametrize("block_states", [1, 7])
+@pytest.mark.parametrize("overrides", [
+    {"iterations": 1100},
+    {"iterations": 1100, "cert_every": 3, "oracle_mode": "scaled-unbiased",
+     "batch_size": 4, "repeats": 3},
+], ids=["exact-1100", "three-repeats-1100-cert-every-3"])
+def test_small_blocks_equal_the_per_row_replay(tmp_path, monkeypatch, overrides,
+                                               block_states):
+    # a block reads nothing of the blocks before it: with one logged state a
+    # block, every certified row starts its own chain of energies
+    config = _tiny_config(tmp_path, **overrides)
+    monkeypatch.setattr(experiment, "_BLOCK_BYTES",
+                        block_states * config.repeats * _STATE_BYTES)
+
+    def bits(rows):
+        return [tuple(float.hex(v) if type(v) is float else v for v in row) for row in rows]
+
+    for run, replay in _runs_and_replays(config):
+        assert [bits(rows) for rows in run] == [bits(rows) for rows in replay]
+
+
+def _runs_and_replays(config):
+    # each run of _measured_run, (records, certificates), with its per-row replay
     problem = config.build_problem()
     reference = compute_reference(problem, 1000, config.seed)
     oracles = (None,)
@@ -979,15 +1021,11 @@ def test_blocks_of_logged_k_equal_the_per_row_replay(tmp_path, overrides):
                                     experiment._logged_ks(config.iterations), config,
                                     oracles)
     assert len(runs) == config.repeats
-    for r, (records, certificates) in enumerate(runs):
-        oracle = oracles[r] and GradientOracle(config.oracle_mode, config.batch_size,
-                                               config.seed + r, problem.m)
-        replayed, replayed_certificates = _replayed_run(
-            problem, reference, config.iterations, config, oracle)
-        assert records == replayed
-        assert certificates == replayed_certificates
-    if config.stop_gap is not None:  # the run stopped early
-        assert 100 < len(records) < config.iterations
+    return [((records, list(certificates)), _replayed_run(
+        problem, reference, config.iterations, config,
+        oracles[r] and GradientOracle(config.oracle_mode, config.batch_size,
+                                      config.seed + r, problem.m)))
+        for r, (records, certificates) in enumerate(runs)]
 
 
 def test_nan_in_the_last_block_fails_its_feasibility_check(tmp_path, monkeypatch):

@@ -424,12 +424,12 @@ def test_certificate_recomputes_a_state_changed_in_place(changed):
     w1 = (BregmanPoint(x.coords.copy(), x.log_coords.copy()), mu.copy())
     estimate_inequality_terms(problem, schedule, ws[0], w1, ref)
     evaluator = ReferenceEvaluator(problem, schedule, ref)
-    before = evaluator._energy(w1)
+    before = evaluator.energy(w1)
     if changed == "mu":
         w1[1][0] += 0.25
     else:
         w1[0].log_coords[0] -= 0.25
-    assert evaluator._energy(w1) != before
+    assert evaluator.energy(w1) != before
     expected = _fresh_certificate(problem, schedule, ref, w1, ws[2])
     calls = _count_applies(problem)
     assert estimate_inequality_terms(problem, schedule, w1, ws[2], ref) == expected
@@ -466,7 +466,7 @@ def test_certificate_of_one_evaluator_does_not_depend_on_the_call_order():
 
 
 def _energy_of(evaluator, w):
-    return evaluator._energy(w)
+    return evaluator.energy(w)
 
 
 def _energy_by_definition(problem, schedule, ref, point, mu):

@@ -244,7 +244,7 @@ def test_stacked_evaluation_raises_the_error_of_its_bad_row():
              (evaluator.gap, (x.coords, outside_ball)),
              (evaluator.gap, (non_finite, mu)),
              (lambda w: evaluator.gap(w, check=False), (negative, mu)),
-             (evaluator._energy, (zero, mu))]
+             (evaluator.energy, (zero, mu))]
     for call, (xs, mus) in cases:
         error = _error(call, (xs, mus))
         assert error == _error(call, (xs[1], mus[1]))
@@ -269,7 +269,7 @@ def test_stacked_evaluation_rejects_rows_of_two_counts(x_rows, mu_rows):
     point = BregmanPoint(coords, x.log_coords[0] if x_rows == 0
                          else x.log_coords[:x_rows])
     for call, w in ((evaluator.gap, (coords, mu[:mu_rows])),
-                    (evaluator._energy, (point, mu[:mu_rows]))):
+                    (evaluator.energy, (point, mu[:mu_rows]))):
         with pytest.raises(ShapeError, match="row count"):
             call(w)
 
@@ -337,12 +337,12 @@ def test_stacked_certificate_recomputes_a_row_changed_in_place(changed):
         return [v.hex() for v in slack.tolist() + scale.tolist()], len(applies)
 
     certify(w0, w1)
-    before = evaluator._energy(w1)
+    before = evaluator.energy(w1)
     if changed == "mu":
         w1[1][2, 0] += 0.25
     elif changed == "log x":
         w1[0].log_coords[2, 0] -= 0.25
-    after = evaluator._energy(w1)
+    after = evaluator.energy(w1)
     assert after[:2].tobytes() == before[:2].tobytes()
     assert (after[2] != before[2]) == (changed is not None)
     slack, scale = evaluator.certificate(w1, w2, evaluator.gap(w2)[0])
