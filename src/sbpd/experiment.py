@@ -10,15 +10,16 @@ means in place as one (x | mu) row and packs each logged k into float64
 columns. With the exact oracle the measured phase is the first steps of the
 reference trajectory, so a computed reference steps them once, into one
 window; the measured phase steps on from its last state only when the
-reference budget is shorter, and steps every step after a cached reference.
-A stochastic run steps its ``repeats`` runs with derived seeds, as one
-stacked state whose rows are bitwise the repeats' own runs. Windows are
-evaluated in blocks of ``_BLOCK_BYTES`` of logged states, each as one stack
-of rows (one per repeat of each k) that holds the iterates and the ergodic
-means, each bitwise the row the k's own state gives alone. A block
-certifies itself: a certified k whose previous state is the certified state
-before it in the block takes that state's energy E_{k+1} as its E_k, and
-one energy pass gives every other E_k and E_{k+1} of the block.
+reference budget is shorter, and steps every step after a cached reference,
+by one ``run`` call per window. A run builds the one oracle it steps: a
+stochastic run steps its ``repeats`` runs over one oracle of their derived
+seeds, as one stacked state whose rows are bitwise the repeats' own runs.
+Windows are evaluated in blocks of ``_BLOCK_BYTES`` of logged states, each
+as one stack of rows (one per repeat of each k) that holds the iterates and
+the ergodic means, each bitwise the row the k's own state gives alone. A
+block certifies itself: a certified k whose previous state is the certified
+state before it in the block takes that state's energy E_{k+1} as its E_k,
+and one energy pass gives every other E_k and E_{k+1} of the block.
 """
 
 from __future__ import annotations
@@ -469,49 +470,47 @@ class _LoggedSteps:
                       [None] * len(ks) if self.walls is None else self.walls[a:b])
 
 
-def _measured_run(problem, saddle, schedule, reference, ks, config,
-                  oracles=(None,), logged=None):
-    """The measured phase, one run per oracle (``None`` is the exact one),
-    of ``ks[-1]`` steps logged at ``ks`` (``_logged_ks``).
+def _measured_run(problem, saddle, schedule, reference, ks, config, oracle=None,
+                  logged=None):
+    """The measured phase over ``oracle`` (``None`` is the exact one), of
+    ``ks[-1]`` steps logged at ``ks`` (``_logged_ks``).
 
     Returns one ``(records, certificates)`` pair per run: the certificates
-    are the ``(slack, scale)`` pairs of its certified rows. R > 1 oracles
-    step their R runs as one stacked state, over one oracle of their R
-    seeds, whose batch of a k is the (R, q) stack of theirs. Every
-    step goes, without ergodic means, into a ``_LoggedSteps`` window:
-    ``logged``, the reference's window of an exact run, holds its first
-    steps when the reference was computed, and the steps after them are
-    stepped here into windows of ``_BLOCK_BYTES`` of logged states (one
-    logged k with ``stop_gap``, whose rule reads each gap before the next
-    step). A window is evaluated in blocks of that size (``_evaluate_block``)
-    once its last k is packed and hands its means to the next; a block
-    reads nothing of the blocks before it. Walls count from the start of
-    this phase, or from ``logged``'s clock.
+    are the ``(slack, scale)`` pairs of its certified rows. An oracle of a
+    tuple of R seeds (one seed included) steps R runs as one stacked state
+    of R rows, whose batch of a k is the (R, q) stack of theirs; an int seed
+    steps one 1-d state. Every step goes, without ergodic means, into a
+    ``_LoggedSteps`` window: ``logged``, the reference's window of an exact
+    run, holds its first steps when the reference was computed, and the
+    steps after them are stepped here by one ``run`` call per window of
+    ``_BLOCK_BYTES`` of logged states (one logged k with ``stop_gap``, whose
+    rule reads each gap before the next step). A window is evaluated in
+    blocks of that size (``_evaluate_block``) at its last k, inside its
+    call, before ``run``'s final check, and hands its means to the next; a
+    block reads nothing of the blocks before it. Walls count from the start
+    of this phase, or from ``logged``'s clock.
     """
-    repeats = len(oracles)
-    stacked = repeats > 1
-    oracle = oracles[0]
-    if stacked:
-        oracle = GradientOracle(oracle.mode, oracle.batch_size,
-                                [o.seed for o in oracles], oracle.m)
+    rows = len(oracle.seed) if isinstance(getattr(oracle, "seed", None), tuple) else None
     evaluator = ReferenceEvaluator(saddle, schedule, reference.w_star)
-    runs = [([], []) for _ in range(repeats)]
+    runs = [([], []) for _ in range(rows or 1)]
     noisy = oracle if oracle is not None and not oracle.is_exact else None
     noise = functools.partial(_estimate_errors, saddle, oracle) if noisy else None
-    state = _bare_state(*problem.initial_point(), rows=repeats if stacked else None)
+    state = _bare_state(*problem.initial_point(), rows=rows)
     # x, log x, mu and the ergodic means of x and mu of a logged state
     state_bytes = 2 * (state.x.coords.nbytes + state.mu.nbytes) + state.x.log_coords.nbytes
     block_rows = max(1, _BLOCK_BYTES // state_bytes) if config.stop_gap is None else 1
-    iterations, means = ks[-1], None
-    t0 = time.perf_counter_ns() if config.record_timing else None
+    means, t0 = None, time.perf_counter_ns() if config.record_timing else None
+
+    def stopped():
+        # stop_gap comes with one run (ExperimentConfig rejects it with repeats)
+        tail = runs[0][0][-100:] if config.stop_gap is not None else ()
+        return len(tail) == 100 and all(r.gap_pointwise < config.stop_gap for r in tail)
 
     def evaluated(window):
         # evaluate a window's blocks; whether the stop rule stops the run
         for a in range(0, window.rows, block_rows):
             _evaluate_block(evaluator, window.block(a, a + block_rows), runs, noise)
-            # stop_gap comes with one run (ExperimentConfig rejects it with repeats)
-            tail = runs[0][0][-100:] if config.stop_gap is not None else ()
-            if len(tail) == 100 and all(r.gap_pointwise < config.stop_gap for r in tail):
+            if stopped():
                 return True
         return False
 
@@ -519,28 +518,14 @@ def _measured_run(problem, saddle, schedule, reference, ks, config,
         if evaluated(logged):
             return runs
         state, means, t0, ks = logged.last, logged.means, logged.t0, ks[logged.rows:]
-
-    def windows(means):
-        for a in range(0, len(ks), block_rows):
-            window = _LoggedSteps(ks[a:a + block_rows], iterations, config.cert_every, t0,
-                                  noisy, means)
-            yield window
-            means = window.means
-
-    chain = windows(means)
-    window = next(chain, None)
-
-    def observe(prev, state):
-        # the last window too is evaluated here, before run's final check
-        nonlocal window
-        if not window(prev, state):
-            return False
-        stop = evaluated(window)
-        window = next(chain, None)
-        return stop
-
-    if state.k < iterations:
-        run(saddle, schedule, state, iterations - state.k, oracle, observe)
+    for a in range(0, len(ks), block_rows):
+        window = _LoggedSteps(ks[a:a + block_rows], ks[-1], config.cert_every, t0, noisy,
+                              means)
+        state = run(saddle, schedule, state, window.ks[-1] - state.k, oracle,
+                    lambda prev, new, window=window: window(prev, new) and evaluated(window))
+        if stopped():
+            break
+        means = window.means
     return runs
 
 
@@ -705,11 +690,11 @@ def run_phases(config, problem, output_dir):
 
     oracle_seeds = ([config.seed + r for r in range(config.repeats)]
                     if stochastic else [])
-    # None is the exact oracle; repeats step as one stacked state
-    oracles = tuple(GradientOracle(config.oracle_mode, config.batch_size, seed,
-                                   problem.m) for seed in oracle_seeds) or (None,)
-    runs = _measured_run(problem, saddle, schedule, reference, ks, config,
-                         oracles, logged)
+    oracle = None  # the exact oracle; R > 1 repeats step as one stacked state
+    if stochastic:
+        seeds = tuple(oracle_seeds) if config.repeats > 1 else config.seed
+        oracle = GradientOracle(config.oracle_mode, config.batch_size, seeds, problem.m)
+    runs = _measured_run(problem, saddle, schedule, reference, ks, config, oracle, logged)
     traces = [records for records, _ in runs]
     final_gap = float(np.mean([t[-1].gap_ergodic for t in traces]))
     if stochastic:

@@ -179,6 +179,16 @@ def _tiny_config(tmp_path, **overrides):
     return ExperimentConfig(**base)
 
 
+def _oracle(config, problem):
+    # the one oracle run_phases steps: None (exact), seed config.seed for one
+    # repeat, and the tuple of the R seeds for R > 1 repeats
+    if not config.is_stochastic():
+        return None
+    seeds = tuple(range(config.seed, config.seed + config.repeats))
+    return GradientOracle(config.oracle_mode, config.batch_size,
+                          seeds if config.repeats > 1 else config.seed, problem.m)
+
+
 def test_deterministic_run_artifacts(tmp_path):
     config = _tiny_config(tmp_path)
     assert run_experiment(config, log=lambda s: None) == 0
@@ -821,14 +831,11 @@ def test_measured_run_hands_records_python_floats(tmp_path, overrides):
     # stack; a np.float64 cell would write "np.float64(...)" to a trace
     config = _tiny_config(tmp_path, iterations=50, **overrides)
     problem = config.build_problem()
-    oracles = tuple(GradientOracle(config.oracle_mode, config.batch_size,
-                                   config.seed + r, problem.m)
-                    for r in range(config.repeats)) if config.is_stochastic() else (None,)
     runs = experiment._measured_run(problem, problem.saddle_problem(),
                                     problem.default_schedule(),
                                     compute_reference(problem, 1000, config.seed),
                                     experiment._logged_ks(config.iterations), config,
-                                    oracles)
+                                    _oracle(config, problem))
     assert len(runs) == config.repeats
     for records, certificates in runs:
         assert len(records) == len(certificates) == 50
@@ -837,6 +844,58 @@ def test_measured_run_hands_records_python_floats(tmp_path, overrides):
                               "residual", "estimate_slack")]
         cells += [v for pair in certificates for v in pair]
         assert {type(v) for v in cells} == {float}
+
+
+@pytest.mark.parametrize("overrides,seeds", [
+    ({}, []),
+    ({"oracle_mode": "paper-partial", "batch_size": 4}, [5]),
+    ({"oracle_mode": "scaled-unbiased", "batch_size": 4, "repeats": 3}, [(5, 6, 7)]),
+], ids=["exact", "one-repeat", "three-repeats"])
+def test_a_run_builds_the_one_oracle_it_steps(tmp_path, monkeypatch, overrides, seeds):
+    # no oracle for an exact run, seed config.seed for one repeat, and the
+    # tuple of the R seeds for R repeats, which step as one stacked state
+    built = []
+
+    class Counted(GradientOracle):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self.seed)
+
+    monkeypatch.setattr(experiment, "GradientOracle", Counted)
+    config = _tiny_config(tmp_path, iterations=50, **overrides)
+    assert run_experiment(config, log=lambda s: None) == 0
+    assert built == seeds
+    assert [type(s) for s in built] == [type(s) for s in seeds]
+
+
+def test_a_one_seed_tuple_oracle_steps_a_one_row_stack(tmp_path, monkeypatch):
+    # a tuple seed makes a stack of as many rows, one seed included: its run
+    # steps (1, n) states, never 1-d ones fed (1, q) batches, and is bitwise
+    # the run of the int seed
+    config = _tiny_config(tmp_path, iterations=50, oracle_mode="paper-partial",
+                          batch_size=4, cert_every=3)
+    problem = config.build_problem()
+    reference = compute_reference(problem, 1000, config.seed)
+    run_of, shapes = experiment.run, []
+
+    def recorded(saddle, schedule, state, *args):
+        shapes.append(state.mu.shape)
+        return run_of(saddle, schedule, state, *args)
+
+    monkeypatch.setattr(experiment, "run", recorded)
+    runs = {}
+    for seed in (config.seed, (config.seed,)):
+        shapes.clear()
+        [(records, certificates)] = experiment._measured_run(
+            problem, problem.saddle_problem(), problem.default_schedule(), reference,
+            experiment._logged_ks(config.iterations), config,
+            GradientOracle(config.oracle_mode, config.batch_size, seed, problem.m))
+        assert shapes and set(shapes) == {(1, 7) if type(seed) is tuple else (7,)}
+        runs[type(seed)] = ([tuple(float.hex(v) if type(v) is float else v for v in r)
+                             for r in records],
+                            [tuple(map(float.hex, c)) for c in certificates])
+    assert runs[tuple] == runs[int]
+    assert len(runs[int][0]) == 50 and len(runs[int][1]) == 16
 
 
 # bytes of one logged state of the tiny simplex-tv instance: x, log x and
@@ -1011,20 +1070,15 @@ def _runs_and_replays(config):
     # each run of _measured_run, (records, certificates), with its per-row replay
     problem = config.build_problem()
     reference = compute_reference(problem, 1000, config.seed)
-    oracles = (None,)
-    if config.is_stochastic():
-        oracles = tuple(GradientOracle(config.oracle_mode, config.batch_size,
-                                       config.seed + r, problem.m)
-                        for r in range(config.repeats))
     runs = experiment._measured_run(problem, problem.saddle_problem(),
                                     problem.default_schedule(), reference,
                                     experiment._logged_ks(config.iterations), config,
-                                    oracles)
+                                    _oracle(config, problem))
     assert len(runs) == config.repeats
     return [((records, list(certificates)), _replayed_run(
         problem, reference, config.iterations, config,
-        oracles[r] and GradientOracle(config.oracle_mode, config.batch_size,
-                                      config.seed + r, problem.m)))
+        config.is_stochastic() and GradientOracle(config.oracle_mode, config.batch_size,
+                                                  config.seed + r, problem.m) or None))
         for r, (records, certificates) in enumerate(runs)]
 
 
@@ -1050,6 +1104,32 @@ def test_nan_in_the_last_block_fails_its_feasibility_check(tmp_path, monkeypatch
     assert doc == {"error": "DomainError",
                    "message": "primal part of w violates its constraints"}
     assert len(calls) == 1000 + 300
+
+
+def test_nan_in_a_middle_window_fails_that_window_s_check(tmp_path, monkeypatch):
+    # 1000 reference steps, then 300 more stepped in three windows of 50
+    # logged k (the even k 1002-1100, 1102-1200 and 1202-1300), one run
+    # call each; a NaN iterate at k = 1150 is reported by the feasibility
+    # check of the second window, evaluated at k = 1200 inside its call,
+    # not by that call's final check, and no later step is taken
+    calls = []
+    prox = problems.kl_prox_simplex
+
+    def nan_prox(x, v, lam):
+        calls.append(1)
+        point = prox(x, v, lam)
+        if len(calls) >= 1000 + 150:
+            point.coords[0] = np.nan
+        return point
+
+    monkeypatch.setattr(problems, "kl_prox_simplex", nan_prox)
+    monkeypatch.setattr(experiment, "_BLOCK_BYTES", 50 * _STATE_BYTES)
+    config = _tiny_config(tmp_path, reference_iterations=1000, iterations=1300)
+    assert run_experiment(config, log=lambda s: None) == 1
+    doc = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert doc == {"error": "DomainError",
+                   "message": "primal part of w violates its constraints"}
+    assert len(calls) == 1000 + 200
 
 
 def test_nan_in_an_ergodic_mean_only_fails_its_finiteness_check(tmp_path, monkeypatch):
@@ -1148,11 +1228,10 @@ def test_block_noise_terms_equal_the_per_row_grad_estimate(tmp_path, monkeypatch
         return delta
 
     monkeypatch.setattr(experiment, "_estimate_errors", kept)
-    oracles = tuple(GradientOracle(mode, 4, config.seed + r, problem.m)
-                    for r in range(repeats))
     experiment._measured_run(problem, saddle, problem.default_schedule(),
                              compute_reference(problem, 1000, config.seed),
-                             experiment._logged_ks(config.iterations), config, oracles)
+                             experiment._logged_ks(config.iterations), config,
+                             _oracle(config, problem))
     expected = []
     for r in range(repeats):
         oracle, deltas = GradientOracle(mode, 4, config.seed + r, problem.m), {}
@@ -1418,7 +1497,9 @@ def test_an_exact_run_lists_its_logged_k_once(tmp_path, monkeypatch, overrides):
     {"cert_every": 2},
     {"reference_iterations": 1000, "iterations": 1300},
     {"iterations": 1200, "stop_gap": 0.05},
-], ids=["cert-every-2", "reference-shorter-than-run", "stop-gap"])
+    {"reference_iterations": 1001, "iterations": 1500},
+], ids=["cert-every-2", "reference-shorter-than-run", "stop-gap",
+        "reference-budget-not-logged"])
 def test_cold_and_warm_runs_write_the_same_bytes(tmp_path, overrides):
     # a cold exact run steps the reference once and evaluates its held
     # steps, stepping on past a shorter reference; a warm one steps its
@@ -1444,7 +1525,11 @@ def test_cold_and_warm_runs_write_the_same_bytes(tmp_path, overrides):
     ({}, 1000),
     ({"reference_iterations": 1000, "iterations": 1300}, 1300),
     ({"iterations": 1200, "stop_gap": 0.05}, 1500),
-], ids=["reference-longer", "reference-shorter", "stop-gap"])
+    # k = 1001 is not logged: the reference's window carries the means and
+    # its last state to it, and the measured phase steps on from there
+    ({"reference_iterations": 1001, "iterations": 1500}, 1500),
+], ids=["reference-longer", "reference-shorter", "stop-gap",
+        "reference-budget-not-logged"])
 def test_a_cold_exact_run_steps_each_step_once(tmp_path, monkeypatch, overrides,
                                                cold_steps):
     # max(budget, iterations) steps cold, the measured phase's alone warm

@@ -135,7 +135,7 @@ def test_run_experiment_repeats_equal_their_1d_measured_runs(tmp_path):
         oracle = GradientOracle(mode, 4, 5 + r, 12)
         [(records, certificates)] = experiment._measured_run(
             problem, saddle, problem.default_schedule(), reference,
-            experiment._logged_ks(config.iterations), config, (oracle,))
+            experiment._logged_ks(config.iterations), config, oracle)
         trace = read_trace(tmp_path / "out" / f"run_{r:03d}.csv")
         assert _bits(trace) == _bits(records)
         assert len(certificates) == sum(row.estimate_slack is not None
@@ -173,7 +173,7 @@ def looped():
             [runs[key]] = measured_run(
                 problem, problem.saddle_problem(), problem.default_schedule(),
                 references[budget], experiment._logged_ks(config.iterations), config,
-                (oracle,))
+                oracle)
         return runs[key]
 
     return looped_run
