@@ -483,12 +483,12 @@ def _measured_run(problem, saddle, schedule, reference, ks, config, oracle=None,
     ``_LoggedSteps`` window: ``logged``, the reference's window of an exact
     run, holds its first steps when the reference was computed, and the
     steps after them are stepped here by one ``run`` call per window of
-    ``_BLOCK_BYTES`` of logged states (one logged k with ``stop_gap``, whose
-    rule reads each gap before the next step). A window is evaluated in
-    blocks of that size (``_evaluate_block``) at its last k, inside its
-    call, before ``run``'s final check, and hands its means to the next; a
-    block reads nothing of the blocks before it. Walls count from the start
-    of this phase, or from ``logged``'s clock.
+    ``_BLOCK_BYTES`` of logged states. A window is evaluated in blocks of
+    that size (``_evaluate_block``) at its last k, inside its call, before
+    ``run``'s final check, and hands its means to the next; a block reads
+    nothing of the blocks before it, and the ``stop_gap`` rule cuts the
+    records and certificates of a block past its stop k. Walls count from
+    the start of this phase, or from ``logged``'s clock.
     """
     rows = len(oracle.seed) if isinstance(getattr(oracle, "seed", None), tuple) else None
     evaluator = ReferenceEvaluator(saddle, schedule, reference.w_star)
@@ -498,13 +498,21 @@ def _measured_run(problem, saddle, schedule, reference, ks, config, oracle=None,
     state = _bare_state(*problem.initial_point(), rows=rows)
     # x, log x, mu and the ergodic means of x and mu of a logged state
     state_bytes = 2 * (state.x.coords.nbytes + state.mu.nbytes) + state.x.log_coords.nbytes
-    block_rows = max(1, _BLOCK_BYTES // state_bytes) if config.stop_gap is None else 1
+    block_rows = max(1, _BLOCK_BYTES // state_bytes)
     means, t0 = None, time.perf_counter_ns() if config.record_timing else None
 
     def stopped():
-        # stop_gap comes with one run (ExperimentConfig rejects it with repeats)
-        tail = runs[0][0][-100:] if config.stop_gap is not None else ()
-        return len(tail) == 100 and all(r.gap_pointwise < config.stop_gap for r in tail)
+        # the stop rule, over the last block and the 99 rows before it: cut the
+        # run after the first row whose last 100 gaps are all below stop_gap
+        records, certificates = runs[0] if config.stop_gap is not None else ([], [])
+        below = 0
+        for i in range(max(0, len(records) - block_rows - 99), len(records)):
+            below = below + 1 if records[i].gap_pointwise < config.stop_gap else 0
+            if below == 100:
+                cut = sum(r.estimate_slack is not None for r in records[i + 1:])
+                del records[i + 1:], certificates[len(certificates) - cut:]
+                return True
+        return False
 
     def evaluated(window):
         # evaluate a window's blocks; whether the stop rule stops the run
@@ -523,7 +531,7 @@ def _measured_run(problem, saddle, schedule, reference, ks, config, oracle=None,
                               means)
         state = run(saddle, schedule, state, window.ks[-1] - state.k, oracle,
                     lambda prev, new, window=window: window(prev, new) and evaluated(window))
-        if stopped():
+        if stopped():  # the stop row ends a cut run, so the rule holds again
             break
         means = window.means
     return runs

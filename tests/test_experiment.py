@@ -1050,11 +1050,15 @@ def test_blocks_of_logged_k_equal_the_per_row_replay(tmp_path, overrides):
     {"iterations": 1100},
     {"iterations": 1100, "cert_every": 3, "oracle_mode": "scaled-unbiased",
      "batch_size": 4, "repeats": 3},
-], ids=["exact-1100", "three-repeats-1100-cert-every-3"])
+    {"iterations": 3000, "stop_gap": 1e-3, "cert_every": 2},
+], ids=["exact-1100", "three-repeats-1100-cert-every-3", "stop-gap-cert-every-2"])
 def test_small_blocks_equal_the_per_row_replay(tmp_path, monkeypatch, overrides,
                                                block_states):
     # a block reads nothing of the blocks before it: with one logged state a
-    # block, every certified row starts its own chain of energies
+    # block, every certified row starts its own chain of energies. The
+    # stop_gap run stops at k = 180 with 90 certificates: with 7 states a
+    # block, its stop block is k = 176-182, and the stop rule cuts row 181
+    # (not certified) and row 182 (certified) from it
     config = _tiny_config(tmp_path, **overrides)
     monkeypatch.setattr(experiment, "_BLOCK_BYTES",
                         block_states * config.repeats * _STATE_BYTES)
@@ -1064,6 +1068,9 @@ def test_small_blocks_equal_the_per_row_replay(tmp_path, monkeypatch, overrides,
 
     for run, replay in _runs_and_replays(config):
         assert [bits(rows) for rows in run] == [bits(rows) for rows in replay]
+    if config.stop_gap is not None:
+        records, certificates = run
+        assert records[-1].k == 180 and len(certificates) == 90
 
 
 def _runs_and_replays(config):
@@ -1130,6 +1137,37 @@ def test_nan_in_a_middle_window_fails_that_window_s_check(tmp_path, monkeypatch)
     assert doc == {"error": "DomainError",
                    "message": "primal part of w violates its constraints"}
     assert len(calls) == 1000 + 200
+
+
+def test_nan_past_the_stop_k_fails_the_run_cold_and_warm(tmp_path, monkeypatch):
+    # the run stops at k = 100 and a NaN iterate enters at k = 200. A warm
+    # run steps and evaluates on to k = 431, the last k of its stop block,
+    # whose feasibility check reports the NaN; a cold run steps the whole
+    # 1500-step reference, whose final check reports it
+    calls = []
+    prox = problems.kl_prox_simplex
+
+    def nan_prox(x, v, lam):
+        calls.append(1)
+        point = prox(x, v, lam)
+        if len(calls) >= 200:
+            point.coords[0] = np.nan
+        return point
+
+    config = _tiny_config(tmp_path, iterations=1200, stop_gap=0.05)
+    error = tmp_path / "out" / "error.json"
+    for cached, message, steps in [
+            (False, "x has non-finite entries at k = 1500", 1500),
+            (True, "primal part of w violates its constraints", 431)]:
+        if cached:
+            assert run_experiment(config, log=lambda s: None) == 0
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(problems, "kl_prox_simplex", nan_prox)
+            assert run_experiment(config, log=lambda s: None) == 1
+        assert json.loads(error.read_text()) == {"error": "DomainError", "message": message}
+        assert len(calls) == steps
+        error.unlink()
 
 
 def test_nan_in_an_ergodic_mean_only_fails_its_finiteness_check(tmp_path, monkeypatch):
@@ -1521,18 +1559,21 @@ def test_cold_and_warm_runs_write_the_same_bytes(tmp_path, overrides):
     assert k < iterations if "stop_gap" in overrides else k == iterations
 
 
-@pytest.mark.parametrize("overrides,cold_steps", [
-    ({}, 1000),
-    ({"reference_iterations": 1000, "iterations": 1300}, 1300),
-    ({"iterations": 1200, "stop_gap": 0.05}, 1500),
+@pytest.mark.parametrize("overrides,cold_steps,warm_steps", [
+    ({}, 1000, 300),
+    ({"reference_iterations": 1000, "iterations": 1300}, 1300, 1300),
+    # the stop is at k = 100; a warm run steps on to k = 431, the last k of
+    # the block that holds it (_BLOCK_BYTES // _STATE_BYTES logged k)
+    ({"iterations": 1200, "stop_gap": 0.05}, 1500, 431),
     # k = 1001 is not logged: the reference's window carries the means and
     # its last state to it, and the measured phase steps on from there
-    ({"reference_iterations": 1001, "iterations": 1500}, 1500),
+    ({"reference_iterations": 1001, "iterations": 1500}, 1500, 1500),
 ], ids=["reference-longer", "reference-shorter", "stop-gap",
         "reference-budget-not-logged"])
 def test_a_cold_exact_run_steps_each_step_once(tmp_path, monkeypatch, overrides,
-                                               cold_steps):
-    # max(budget, iterations) steps cold, the measured phase's alone warm
+                                               cold_steps, warm_steps):
+    # max(budget, iterations) steps cold; warm, the measured phase's alone,
+    # up to the end of the block that holds a stop_gap run's stop k
     step, steps = solver.sbpd_step, []
 
     def counted(*args):
@@ -1547,9 +1588,8 @@ def test_a_cold_exact_run_steps_each_step_once(tmp_path, monkeypatch, overrides,
         assert run_experiment(config, log=lambda s: None) == 0
         counts.append(len(steps))
     measured = read_trace(tmp_path / "out" / "trace.csv")[-1].k
-    assert counts == [cold_steps, measured]
-    assert measured < config.iterations if "stop_gap" in overrides else \
-        measured == config.iterations
+    assert counts == [cold_steps, warm_steps]
+    assert measured == (100 if "stop_gap" in overrides else config.iterations)
 
 
 @pytest.mark.parametrize("final", [1, 2, 999, 1000, 1001, 1999, 2000, 2001, 20000, 25000])
@@ -1559,18 +1599,20 @@ def test_logged_ks_are_should_log_s(final):
     assert all(type(k) is int for k in experiment._logged_ks(final))
 
 
-@pytest.mark.parametrize("overrides", [
-    {},
-    {"reference_iterations": 1000, "iterations": 1300},
-    {"oracle_mode": "paper-partial", "batch_size": 4, "repeats": 3},
-    {"iterations": 1200, "stop_gap": 0.05},
+@pytest.mark.parametrize("overrides,warm_moves", [
+    ({}, 300),
+    ({"reference_iterations": 1000, "iterations": 1300}, 1300),
+    ({"oracle_mode": "paper-partial", "batch_size": 4, "repeats": 3}, 300),
+    ({"iterations": 1200, "stop_gap": 0.05}, 431),
 ], ids=["exact", "reference-shorter", "stochastic-three-repeats", "stop-gap"])
 def test_a_run_steps_no_means_and_moves_them_once_per_measured_step(tmp_path, monkeypatch,
-                                                                    overrides):
+                                                                    overrides, warm_moves):
     # cold, then warm: no state a run steps carries ergodic means, and the
-    # measured phase's windows move them once per measured step, in order; a
+    # measured phase's windows move them once per step they see, in order; a
     # cold exact run moves them through the reference's first `iterations`
-    # steps, which it measures (all of them, even when stop_gap stops early)
+    # steps, which it measures (all of them, even when stop_gap stops early).
+    # The stop_gap run stops at k = 100, and a warm one moves them on to
+    # k = 431, the last k of the block that holds its stop k
     step, moved_means = solver.sbpd_step, experiment._moved_means
     means_free, moves = [], []
 
@@ -1593,7 +1635,5 @@ def test_a_run_steps_no_means_and_moves_them_once_per_measured_step(tmp_path, mo
         assert run_experiment(config, log=lambda s: None) == 0
         measured = read_trace(tmp_path / "out" / trace)[-1].k
         assert means_free and all(means_free)
-        expected = config.iterations if cold and not config.is_stochastic() else measured
-        assert moves == list(range(1, expected + 1))
-        assert measured < config.iterations if "stop_gap" in overrides else \
-            measured == config.iterations
+        assert moves == list(range(1, (config.iterations if cold else warm_moves) + 1))
+        assert measured == (100 if "stop_gap" in overrides else config.iterations)
