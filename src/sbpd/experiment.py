@@ -17,9 +17,9 @@ seeds, as one stacked state whose rows are bitwise the repeats' own runs.
 Windows are evaluated in blocks of ``_BLOCK_BYTES`` of logged states, each
 as one stack of rows (one per repeat of each k) that holds the iterates and
 the ergodic means, each bitwise the row the k's own state gives alone. A
-block certifies itself: a certified k whose previous state is the certified
-state before it in the block takes that state's energy E_{k+1} as its E_k,
-and one energy pass gives every other E_k and E_{k+1} of the block.
+block certifies itself from the states packed for it: one energy pass over
+them gives each certified k's E_{k+1}, the energy of the k's state, and its
+E_k, that of the state packed before it.
 """
 
 from __future__ import annotations
@@ -363,15 +363,15 @@ _BLOCK_BYTES = 128 << 10
 
 
 class _Block(NamedTuple):
-    """A block of logged k as stacks of rows, R rows per k in (k, r) order."""
+    """A block of logged k: the states packed for it as stacks of rows, R
+    rows per state, and the rows of its k, R per k in (k, r) order."""
 
     ks: list
-    x: np.ndarray  # the iterates' coordinates, then the ergodic means'
-    mu: np.ndarray  # the iterates' mu, then the ergodic means'
-    log_x: np.ndarray  # the iterates' log coordinates
-    prev_x: np.ndarray  # the previous states' coordinates, log coordinates and mu
-    prev_log_x: np.ndarray
-    prev_mu: np.ndarray
+    x: np.ndarray  # the packed states' coordinates, log coordinates and mu
+    log_x: np.ndarray
+    mu: np.ndarray
+    at: np.ndarray  # the row of each k's state; its previous state's is at - R
+    means: np.ndarray  # each k's ergodic means, (x_bar | mu_bar)
     certified: list
     batches: list  # the batch each certified stochastic k's step drew, else None
     walls: list
@@ -402,9 +402,9 @@ class _LoggedSteps:
     state when that one is not logged; with a noisy ``oracle`` a certified
     k's batch (a block hit), with a clock ``t0`` its wall. A call returns
     whether the last k was packed; ``last`` is the last state seen.
-    ``block`` rebuilds x as ``np.exp(log x)``, bitwise as
-    ``kl_prox_simplex`` forms it (the initial state keeps its own x), and
-    splits the means into x_bar and mu_bar.
+    ``block`` hands over a block's packed states as they lie in the columns,
+    with x rebuilt as ``np.exp(log x)``, bitwise as ``kl_prox_simplex``
+    forms it (the initial state keeps its own x).
     """
 
     def __init__(self, ks, final, cert_every, t0=None, oracle=None, means=None):
@@ -454,19 +454,18 @@ class _LoggedSteps:
         return self.next is None
 
     def block(self, a, b):
-        """The packed logged k a to b - 1, in order, as a ``_Block``."""
-        ks = self.ks[a:b]
-        slots = np.array(self.slots[a:b])
-        lo = slots[0] - 1
-        log_x = self.log_x[lo:slots[-1] + 1]
+        """The packed logged k a to b - 1, in order, as a ``_Block``: the
+        states from the previous state of k a to the state of k b - 1."""
+        ks, slots = self.ks[a:b], np.array(self.slots[a:b])
+        packed = slice(slots[0] - 1, slots[-1] + 1)
+        log_x = self.log_x[packed]
         x = np.exp(log_x)
         if ks[0] == 1:
             x[0] = self.x0
-        now, prev, bar = slots - lo, slots - lo - 1, self.bar[a:b]
-        return _Block(ks, _rows(np.concatenate((x[now], bar[..., :self.n]))),
-                      _rows(np.concatenate((self.mu[slots], bar[..., self.n:]))),
-                      _rows(log_x[now]), _rows(x[prev]), _rows(log_x[prev]),
-                      _rows(self.mu[slots - 1]), self.certified[a:b], self.batches[a:b],
+        rows = np.arange(log_x[..., 0].size).reshape(len(log_x), -1)  # per packed state
+        return _Block(ks, _rows(x), _rows(log_x), _rows(self.mu[packed]),
+                      rows[slots - packed.start].ravel(), _rows(self.bar[a:b]),
+                      self.certified[a:b], self.batches[a:b],
                       [None] * len(ks) if self.walls is None else self.walls[a:b])
 
 
@@ -558,54 +557,46 @@ def _estimate_errors(saddle, oracle, batches, x, ks):
 def _evaluate_block(evaluator, block, runs, noise=None):
     """Append the records and certificates of a ``_Block`` of logged k to ``runs``.
 
-    The block is one stack of rows, R per k in (k, r) order, each row
+    The block's k are one stack of rows, R per k in (k, r) order, each row
     bitwise its 1-d value and made a Python float by one ``tolist`` per
     column. The iterates and the ergodic means go through one ``gap``,
     checked as ``gap`` checks each, the iterates first. The certified rows
     take their noise terms from ``noise(batches, x, ks)`` on a stochastic
-    run, formed before the checks, and their energies from one ``energy``
-    call: E_{k+1} of each, with T x from its parts, and E_k of each previous
-    state that is not the certified state before it in the block, with T x
-    from one apply; a row whose previous state is that state takes its
-    E_{k+1} as its E_k.
+    run, formed before the checks. A block with a certified row makes one
+    ``energy`` call over all its packed states, with T x from the parts of
+    its k's states and from one apply for the others: a certified k's
+    E_{k+1} is the energy of its state, and its E_k that of the state packed
+    before it.
     """
-    ks, x, mu, certified = block.ks, block.x, block.mu, block.certified
-    repeats = len(runs)
-    n = len(ks) * repeats
-    now = SolverState(None, BregmanPoint(x[:n], block.log_x), mu[:n], None, None)
-    prev = SolverState(None, BregmanPoint(block.prev_x, block.prev_log_x), block.prev_mu,
-                       None, None)
+    ks, x, mu, at, certified = block.ks, block.x, block.mu, block.at, block.certified
+    repeats, n = len(runs), x.shape[-1]
+    now = SolverState(None, BregmanPoint(x[at], block.log_x[at]), mu[at], None, None)
+    prev = SolverState(None, BregmanPoint(x[at - repeats]), mu[at - repeats], None, None)
     # the certified rows; a view of all of them when every k is certified
     rows = slice(None) if all(certified) else np.repeat(certified, repeats)
     delta = None
     if noise is not None and any(certified):
         delta = noise(_rows([b for b, c in zip(block.batches, certified) if c]),
                       prev.x.coords[rows], np.repeat([k - 1 for k in ks], repeats)[rows])
+    bar_x, bar_mu = block.means[:, :n], block.means[:, n:]
     evaluator.check((now.x, now.mu))
-    evaluator.check((x[n:], mu[n:]))
-    gap, parts = evaluator.gap((BregmanPoint(x), mu), check=False)
-    gap, gap_bar = gap[:n], gap[n:]
-    parts = LagrangianParts(*(None if a is None else a[:n] for a in parts))
+    evaluator.check((bar_x, bar_mu))
+    gap, parts = evaluator.gap((BregmanPoint(np.concatenate((now.x.coords, bar_x))),
+                                np.concatenate((now.mu, bar_mu))), check=False)
+    gap, gap_bar = gap[:len(at)], gap[len(at):]
+    parts = LagrangianParts(*(None if a is None else a[:len(at)] for a in parts))
     columns = [c.tolist() for c in (gap, gap_bar, evaluator.lagrangian(parts),
                                     asymptotic_residual(prev, now))]
     slacks = np.full((len(ks), repeats), None, dtype=object)
     certificates = [()] * repeats
     if any(certified):
-        ends = [k for k, c in zip(ks, certified) if c]
-        # the certified rows whose previous state is not the certified state before them
-        fresh = np.repeat([k - 1 != before for k, before in zip(ends, [None] + ends[:-1])],
-                          repeats)
-        w_next = [a[rows] for a in (now.x.coords, now.x.log_coords, now.mu, parts.Tx)]
-        w_prev = [a[rows][fresh] for a in (prev.x.coords, prev.x.log_coords, prev.mu)]
-        w_prev.append(evaluator.problem.coupling.apply(w_prev[0]))
-        # one energy pass over the certified states, then the fresh previous states
-        x_w, log_x_w, mu_w, Tx_w = map(np.concatenate, zip(w_next, w_prev))
-        energy = evaluator.energy((BregmanPoint(x_w, log_x_w), mu_w), Tx_w)
-        e_next, e_prev = energy[:len(fresh)], energy[len(fresh):]
-        # E_{k+1} of the certified row before; the first certified row is fresh
-        e_k = np.concatenate((e_prev[:repeats], e_next[:-repeats]))
-        e_k[fresh] = e_prev
-        slack, scale = evaluator.slack(e_k, e_next, (w_next[0], w_next[2]), gap[rows], delta)
+        other = np.ones(len(x), dtype=bool)
+        other[at] = False
+        Tx = np.empty((len(x), parts.Tx.shape[-1]))
+        Tx[at], Tx[other] = parts.Tx, evaluator.problem.coupling.apply(x[other])
+        energy = evaluator.energy((BregmanPoint(x, block.log_x), mu), Tx)
+        slack, scale = evaluator.slack(energy[at - repeats][rows], energy[at][rows],
+                                       (now.x.coords[rows], now.mu[rows]), gap[rows], delta)
         slack, scale = slack.tolist(), scale.tolist()
         slacks[list(certified)] = np.array(slack, dtype=object).reshape(-1, repeats)
         certificates = [zip(slack[r::repeats], scale[r::repeats]) for r in range(repeats)]

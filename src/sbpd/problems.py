@@ -388,8 +388,13 @@ class OTInverseProblem(_SimplexPrimal):
 
     def __post_init__(self):
         # checked once: h_star_value and h_star_grad run on plain arrays
-        if np.ndim(self.F) != 2 or self.F.shape[0] != self.F.shape[1]:
-            raise ShapeError(f"F must be a square matrix, got shape {np.shape(self.F)}")
+        for name in ("C", "F", "theta"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        if self.F.ndim != 2 or self.F.shape[0] != self.F.shape[1]:
+            raise ShapeError(f"F must be a square matrix, got shape {self.F.shape}")
+        for name in ("C", "F"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} contains non-finite entries")
         _check_theta(self.theta, self.C, self.n)
         _check_gamma(self.gamma)
         super().__post_init__()
@@ -465,14 +470,17 @@ class OTInverseProblem(_SimplexPrimal):
         }
 
 
-def build_ot_inverse(n, seed, gamma=1.0, beta=1.0, noise_level=0.1,
-                     kernel_radius=10):
+# half-width, in grid points, of the bump kernel that blurs an ot-inverse measure
+_BUMP_RADIUS = 10
+
+
+def build_ot_inverse(n, seed, gamma=1.0, beta=1.0, noise_level=0.1):
     """Transport inverse instance on a regular 1-d grid of n points.
 
     Ground cost |i - j|^2 / 2 on grid indices; forward operator F is the
-    column-normalized bump-kernel convolution; the observation is F applied
-    to a two-box ground truth, mixed with a Dirichlet draw at the given
-    noise level and renormalized.
+    column-normalized convolution with a bump of radius ``_BUMP_RADIUS``;
+    the observation is F applied to a two-box ground truth, mixed with a
+    Dirichlet draw at the given noise level and renormalized.
     """
     if n < 4:
         raise ValueError("need n >= 4")
@@ -480,7 +488,7 @@ def build_ot_inverse(n, seed, gamma=1.0, beta=1.0, noise_level=0.1,
         raise ValueError("noise_level must lie in [0, 1]")
     idx = np.arange(n, dtype=np.float64)
     C = 0.5 * (idx[:, None] - idx[None, :]) ** 2
-    F = convolution_matrix(n, bump_kernel(kernel_radius))
+    F = convolution_matrix(n, bump_kernel(_BUMP_RADIUS))
 
     rho = np.zeros(n)
     w1, w2 = max(1, n // 10), max(1, n // 6)

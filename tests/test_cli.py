@@ -255,3 +255,59 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "experiment" in proc.stdout
+
+
+_TV = ["experiment", "simplex-tv", "--n", "8", "--m", "9"]
+_OT = ["experiment", "ot-inverse", "--n"]
+_STOCHASTIC = _TV + ["--iterations", "50", "--batch", "3"]
+_CUSTOM = {"experiment": "custom", "A": [[1.0, 0.5, 0.2], [0.3, 1.0, 0.6], [0.8, 0.1, 1.0],
+                                         [0.4, 0.7, 0.5]],
+           "b": [0.6, 0.8, 0.9, 0.5], "oracle_mode": "scaled-unbiased", "batch_size": 2,
+           "repeats": 2, "iterations": 300}
+
+
+@pytest.mark.parametrize("argv,evaluated,measured", [
+    (_TV + ["--iterations", "50"], 50, 50),
+    # 1000 steps held from the reference, then 500 more stepped past it
+    (_TV + ["--iterations", "1500", "--reference-iterations", "1000"], 1250, 1500),
+    # 333 certified k up to 1000, then the 84 multiples of 6 up to 1500
+    (_TV + ["--iterations", "1500", "--cert-every", "3"], 417, 1500),
+    # past k = 2000 every 3rd k is logged
+    (_TV + ["--iterations", "3000"], 1834, 3000),
+    (_TV + ["--iterations", "3000", "--stop-gap", "1e9"], 100, 100),
+    # a stop past a 1000-step reference, inside a block of stepped k
+    (_TV + ["--iterations", "4000", "--reference-iterations", "1000", "--stop-gap", "0",
+            "--cert-every", "3"], 468, 1810),
+    (_OT + ["24", "--iterations", "50"], 50, 50),
+    (_OT + ["24", "--iterations", "50", "--cert-every", "3"], 16, 50),
+    # at n = 108 semidual_kernel flushes kernel entries to 0
+    (_OT + ["108", "--iterations", "200"], 200, 200),
+    (_STOCHASTIC + ["--oracle", "paper-partial", "--repeats", "2"], 100, 50),
+    (_STOCHASTIC + ["--oracle", "scaled-unbiased", "--repeats", "2"], 100, 50),
+    (_STOCHASTIC + ["--oracle", "paper-partial", "--repeats", "3", "--cert-every", "3"], 48, 50),
+    (["solve", "--config", "custom.json"], 600, 300),
+], ids=["tv-50", "tv-1500-reference-1000", "tv-1500-cert-every-3", "tv-3000",
+        "tv-stop-gap-1e9", "tv-stop-gap-0-cut", "ot-24", "ot-24-cert-every-3", "ot-108",
+        "paper-partial-2", "scaled-unbiased-2", "paper-partial-3-cert-every-3", "custom"])
+def test_install_smoke_configs_certify_their_counts(tmp_path, monkeypatch, argv, evaluated,
+                                                    measured):
+    # the install smoke's configs, cold then warm: the warm run reads the
+    # cached reference and writes the cold run's traces, and every logged
+    # certified row holds
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SBPD_OUTPUT_DIR", raising=False)
+    (tmp_path / "custom.json").write_text(json.dumps(_CUSTOM))
+    runs = []
+    for _ in ("cold", "warm"):
+        assert main(argv + ["--output-dir", "out"]) == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        traces = {p.name: p.read_bytes() for p in sorted((tmp_path / "out").glob("*.csv"))}
+        runs.append((meta, traces))
+    (cold, cold_traces), (warm, warm_traces) = runs
+    assert cold_traces and warm_traces == cold_traces
+    assert warm["reference_cache"] == "hit"
+    for meta in (cold, warm):
+        assert meta["certificate"]["evaluated"] == evaluated
+        assert meta["certificate"]["violations"] == 0
+        assert meta["resolved"]["measured_iterations"] == measured
+    assert {read_trace(tmp_path / "out" / name)[-1].k for name in warm_traces} == {measured}

@@ -9,6 +9,7 @@ import pytest
 from sbpd import experiment
 from sbpd.bregman import DomainError
 from sbpd.cli import main
+from sbpd.linalg import LinearMap
 from sbpd.experiment import (
     CSV_HEADER,
     ConfigError,
@@ -934,7 +935,7 @@ def test_carried_certified_row_applies_the_coupling_twice(tmp_path):
     # every step applies T once and the evaluator once for T x_ref; a block
     # of logged k applies it once to its iterates and ergodic means stacked,
     # and certifying the block adds one apply, to the previous state of k = 1
-    # (every later certified k takes E_k from the row before)
+    # (the one packed state that is no logged k's own)
     n = 12
     assert n * _STATE_BYTES <= experiment._BLOCK_BYTES  # one block
     plain = _measured_run_applies(tmp_path, 0, n)
@@ -948,15 +949,13 @@ def test_a_block_applies_the_coupling_once_to_its_fresh_previous_states(
     # 1200 steps log k = 1..1000 and every 2nd k after it: 1100 rows, in
     # blocks of 431, 431 and 238 logged k (the last from k = 863), so
     # 1200 + 1 + 3 applies without certificates. A block certifies itself:
-    # a certified row takes E_k from the certified row before it in its
-    # block when its previous state is that row's, and every block with a
-    # certified row applies T once more, to the other previous states: the
-    # first certified row's, those of the rows past k = 1000 and, with
-    # cert_every 3, every row's. With cert_every 1 the second block's first
-    # row, k = 432, applies T to the state the first block ended on, which no
-    # block hands on (1206 applies when blocks carried E_{k+1}). Each such
-    # block makes one energy call, and every certified row is still bitwise
-    # the per-row evaluation of its own step.
+    # every block with a certified row makes one energy call over its packed
+    # states and applies T once more, to those that are no logged k's own:
+    # its first k's previous state and the previous states of the k past
+    # k = 1000. The second block's first k, k = 432, so applies T to the
+    # state the first block ended on, which no block hands on (1206 applies
+    # when blocks carried E_{k+1}). Every certified row is still bitwise the
+    # per-row evaluation of its own step.
     assert experiment._BLOCK_BYTES // _STATE_BYTES == 431
     energy, energies = ReferenceEvaluator.energy, []
 
@@ -976,6 +975,62 @@ def test_a_block_applies_the_coupling_once_to_its_fresh_previous_states(
         [tuple(map(float.hex, c)) for c in replayed_certificates]
     # cert_every 3: 333 k up to 1000, then the 34 multiples of 6 up to 1200
     assert len(certificates) == {0: 0, 1: 1100, 3: 333 + 34}[cert_every]
+
+
+# the benchmark's three workloads at seed 4243, and the energy calls and
+# rows and the coupling applies and rows of their warm runs' blocks
+_WORKLOAD_BLOCK_WORK = [
+    (dict(experiment="simplex-tv", n=50, m=50, iterations=2000), (23, 2016, 46, 3516)),
+    (dict(experiment="simplex-tv", n=50, m=50, iterations=600, oracle_mode="paper-partial",
+          batch_size=5, repeats=3), (28, 1884, 56, 3684)),
+    (dict(experiment="ot-inverse", n=108, iterations=200), (10, 210, 20, 410)),
+]
+
+
+@pytest.mark.parametrize("config,work", _WORKLOAD_BLOCK_WORK,
+                         ids=["tv-exact", "tv-stochastic", "ot-inverse"])
+def test_a_certified_block_makes_one_energy_pass_over_its_packed_states(
+        tmp_path, monkeypatch, config, work):
+    # a block packs its k's states and the previous states that are no k's
+    # own, R rows each; a block with a certified row evaluates the energy of
+    # all of them in one call, and the warm run's totals are pinned
+    config = ExperimentConfig(**config, seed=4243, output_dir=str(tmp_path))
+    energy, apply, evaluate = ReferenceEvaluator.energy, LinearMap.apply, \
+        experiment._evaluate_block
+    calls = None
+
+    def counted_energy(self, w, Tx=None):
+        if calls is not None:
+            calls.append(("energy", len(w[1])))
+        return energy(self, w, Tx)
+
+    def counted_apply(self, x):
+        if calls is not None:
+            calls.append(("apply", len(x)))
+        return apply(self, x)
+
+    def counted_evaluate(evaluator, block, runs, noise=None):
+        nonlocal calls
+        calls = []
+        evaluate(evaluator, block, runs, noise)
+        ks = block.ks
+        states = len(ks) + sum(k - 1 != before for k, before in zip(ks, [None] + ks[:-1]))
+        energies = [rows for name, rows in calls if name == "energy"]
+        assert energies == ([states * len(runs)] if any(block.certified) else [])
+        assert len(block.x) == len(block.log_x) == len(block.mu) == states * len(runs)
+        blocks.append(calls)
+        calls = None
+
+    monkeypatch.setattr(ReferenceEvaluator, "energy", counted_energy)
+    monkeypatch.setattr(LinearMap, "apply", counted_apply)
+    monkeypatch.setattr(experiment, "_evaluate_block", counted_evaluate)
+    for _ in ("cold", "warm"):
+        blocks = []
+        assert run_experiment(config, log=lambda s: None) == 0
+    totals = [(len(rows), sum(rows)) for rows in (
+        [rows for calls in blocks for name, rows in calls if name == kind]
+        for kind in ("energy", "apply"))]
+    assert (*totals[0], *totals[1]) == work
 
 
 def _replayed_run(problem, reference, iterations, config, oracle):
@@ -1055,7 +1110,7 @@ def test_blocks_of_logged_k_equal_the_per_row_replay(tmp_path, overrides):
 def test_small_blocks_equal_the_per_row_replay(tmp_path, monkeypatch, overrides,
                                                block_states):
     # a block reads nothing of the blocks before it: with one logged state a
-    # block, every certified row starts its own chain of energies. The
+    # block, every certified row's block evaluates its previous state. The
     # stop_gap run stops at k = 180 with 90 certificates: with 7 states a
     # block, its stop block is k = 176-182, and the stop rule cuts row 181
     # (not certified) and row 182 (certified) from it
@@ -1341,42 +1396,64 @@ def test_non_finite_full_gradient_at_a_certified_row_fails_with_its_k(tmp_path,
 
 def _stacked(pairs):
     # the (prev, state) of each logged k, states of a means-keeping run, as
-    # the row stacks of a _Block: the iterates, then the ergodic means
+    # row stacks in (k, r) order: the states' x, log x, mu and means
+    # (x_bar | mu_bar), and the previous states' x, log x and mu
     prevs, states = zip(*pairs)
 
     def rows(arrays):
         return np.array(arrays).reshape(-1, arrays[0].shape[-1])
 
-    return experiment._Block(
-        [s.k for s in states], rows([s.x.coords for s in states] + [s.x_bar for s in states]),
-        rows([s.mu for s in states] + [s.mu_bar for s in states]),
-        rows([s.x.log_coords for s in states]), rows([p.x.coords for p in prevs]),
-        rows([p.x.log_coords for p in prevs]), rows([p.mu for p in prevs]), None, None, None)
+    def columns(of):
+        return {"x": rows([s.x.coords for s in of]), "log_x": rows([s.x.log_coords for s in of]),
+                "mu": rows([s.mu for s in of])}
+
+    means = rows([np.concatenate((s.x_bar, s.mu_bar), axis=-1) for s in states])
+    return dict(columns(states), means=means), columns(prevs)
 
 
-@pytest.mark.parametrize("experiment_name", ["simplex-tv", "ot-inverse", "custom"])
-def test_held_steps_rebuild_the_stepped_states_bitwise(tmp_path, experiment_name):
+@pytest.mark.parametrize("experiment_name,repeats", [
+    pytest.param("simplex-tv", 1, id="simplex-tv"),
+    pytest.param("ot-inverse", 1, id="ot-inverse"),
+    pytest.param("custom", 1, id="custom"),
+    pytest.param("simplex-tv", 3, id="simplex-tv-three-repeats"),
+])
+def test_held_steps_rebuild_the_stepped_states_bitwise(tmp_path, experiment_name, repeats):
     # 1200 of 1500 reference steps are the measured phase: k = 1..1000 and
     # every 2nd k after it are logged, so past k = 1000 each previous state is
-    # held on its own; every block, across its bounds, stacks each logged
-    # state and its previous state bitwise as the means-keeping run steps them
+    # held on its own; every block, across its bounds, holds each logged
+    # state at its rows `at` and its previous state R rows before, bitwise as
+    # the means-keeping run steps them (R = 3 for three stacked repeats)
     overrides = {"ot-inverse": {"n": 12}, "custom": CUSTOM_DATA}.get(experiment_name, {})
     config = _tiny_config(tmp_path, experiment=experiment_name, **overrides)
     problem = config.build_problem()
+    saddle, schedule = problem.saddle_problem(), problem.default_schedule()
     held = experiment._LoggedSteps(experiment._logged_ks(1200), 1200, config.cert_every)
     stepped = {}
-    compute_reference(problem, 1500, config.seed, callback=held)
-    last = run(problem.saddle_problem(), problem.default_schedule(),
-               initial_state(*problem.initial_point()), 1200,
-               callback=lambda prev, state: stepped.update({state.k: (prev, state)}))
+    rows = repeats if repeats > 1 else None
+
+    def oracle():
+        return GradientOracle("paper-partial", 4, tuple(range(5, 5 + repeats)),
+                              problem.m) if rows else None
+
+    if rows:
+        run(saddle, schedule, solver._bare_state(*problem.initial_point(), rows=rows), 1200,
+            oracle(), held)
+    else:
+        compute_reference(problem, 1500, config.seed, callback=held)
+    last = run(saddle, schedule, initial_state(*problem.initial_point(), rows=rows), 1200,
+               oracle(), lambda prev, state: stepped.update({state.k: (prev, state)}))
     assert held.ks == [k for k in range(1, 1201) if should_log(k)]
     assert held.rows == 1100
     for a, b in ((0, 1100), (0, 7), (7, 1000), (999, 1003), (1050, 1100)):
         block = held.block(a, b)
-        expected = _stacked([stepped[k] for k in held.ks[a:b]])
-        assert block.ks == expected.ks == held.ks[a:b]
-        for name in ("x", "mu", "log_x", "prev_x", "prev_log_x", "prev_mu"):
-            assert getattr(block, name).tobytes() == getattr(expected, name).tobytes(), name
+        states, prevs = _stacked([stepped[k] for k in held.ks[a:b]])
+        assert block.ks == held.ks[a:b]
+        assert len(block.at) == (b - a) * repeats
+        for name in ("x", "log_x", "mu"):
+            column = getattr(block, name)
+            assert column[block.at].tobytes() == states[name].tobytes(), name
+            assert column[block.at - repeats].tobytes() == prevs[name].tobytes(), name
+        assert block.means.tobytes() == states["means"].tobytes()
     kept = SolverState(held.last.k, held.last.x, held.last.mu,
                        *np.split(held.means, [problem.n], axis=-1))
     assert kept.k == last.k == 1200
@@ -1491,8 +1568,7 @@ def test_window_means_rows_are_bitwise_a_means_keeping_run(tmp_path, monkeypatch
             rows = (w.rows - a) * repeats
             bar = means(w.ks[a:]).reshape(rows, -1)
             assert block.ks == w.ks[a:]
-            assert block.x[rows:].tobytes() == bar[:, :problem.n].tobytes()
-            assert block.mu[rows:].tobytes() == bar[:, problem.n:].tobytes()
+            assert block.means.tobytes() == bar.tobytes()
 
 
 def test_a_cached_reference_allocates_no_held_columns(tmp_path):

@@ -332,13 +332,12 @@ def test_semidual_rejects_non_finite_cost(bad):
     C[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         ot_semidual_value_grad(np.zeros(3), np.full(3, 1.0 / 3.0), C, 1.0)
-    # the problem checks C once, when it first builds its kernel
+    # the problem checks C once, when it is built
     p = build_ot_inverse(10, seed=0)
     C = p.C.copy()
     C[4, 7] = bad
-    broken = dataclasses.replace(p, C=C)
     with pytest.raises(ValueError, match="non-finite"):
-        broken.h_star_grad(np.zeros(19))
+        dataclasses.replace(p, C=C)
 
 
 @pytest.mark.parametrize("C", [np.zeros(3), np.zeros((1, 3, 3)), np.float64(0.0)],
@@ -442,6 +441,31 @@ def test_ot_inverse_checks_its_data_at_construction():
         dataclasses.replace(p, gamma=0.0)
     with pytest.raises(ValueError, match="beta"):
         dataclasses.replace(p, beta=-1.0)
+
+
+@pytest.mark.parametrize("field", ["C", "F", "theta"])
+def test_ot_inverse_takes_list_data_as_float_arrays(tmp_path, field):
+    # a list converts to the float64 array the builder passes, which passes
+    # through as it is, so the reference and its hash are the same bytes
+    p = build_ot_inverse(10, seed=0)
+    assert all(getattr(dataclasses.replace(p), f) is getattr(p, f) for f in ("C", "F", "theta"))
+    listed = dataclasses.replace(p, **{field: getattr(p, field).tolist()})
+    assert getattr(listed, field).dtype == np.float64
+    files = []
+    for problem, name in ((p, "arrays"), (listed, "lists")):
+        compute_reference(problem, 1000, 0, cache_dir=str(tmp_path / name))
+        [path] = (tmp_path / name).glob("reference_*.json")
+        files.append((path.name, path.read_bytes()))
+    assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("field,value", [("C", np.nan), ("F", np.inf)])
+def test_ot_inverse_rejects_non_finite_data_at_construction(field, value):
+    p = build_ot_inverse(10, seed=0)
+    data = getattr(p, field).copy()
+    data[3, 4] = value
+    with pytest.raises(ValueError, match=f"{field} contains non-finite entries"):
+        dataclasses.replace(p, **{field: data})
 
 
 def test_replaced_ot_inverse_steps_by_its_own_gamma():
